@@ -2,7 +2,7 @@
 // the Musique dataset at cache ratio 0.4.  Baselines plateau at the remote
 // service's effective capacity; Cortex scales until the GPU saturates.
 //
-// Three modes:
+// Modes:
 //   * default — the paper's experiment: offered load simulated on the
 //     virtual clock (single-threaded, deterministic);
 //   * --real-threads — real parallel speedup: N OS threads replay the
@@ -19,13 +19,19 @@
 //     either directly (each lookup embeds + scans alone) or through
 //     serve/BatchPipeline (cross-request batches share one embed pass
 //     and one multi-query slab scan per shard).  Reports throughput and
-//     client-observed p99 for both legs.
+//     client-observed p99 for both legs;
+//   * --insert-scaling — the write path against resident size (DESIGN.md
+//     §13.3): one shard, dim 256, i8 scan, no evictions.  At 1k/4k/16k/
+//     64k resident entries it times a run of new inserts and a run of
+//     dedup refreshes (a new phrasing of a resident value) and reports
+//     p50/p99 of each.  Incremental publish keeps both curves flat.
 // Flags:
 //   --json   also write BENCH_concurrency.json (the deterministic
 //            virtual-clock table in default mode; thread-scaling rows in
 //            --real-threads mode), BENCH_concurrency_probe.json
-//            (--probe-scaling), or BENCH_concurrency_pipeline.json
-//            (--pipeline) for the CI bench-diff flywheel
+//            (--probe-scaling), BENCH_concurrency_pipeline.json
+//            (--pipeline), or BENCH_concurrency_insert.json
+//            (--insert-scaling) for the CI bench-diff flywheel
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -162,8 +168,7 @@ int RealThreadsMain(const Flags& flags) {
 // One (mode, threads) cell: every thread strides the query list doing
 // read-only Peeks for a fixed per-thread count; returns aggregate
 // lookups/sec.  Peek mutates nothing, so one pre-seeded engine per mode
-// serves every thread count (seeding republishes the shard snapshot per
-// insert — rebuilding engines per cell would swamp the run).
+// serves every thread count.
 double RunProbeScaling(serve::ConcurrentShardedEngine& engine,
                        const std::vector<const std::string*>& queries,
                        std::size_t num_threads, std::size_t per_thread,
@@ -304,9 +309,8 @@ int ProbeScalingMain(const Flags& flags) {
 // run `per_thread` lookups against a pre-populated engine, either direct
 // (sequential: every lookup embeds and scans alone) or through a
 // BatchPipeline (cross-request batches).  The engine is shared across
-// cells (seeding republishes the snapshot per insert, so rebuilding it
-// per cell would dominate the run) and warmed before the first cell, so
-// every cell measures the same steady state.  Returns aggregate
+// cells and warmed before the first cell, so every cell measures the
+// same steady state.  Returns aggregate
 // lookups/sec and fills the client-observed latency histogram.
 double RunPipelineCell(serve::ConcurrentShardedEngine& engine,
                        const std::vector<const std::string*>& queries,
@@ -403,9 +407,7 @@ int PipelineMain(const Flags& flags) {
   embedder.FitIdf(bundle.AllQueries());
   JudgerModel judger(bundle.oracle.get());
 
-  // One shared engine for every cell: seeding republishes the shard
-  // snapshot on each insert, so rebuilding per cell would swamp the
-  // measured phase (and leave each cell probing cold pages).
+  // One shared engine for every cell, so no cell probes cold pages.
   serve::ConcurrentEngineOptions opts;
   opts.num_shards = shards;
   opts.cache.capacity_tokens = bundle.TotalKnowledgeTokens();  // no eviction
@@ -496,10 +498,122 @@ int PipelineMain(const Flags& flags) {
   return 0;
 }
 
+int InsertScalingMain(const Flags& flags) {
+  const bool csv = flags.GetBool("csv", false);
+  constexpr std::size_t kSamples = 2000;  // timed inserts per cell and kind
+  constexpr std::size_t kResident[] = {1024, 4096, 16384, 65536};
+
+  // The workload supplies phrasings, answers, the IDF fit and the judger;
+  // entry i is topic i % topics under a unique suffix, so every key and
+  // value is distinct.
+  auto profile = SearchDatasetProfile::Musique();
+  profile.num_tasks = 50;
+  const WorkloadBundle bundle = BuildSkewedSearchWorkload(profile);
+  HashedEmbedder embedder;  // dim 256
+  embedder.FitIdf(bundle.AllQueries());
+  JudgerModel judger(bundle.oracle.get());
+  const auto& topics = bundle.universe->topics();
+  const auto request = [&](std::size_t key_id, std::size_t value_id) {
+    const Topic& t = topics[value_id % topics.size()];
+    InsertRequest req;
+    req.key = t.paraphrases[key_id % t.paraphrases.size()] + " #" +
+              std::to_string(key_id);
+    req.value = t.answer + " #" + std::to_string(value_id);
+    req.staticity = 10.0;  // TTLs of hours: nothing expires mid-run
+    req.initial_frequency = 1;
+    return req;
+  };
+
+  serve::ConcurrentEngineOptions opts;
+  opts.num_shards = 1;
+  opts.cache.capacity_tokens = 1e12;  // no evictions
+  opts.housekeeping_interval_sec = 0.0;
+  opts.probe_scan_format = RowFormat::kI8;
+  serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
+
+  std::cout << "=== insert scaling (one shard, dim " << embedder.dimension()
+            << ", i8 scan, no evictions, " << kSamples
+            << " timed inserts per cell) ===\n\n";
+  struct Row {
+    std::size_t resident;
+    double new_p50_us, new_p99_us, dedup_p50_us, dedup_p99_us;
+  };
+  std::vector<Row> rows;
+  TextTable table({"resident", "new p50 (us)", "new p99 (us)",
+                   "dedup p50 (us)", "dedup p99 (us)"});
+  const auto timed = [&](InsertRequest req, Histogram& h) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto id = engine.Insert(std::move(req));
+    h.Add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        t0)
+              .count());
+    return id.has_value();
+  };
+  // Every request gets a fresh key; values 0..resident-1 are resident, so
+  // a dedup sample always names a value that is in the cache.
+  std::size_t key = 0;
+  std::size_t resident = 0;
+  for (const std::size_t target : kResident) {
+    for (; resident < target; ++resident) {
+      engine.Insert(request(key++, resident));
+    }
+    Histogram fresh, dedup;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      timed(request(key++, resident++), fresh);
+    }
+    // A new phrasing of a resident value: the cache dedups onto it and
+    // renews its TTL, a fingerprint-only change.
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      timed(request(key++, (i * 7919) % resident), dedup);
+    }
+    rows.push_back({target, fresh.p50() * 1e6, fresh.p99() * 1e6,
+                    dedup.p50() * 1e6, dedup.p99() * 1e6});
+    const Row& r = rows.back();
+    table.AddRow({std::to_string(target), TextTable::Num(r.new_p50_us, 1),
+                  TextTable::Num(r.new_p99_us, 1),
+                  TextTable::Num(r.dedup_p50_us, 1),
+                  TextTable::Num(r.dedup_p99_us, 1)});
+  }
+  table.Print(std::cout, csv);
+  const CacheCounters counters = engine.TotalCounters();
+  if (counters.evictions != 0) {
+    std::cout << "WARNING: the run evicted; the curve is not eviction-free\n";
+  }
+  if (counters.dedup_refreshes != std::size(kResident) * kSamples) {
+    std::cout << "WARNING: " << counters.dedup_refreshes
+              << " dedup refreshes; some dedup samples were new inserts\n";
+  }
+  if (flags.GetBool("json", false)) {
+    std::ofstream out("BENCH_concurrency_insert.json");
+    out << "{\n  \"benchmark\": \"concurrency_insert_scaling\",\n"
+           "  \"shards\": 1,\n  \"dim\": "
+        << embedder.dimension() << ",\n  \"samples\": " << kSamples
+        << ",\n  \"results\": [\n";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      out << "    {\"resident\": " << rows[i].resident
+          << ", \"new_insert_p50_latency_us\": " << rows[i].new_p50_us
+          << ", \"new_insert_p99_latency_us\": " << rows[i].new_p99_us
+          << ", \"dedup_refresh_p50_latency_us\": " << rows[i].dedup_p50_us
+          << ", \"dedup_refresh_p99_latency_us\": " << rows[i].dedup_p99_us
+          << "}"
+          << (i + 1 < rows.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+    std::cout << "wrote BENCH_concurrency_insert.json\n";
+  }
+  std::cout << "\nexpected shape: flat — a write copies the <=2 chunks it"
+               " touches plus the O(n/256) spine, so p50 at 64k resident"
+               " stays within 2x of p50 at 1k for both kinds of insert.\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  if (flags.GetBool("insert-scaling", false)) {
+    return InsertScalingMain(flags);
+  }
   if (flags.GetBool("pipeline", false)) {
     return PipelineMain(flags);
   }

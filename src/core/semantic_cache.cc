@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -205,11 +207,12 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
     se.last_access = now;
     // The content was just re-retrieved fresh, so renew its lifetime.
     if (options_.ttl_enabled) {
-      se.expiration_time = now + options_.min_ttl_sec +
-                           (options_.max_ttl_sec - options_.min_ttl_sec) *
-                               (se.staticity - 1.0) / 9.0;
+      SetExpiration(se, now + options_.min_ttl_sec +
+                            (options_.max_ttl_sec - options_.min_ttl_sec) *
+                                (se.staticity - 1.0) / 9.0);
     }
     ++counters_.dedup_refreshes;
+    NoteChanged(se.id);
     return se.id;
   }
 
@@ -256,16 +259,7 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
                 (options_.max_ttl_sec - options_.min_ttl_sec) *
                     (se.staticity - 1.0) / 9.0
           : std::numeric_limits<double>::infinity();
-
-  usage_tokens_ += se.size_tokens;
-  tenant_usage_[se.tenant].tokens += se.size_tokens;
-  sine_.Insert(se);
-  key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
-  value_hash_to_id_.emplace(value_hash, se.id);
-  const SeId id = se.id;
-  store_.emplace(id, std::move(se));
-  ++counters_.insertions;
-  return id;
+  return Admit(std::move(se), value_hash);
 }
 
 std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
@@ -293,10 +287,11 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
     if (!VisibleTo(existing, se.tenant)) continue;
     existing.frequency = std::max(existing.frequency, se.frequency);
     existing.last_access = std::max(existing.last_access, se.last_access);
-    existing.expiration_time =
-        std::max(existing.expiration_time, se.expiration_time);
+    SetExpiration(existing,
+                  std::max(existing.expiration_time, se.expiration_time));
     existing.shareable = existing.shareable && se.shareable;
     ++counters_.dedup_refreshes;
+    NoteChanged(existing.id);
     return existing.id;
   }
 
@@ -308,15 +303,41 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
   EvictDownTo(options_.capacity_tokens - se.size_tokens, now, se.tenant);
 
   se.id = next_id_++;
+  return Admit(std::move(se), value_hash);
+}
+
+SeId SemanticCache::Admit(SemanticElement se, std::size_t value_hash) {
   usage_tokens_ += se.size_tokens;
   tenant_usage_[se.tenant].tokens += se.size_tokens;
   sine_.Insert(se);
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
-  store_.emplace(id, std::move(se));
+  IndexExpiry(store_.emplace(id, std::move(se)).first->second);
   ++counters_.insertions;
+  NoteChanged(id);
   return id;
+}
+
+void SemanticCache::SetExpiration(SemanticElement& se,
+                                  double expiration_time) {
+  se.expiration_time = expiration_time;
+  IndexExpiry(se);
+}
+
+void SemanticCache::IndexExpiry(const SemanticElement& se) {
+  if (std::isnan(se.expiration_time)) return;
+  expiry_.emplace_back(se.expiration_time, se.id);
+  std::push_heap(expiry_.begin(), expiry_.end(), std::greater<>());
+  if (expiry_.size() > 2 * store_.size() + 64) {
+    expiry_.clear();
+    for (const auto& [id, e] : store_) {
+      if (!std::isnan(e.expiration_time)) {
+        expiry_.emplace_back(e.expiration_time, id);
+      }
+    }
+    std::make_heap(expiry_.begin(), expiry_.end(), std::greater<>());
+  }
 }
 
 bool SemanticCache::ContainsKey(std::string_view key,
@@ -335,12 +356,21 @@ bool SemanticCache::ContainsValue(std::string_view value) const {
 }
 
 std::size_t SemanticCache::RemoveExpired(double now) {
-  std::vector<SeId> expired;
-  for (const auto& [id, se] : store_) {
-    if (se.ExpiredAt(now)) expired.push_back(id);
+  // Every resident entry with ExpiredAt(now) has a live heap entry keyed
+  // at its expiration, so popping the keys <= now finds exactly those.
+  std::size_t removed = 0;
+  while (!expiry_.empty() && expiry_.front().first <= now) {
+    const auto [expiration, id] = expiry_.front();
+    std::pop_heap(expiry_.begin(), expiry_.end(), std::greater<>());
+    expiry_.pop_back();
+    const auto it = store_.find(id);
+    if (it == store_.end() || it->second.expiration_time != expiration) {
+      continue;  // stale: removed or re-expired since it was pushed
+    }
+    RemoveInternal(id, /*expired=*/true);
+    ++removed;
   }
-  for (SeId id : expired) RemoveInternal(id, /*expired=*/true);
-  return expired.size();
+  return removed;
 }
 
 void SemanticCache::EvictDownTo(double target_tokens, double now,
@@ -436,6 +466,7 @@ void SemanticCache::RemoveInternal(SeId id, bool expired) {
   sine_.Remove(id);
   if (expired) ++counters_.expirations;
   store_.erase(it);
+  NoteChanged(id);
 }
 
 bool SemanticCache::Remove(SeId id) {

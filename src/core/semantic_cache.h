@@ -14,6 +14,8 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/eviction.h"
 #include "core/sine.h"
@@ -181,7 +183,9 @@ class SemanticCache {
   // Value-identity presence probe (is this knowledge already resident?).
   bool ContainsValue(std::string_view value) const;
 
-  // TTL purge; returns the number of entries removed.
+  // TTL purge; returns the number of entries removed.  Pops only the due
+  // entries off an expiry-ordered index, so a purge with nothing due costs
+  // O(1) whatever the resident size.
   std::size_t RemoveExpired(double now);
 
   bool Remove(SeId id);
@@ -212,6 +216,17 @@ class SemanticCache {
     return store_;
   }
 
+  // Change feed.  When a sink is installed, every mutation appends the id
+  // of each entry it added, removed, or whose probe fingerprint
+  // (expiration_time, tenant) it changed — inserts, replaces, evictions,
+  // expiries, dedup refreshes, promotions and restores.  An id may appear
+  // more than once; frequency/last_access bumps are not reported.  The
+  // serving engine installs one per shard to republish only what changed;
+  // null (the default) costs nothing.
+  void set_change_sink(std::vector<SeId>* sink) noexcept {
+    change_sink_ = sink;
+  }
+
  private:
   // Tenant-aware eviction: victims come from the offending tenant's own
   // namespace first, then from tenants over their recorded budget, then
@@ -225,6 +240,16 @@ class SemanticCache {
   void EvictTenantDownTo(const std::string& tenant, double budget_tokens,
                          double now);
   void RemoveInternal(SeId id, bool expired);
+  // Links a fully-populated SE (id assigned) into every index; returns
+  // its id.
+  SeId Admit(SemanticElement se, std::size_t value_hash);
+  // Sets a resident entry's expiration, keeping expiry_ in step.
+  void SetExpiration(SemanticElement& se, double expiration_time);
+  // Pushes a resident entry's current expiration onto expiry_.
+  void IndexExpiry(const SemanticElement& se);
+  void NoteChanged(SeId id) {
+    if (change_sink_ != nullptr) change_sink_->push_back(id);
+  }
   // True when `tenant` may see (match / dedup onto) `se`.
   static bool VisibleTo(const SemanticElement& se,
                         std::string_view tenant) noexcept {
@@ -241,6 +266,13 @@ class SemanticCache {
   // Value-identity dedup index: hash of value -> ids holding that hash
   // (hash collisions resolved by comparing the actual values).
   std::unordered_multimap<std::size_t, SeId> value_hash_to_id_;
+  // Expiry index: a min-heap of (expiration_time, id), pushed whenever an
+  // entry gets an expiration (a NaN one never compares due, so it is not
+  // indexed).  An entry goes stale when its id is removed or re-expired;
+  // RemoveExpired skips stale entries, and the heap is rebuilt from the
+  // store once stale entries outnumber live ones.
+  std::vector<std::pair<double, SeId>> expiry_;
+  std::vector<SeId>* change_sink_ = nullptr;
   double usage_tokens_ = 0.0;
   SeId next_id_ = 1;
   CacheCounters counters_;

@@ -98,6 +98,10 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
     shard.misses = registry_->GetCounter(prefix + "misses");
     shard.judger_rejects = registry_->GetCounter(prefix + "judger_rejects");
     shard.evictions = registry_->GetCounter(prefix + "evictions");
+    if (options_.lock_free_probe) {
+      WriterLock lock(shard.mu);
+      shard.cache->set_change_sink(&shard.changed);
+    }
   }
 
   if (options_.housekeeping_interval_sec > 0.0) {
@@ -107,15 +111,12 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
 
 ConcurrentShardedEngine::~ConcurrentShardedEngine() {
   StopHousekeeping();
-  // Retire every shard's final snapshot, then wait out the grace period.
   // No probes may be in flight once destruction starts (usual dtor
-  // contract), so the drain completes promptly.
+  // contract), so each shard's final header is freed outright; its
+  // SnapshotWriter frees the chunks, records and limbo.
   for (auto& shard : shards_) {
-    const ShardSnapshot* last =
-        shard->snapshot.exchange(nullptr, std::memory_order_seq_cst);
-    if (last != nullptr) epoch_.Retire([last] { delete last; });
+    delete shard->snapshot.exchange(nullptr, std::memory_order_seq_cst);
   }
-  epoch_.DrainBlocking();
 }
 
 void ConcurrentShardedEngine::StopHousekeeping() {
@@ -167,107 +168,7 @@ void ConcurrentShardedEngine::ApplyCacheDeltas(Shard& shard,
 }
 
 void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
-  // Rows whose grace period has passed go back to the slab free list, so
-  // this sync's adds can reuse them.  Limbo epochs are non-decreasing —
-  // draining is a prefix pop.
-  const std::uint64_t safe = epoch_.safe_epoch();
-  while (!shard.limbo.empty() && shard.limbo.front().first <= safe) {
-    shard.scan_slab.Free(shard.limbo.front().second);
-    shard.limbo.pop_front();
-  }
-
-  // Reconcile resident rows against the cache store.  A record is stale
-  // when its id vanished or its probe fingerprint — (created_at,
-  // expiration_time, tenant) — changed (dedup refresh renews the TTL,
-  // promotion retags the tenant; key/value/embedding are immutable per
-  // id).  Stale rows are unlinked (not freed — a published snapshot may
-  // still reference them) and re-added fresh.
-  const auto& entries = shard.cache->entries();
-  std::vector<std::uint32_t> unlinked;
-  for (auto it = shard.resident.begin(); it != shard.resident.end();) {
-    const auto e = entries.find(it->first);
-    const ProbeRecord& rec = *it->second.record;
-    if (e == entries.end() || e->second.created_at != rec.created_at ||
-        e->second.expiration_time != rec.expiration_time ||
-        e->second.tenant != rec.tenant) {
-      unlinked.push_back(it->second.row);
-      it = shard.resident.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  bool changed = !unlinked.empty();
-  for (const auto& [id, se] : entries) {
-    if (shard.resident.contains(id)) continue;
-    auto record = std::make_shared<const ProbeRecord>(
-        ProbeRecord{id, se.key, se.value, se.tenant, se.created_at,
-                    se.expiration_time, se.embedding});
-    const std::uint32_t row = shard.scan_slab.Add(se.embedding);
-    shard.resident.emplace(id, Shard::ResidentRow{std::move(record), row});
-    changed = true;
-  }
-
-  // Republish when membership changed OR the sine thresholds moved (they
-  // are frozen into the snapshot at publish time).
-  const ShardSnapshot* cur = shard.snapshot.load(std::memory_order_seq_cst);
-  const SineOptions& live = shard.cache->sine().options();
-  if (changed || cur == nullptr || cur->sine.tau_lsm != live.tau_lsm ||
-      cur->sine.tau_sim != live.tau_sim) {
-    auto* snap = new ShardSnapshot;
-    snap->format = shard.scan_slab.format();
-    snap->dim = shard.scan_slab.dim();
-    snap->sine = live;
-    const std::size_t n = shard.resident.size();
-    snap->records.reserve(n);
-    switch (snap->format) {
-      case RowFormat::kF32:
-        snap->rows_f32.reserve(n);
-        break;
-      case RowFormat::kF16:
-        snap->rows_f16.reserve(n);
-        break;
-      case RowFormat::kI8:
-        snap->rows_i8.reserve(n);
-        snap->scales_i8.reserve(n);
-        break;
-    }
-    for (const auto& [id, rr] : shard.resident) {
-      snap->records.push_back(rr.record);
-      switch (snap->format) {
-        case RowFormat::kF32:
-          snap->rows_f32.push_back(shard.scan_slab.Row(rr.row));
-          break;
-        case RowFormat::kF16:
-          snap->rows_f16.push_back(shard.scan_slab.RowF16(rr.row));
-          break;
-        case RowFormat::kI8:
-          snap->rows_i8.push_back(shard.scan_slab.RowI8(rr.row));
-          snap->scales_i8.push_back(shard.scan_slab.RowScale(rr.row));
-          break;
-      }
-    }
-    const ShardSnapshot* old =
-        shard.snapshot.exchange(snap, std::memory_order_seq_cst);
-    if (old != nullptr) epoch_.Retire([old] { delete old; });
-  }
-
-  // Stamp unlinked rows AFTER the exchange: a reader that loaded the old
-  // snapshot entered at an epoch <= the epoch at exchange time, so a
-  // post-exchange stamp (like EpochDomain::Retire's own) is the earliest
-  // that is provably safe — a pre-exchange stamp could be one epoch low
-  // if the flusher advanced in between, reusing a row one grace period
-  // early while a straggler still scans it.
-  if (!unlinked.empty()) {
-    const std::uint64_t unlink_epoch = epoch_.current_epoch();
-    for (const std::uint32_t row : unlinked) {
-      shard.limbo.emplace_back(unlink_epoch, row);
-    }
-  }
-
-  // Bound deferred garbage between housekeeping ticks (and entirely when
-  // the housekeeping thread is disabled).  kEpochRetire (70) ranks above
-  // kEngineShard (50), so flushing while holding shard.mu is in order.
-  if (epoch_.pending_retired() > 64) epoch_.Flush();
+  shard.probe.Sync(*shard.cache, shard.changed, shard.snapshot, epoch_);
 }
 
 SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
@@ -283,13 +184,10 @@ SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
   if (timed) timing->embed_seconds = scan_t0 - embed_t0;
 
   // Scan, exact rerank, and stage 2 all run inside ONE guard over
-  // borrowed records.  The thread-local scratch makes the steady-state
-  // probe allocation-free, and borrowing (instead of pooling shared_ptr
-  // copies for an out-of-guard rerank) eliminates the contended refcount
-  // RMWs on shared record control blocks that made the epoch path lose
-  // to the locked one under concurrency.  The judger is a pure in-process
-  // model, so holding the guard across it is cheap; a remote judger would
-  // flip this trade-off.
+  // borrowed records; the thread-local scratch makes the steady-state
+  // probe allocation-free.  The judger is a pure in-process model, so
+  // holding the guard across it is cheap; a remote judger would flip this
+  // trade-off.
   thread_local ProbeScratch scratch;
   SemanticCache::LookupResult result;
   double judge_t0 = scan_t0;
@@ -456,83 +354,67 @@ void ConcurrentShardedEngine::LookupBatch(
     groups[s].push_back(static_cast<std::uint32_t>(i));
   }
 
-  // ---- Stage 1b: per shard, ONE epoch-guarded section runs the
-  // multi-query scan (slab bytes read once per batch) plus each query's
-  // exact rerank.  Survivors are re-homed to shared_ptr copies before the
-  // guard drops — bounded at top_k per request, so the refcount traffic
-  // that sank the old sequential design stays negligible — which lets
-  // stage 2 run unguarded and back-to-back.
-  struct Survivor {
-    double sim;
-    std::shared_ptr<const ProbeRecord> record;
-  };
-  std::vector<std::vector<Survivor>> survivors(nq);
-  std::vector<SineOptions> sine(nq);
-  std::vector<char> have_snapshot(nq, 0);
+  // ---- Stages 1b + 2 under ONE epoch guard.  Per shard, the multi-query
+  // scan (slab bytes read once per batch) plus each query's exact rerank;
+  // then every request is judged in batch order over the borrowed records
+  // with the same SnapshotJudge the sequential probe runs, so verdicts and
+  // hit decisions are identical.  The judger is a pure in-process model,
+  // so holding the guard across it is cheap (as in LockFreeProbe).
+  std::vector<SemanticCache::LookupResult> results(nq);
   std::vector<double> ann_share(nq, 0.0);
+  thread_local std::vector<const ShardSnapshot*> snaps;
+  thread_local std::vector<std::vector<RankedCandidate>> ranked;
   thread_local std::vector<float> group_storage;
   thread_local std::vector<float> sims;
   thread_local ProbeScratch scratch;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto& group = groups[s];
-    if (group.empty()) continue;
-    Shard& shard = *shards_[s];
-    const std::size_t gn = group.size();
-    group_storage.resize(gn * qstride + 16);
-    float* const gq = AlignTo64(group_storage.data());
-    for (std::size_t j = 0; j < gn; ++j) {
-      std::copy_n(matrix + group[j] * qstride, dim, gq + j * qstride);
-    }
-    const double scan_t0 = telemetry::WallSeconds();
-    {
-      EpochReadGuard guard(epoch_);
+  snaps.assign(shards_.size(), nullptr);
+  ranked.resize(std::max(ranked.size(), nq));
+  {
+    EpochReadGuard guard(epoch_);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const auto& group = groups[s];
+      if (group.empty()) continue;
+      const double scan_t0 = telemetry::WallSeconds();
       const ShardSnapshot* snap =
-          shard.snapshot.load(std::memory_order_seq_cst);
+          shards_[s]->snapshot.load(std::memory_order_seq_cst);
+      snaps[s] = snap;
       if (snap != nullptr) {
+        const std::size_t gn = group.size();
+        group_storage.resize(gn * qstride + 16);
+        float* const gq = AlignTo64(group_storage.data());
+        for (std::size_t j = 0; j < gn; ++j) {
+          std::copy_n(matrix + group[j] * qstride, dim, gq + j * qstride);
+        }
         const std::size_t n = snap->size();
         sims.resize(gn * n);
         SnapshotScanMq(*snap, gq, gn, qstride, scratch, sims.data());
         for (std::size_t j = 0; j < gn; ++j) {
-          const std::uint32_t i = group[j];
-          have_snapshot[i] = 1;
-          sine[i] = snap->sine;
           SnapshotRankFromSims(
               *snap, std::span<const float>(gq + j * qstride, dim),
               sims.data() + j * n, scratch);
-          auto& out = survivors[i];
-          out.reserve(scratch.ranked.size());
-          for (const RankedCandidate& c : scratch.ranked) {
-            out.push_back({c.sim, snap->records[c.index]});
-          }
+          ranked[group[j]].assign(scratch.ranked.begin(),
+                                  scratch.ranked.end());
         }
       }
+      const double scan_share = (telemetry::WallSeconds() - scan_t0) /
+                                static_cast<double>(group.size());
+      for (const std::uint32_t i : group) ann_share[i] = scan_share;
     }
-    const double scan_share =
-        (telemetry::WallSeconds() - scan_t0) / static_cast<double>(gn);
-    for (const std::uint32_t i : group) ann_share[i] = scan_share;
-  }
 
-  // ---- Stage 2: judge every request in original batch order.  Same
-  // SnapshotJudge the sequential probe runs, over the same exact-ranked
-  // candidates, so verdicts and hit decisions are identical.
-  std::vector<SemanticCache::LookupResult> results(nq);
-  thread_local std::vector<RankedCandidate> ranked;
-  for (std::size_t i = 0; i < nq; ++i) {
-    BatchLookupRequest& r = batch[i];
-    Vector query_embedding(matrix + i * qstride, matrix + i * qstride + dim);
-    const double judge_t0 = telemetry::WallSeconds();
-    if (have_snapshot[i]) {
-      ranked.clear();
-      for (const Survivor& sv : survivors[i]) {
-        ranked.push_back({sv.sim, sv.record.get(), 0});
+    for (std::size_t i = 0; i < nq; ++i) {
+      BatchLookupRequest& r = batch[i];
+      Vector query_embedding(matrix + i * qstride, matrix + i * qstride + dim);
+      const double judge_t0 = telemetry::WallSeconds();
+      if (const ShardSnapshot* snap = snaps[request_shard[i]]) {
+        results[i] = SnapshotJudge(ranked[i], snap->sine,
+                                   std::move(query_embedding), r.query, now,
+                                   r.tenant, judger_);
+      } else {
+        results[i].query_embedding = std::move(query_embedding);
       }
-      results[i] = SnapshotJudge(ranked, sine[i], std::move(query_embedding),
-                                 r.query, now, r.tenant, judger_);
-    } else {
-      results[i].query_embedding = std::move(query_embedding);
+      r.judger_seconds = telemetry::WallSeconds() - judge_t0;
+      r.judger_calls = results[i].sine.judger_calls;
     }
-    r.judger_seconds = telemetry::WallSeconds() - judge_t0;
-    r.judger_calls = results[i].sine.judger_calls;
   }
 
   // ---- Commit per shard: one exclusive section per PROBED SHARD instead
@@ -889,8 +771,8 @@ void ConcurrentShardedEngine::HousekeepingLoop() {
       last_recal = now;
       RecalibrateAllShards();
     }
-    // Advance the reclamation epoch and run due retire callbacks (freed
-    // snapshots; slab rows drain back on the next shard mutation).
+    // Advance the reclamation epoch; each shard's limbo (headers, chunks,
+    // records, rows) drains on its next write.
     epoch_.Flush();
     lk.lock();
   }

@@ -3,13 +3,15 @@
 // parallel clients instead of the single-threaded virtual-clock sim:
 //
 //   * a lock-free lookup probe (on by default, DESIGN.md §13): each shard
-//     publishes an immutable ShardSnapshot — quantized scan rows plus
-//     probe-relevant record copies — through a seq_cst atomic pointer;
-//     readers pin it with an EpochReadGuard and never touch the shard
-//     mutex for the expensive part (scan + judger).  Writers rebuild and
-//     republish under the exclusive lock and retire the old snapshot to
-//     the engine's EpochDomain.  With lock_free_probe=false, lookups fall
-//     back to taking the shared lock for the probe instead.  Either way
+//     publishes an immutable ShardSnapshot — a spine of chunks of
+//     quantized scan rows plus probe-relevant record copies — through a
+//     seq_cst atomic pointer; readers pin it with an EpochReadGuard and
+//     never touch the shard mutex for the expensive part (scan + judger).
+//     Writers copy only the chunks a write touched, republish under the
+//     exclusive lock, and park what they replaced until the engine's
+//     EpochDomain says no reader can hold it.  With
+//     lock_free_probe=false, lookups fall back to taking the shared lock
+//     for the probe instead.  Either way
 //     the cheap commit (counters, frequency bump) upgrades to the
 //     exclusive lock; insert/evict/expire take the exclusive lock
 //     outright;
@@ -32,7 +34,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -273,6 +274,10 @@ class ConcurrentShardedEngine {
   void StopHousekeeping();
 
  private:
+  // Test-only access to a shard's cache and published snapshot; defined
+  // in the engine's tests, not part of the serving API.
+  friend class ConcurrentEngineTestPeer;
+
   struct Shard {
     mutable RankedSharedMutex mu{LockRank::kEngineShard, "shard.mu"};
     std::unique_ptr<SemanticCache> cache GUARDED_BY(mu) PT_GUARDED_BY(mu);
@@ -281,26 +286,16 @@ class ConcurrentShardedEngine {
 
     // --- Lock-free probe state (DESIGN.md §13) ---------------------------
     // The currently published snapshot.  Readers load it seq_cst inside an
-    // EpochReadGuard; writers exchange it seq_cst under the exclusive lock
-    // and retire the old value to the engine's EpochDomain (the epoch
-    // contract requires seq_cst on both sides).  nullptr until the first
-    // publish (readers treat that as an empty shard).
+    // EpochReadGuard; `probe` exchanges it seq_cst under the exclusive
+    // lock and parks the old header in its limbo (the epoch contract
+    // requires seq_cst on both sides).  nullptr until the first publish
+    // (readers treat that as an empty shard).
     std::atomic<const ShardSnapshot*> snapshot{nullptr};
-    // Quantized scan rows.  Row contents are immutable once published in
-    // a snapshot — a changed entry gets a NEW row; the old one parks in
-    // `limbo` until the grace period passes, then returns to the free
-    // list.  Rows never move (slab chunks are stable), so snapshot row
-    // pointers stay valid throughout.
-    VectorSlab scan_slab GUARDED_BY(mu);
-    struct ResidentRow {
-      std::shared_ptr<const ProbeRecord> record;
-      std::uint32_t row = 0;
-    };
-    // id -> (record, slab row) for every SE currently in the cache store.
-    std::unordered_map<SeId, ResidentRow> resident GUARDED_BY(mu);
-    // (retire-epoch, row) for rows unlinked from the current snapshot;
-    // epochs are non-decreasing, so draining is a prefix pop.
-    std::deque<std::pair<std::uint64_t, std::uint32_t>> limbo GUARDED_BY(mu);
+    // Scan slab, chunk spine and records behind `snapshot`.
+    SnapshotWriter probe GUARDED_BY(mu);
+    // The cache's change feed (installed only with lock_free_probe): ids
+    // touched since the last SyncProbeState.
+    std::vector<SeId> changed GUARDED_BY(mu);
 
     // Per-shard registry handles (cortex_engine_shard<i>_*).  The
     // instruments are internally thread-safe; no lock needed to update.
@@ -314,7 +309,7 @@ class ConcurrentShardedEngine {
         : cache(std::move(c)),
           recalibrator(ropts),
           rng(seed),
-          scan_slab(dim, format) {}
+          probe(dim, format) {}
   };
 
   // Waits on hk_cv_ through a std::unique_lock, which clang's analysis
@@ -323,12 +318,12 @@ class ConcurrentShardedEngine {
   void HousekeepingLoop() NO_THREAD_SAFETY_ANALYSIS;
   bool RecalibrateShard(Shard& shard) EXCLUDES(fetch_gt_mu_);
 
-  // Reconciles the shard's probe state against its cache store and, when
-  // anything probe-relevant changed, publishes a fresh ShardSnapshot
-  // (retiring the old one).  Callers hold the exclusive lock and invoke
-  // this after EVERY mutation that can change probe results — insert,
-  // restore, TTL purge, recalibration.  CommitLookup deliberately does
-  // not: frequency/last_access are not probe-relevant.
+  // Republishes the shard's snapshot for the ids its cache reported since
+  // the last call (and for moved Sine thresholds).  Callers hold the
+  // exclusive lock and invoke this after EVERY mutation that can change
+  // probe results — insert, restore, TTL purge, recalibration.
+  // CommitLookup deliberately does not: frequency/last_access are not
+  // probe-relevant.
   void SyncProbeState(Shard& shard) REQUIRES(shard.mu);
   // The epoch-protected probe (phases 1+2); returns the same LookupResult
   // the locked SemanticCache::Probe produces.  Takes no shard lock.
@@ -350,9 +345,8 @@ class ConcurrentShardedEngine {
   const ConcurrentEngineOptions options_;
   const std::function<double()> clock_;
 
-  // Grace-period tracker for snapshot/row reclamation.  Declared before
-  // shards_ so it outlives every Retire callback; the destructor drains
-  // it explicitly after retiring each shard's final snapshot.
+  // Grace-period tracker for the shards' limbo (snapshot headers, chunks,
+  // records, rows).  Declared before shards_ so it outlives them.
   EpochDomain epoch_;
 
   std::unique_ptr<telemetry::MetricRegistry> registry_owned_;

@@ -243,7 +243,14 @@ void CortexServer::Drain(double timeout_sec) {
 
 void CortexServer::Stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
+  {
+    // Set under queue_mu_: a worker between its predicate check and the
+    // wait then either sees the flag or is already waiting when the
+    // notify fires — a bare store could land in that gap and the notify
+    // be lost, leaving the join below to hang.
+    MutexLock lock(queue_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& w : workers_) {

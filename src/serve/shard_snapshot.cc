@@ -22,22 +22,27 @@ void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
   DCHECK_EQ(query.size(), snap.dim);
 
   scratch.sims.resize(n);
-  switch (snap.format) {
-    case RowFormat::kF32:
-      simd::DotRows(query, snap.rows_f32.data(), n, scratch.sims.data());
-      break;
-    case RowFormat::kF16:
-      simd::DotRowsF16(query, snap.rows_f16.data(), n, scratch.sims.data());
-      break;
-    case RowFormat::kI8: {
-      // One query quantization per probe; the integer dot itself is exact.
-      scratch.q8.resize(snap.dim);
-      const float q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
-      simd::DotRowsI8(scratch.q8.data(), q_scale, snap.rows_i8.data(),
-                      snap.scales_i8.data(), n, snap.dim,
-                      scratch.sims.data());
-      break;
+  float q_scale = 0.0f;
+  if (snap.format == RowFormat::kI8) {
+    // One query quantization per probe; the integer dot itself is exact.
+    scratch.q8.resize(snap.dim);
+    q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
+  }
+  float* out = scratch.sims.data();
+  for (const SnapshotChunk* c : snap.chunks) {
+    switch (snap.format) {
+      case RowFormat::kF32:
+        simd::DotRows(query, c->rows.f32, c->size, out);
+        break;
+      case RowFormat::kF16:
+        simd::DotRowsF16(query, c->rows.f16, c->size, out);
+        break;
+      case RowFormat::kI8:
+        simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows.i8, c->scales,
+                        c->size, snap.dim, out);
+        break;
     }
+    out += c->size;
   }
   SnapshotRankFromSims(snap, query, scratch.sims.data(), scratch);
 }
@@ -65,7 +70,7 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
       std::min(keep.size(), std::max<std::size_t>(4 * snap.sine.top_k, 32));
   const auto pooled = [&](std::uint32_t a, std::uint32_t b) {
     return sims[a] != sims[b] ? sims[a] > sims[b]
-                              : snap.records[a]->id < snap.records[b]->id;
+                              : snap.record(a)->id < snap.record(b)->id;
   };
   std::partial_sort(keep.begin(),
                     keep.begin() + static_cast<std::ptrdiff_t>(pool_size),
@@ -76,11 +81,10 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
   // what the locked kFlat path would have produced.
   const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
   for (std::size_t i = 0; i < pool_size; ++i) {
-    const std::uint32_t idx = keep[i];
-    const ProbeRecord* rec = snap.records[idx].get();
+    const ProbeRecord* rec = snap.record(keep[i]);
     const double sim =
         exact.dot(query.data(), rec->embedding.data(), query.size());
-    if (sim >= snap.sine.tau_sim) scratch.ranked.push_back({sim, rec, idx});
+    if (sim >= snap.sine.tau_sim) scratch.ranked.push_back({sim, rec});
   }
   std::sort(scratch.ranked.begin(), scratch.ranked.end(),
             [](const RankedCandidate& a, const RankedCandidate& b) {
@@ -97,30 +101,42 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
                     ProbeScratch& scratch, float* sims_out) {
   const std::size_t n = snap.size();
   if (n == 0 || nq == 0) return;
-  switch (snap.format) {
-    case RowFormat::kF32:
-      simd::DotRowsMq(queries, nq, qstride, snap.rows_f32.data(), n, snap.dim,
-                      sims_out);
-      break;
-    case RowFormat::kF16:
-      simd::DotRowsF16Mq(queries, nq, qstride, snap.rows_f16.data(), n,
-                         snap.dim, sims_out);
-      break;
-    case RowFormat::kI8: {
-      // Quantize every query once per batch; the per-(query,row) score is
-      // then bitwise the sequential DotRowsI8 result.
-      scratch.q8.resize(nq * snap.dim);
-      scratch.q8_scales.resize(nq);
-      for (std::size_t q = 0; q < nq; ++q) {
-        scratch.q8_scales[q] = simd::QuantizeRowI8(
-            std::span<const float>(queries + q * qstride, snap.dim),
-            scratch.q8.data() + q * snap.dim);
-      }
-      simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
-                        snap.dim, snap.rows_i8.data(), snap.scales_i8.data(),
-                        n, snap.dim, sims_out);
-      break;
+  if (snap.format == RowFormat::kI8) {
+    // Quantize every query once per batch; the per-(query,row) score is
+    // then bitwise the sequential DotRowsI8 result.
+    scratch.q8.resize(nq * snap.dim);
+    scratch.q8_scales.resize(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      scratch.q8_scales[q] = simd::QuantizeRowI8(
+          std::span<const float>(queries + q * qstride, snap.dim),
+          scratch.q8.data() + q * snap.dim);
     }
+  }
+  // The kernels lay scores out query-major over the rows they scan, so
+  // each chunk scores into scratch and its rows are copied to their
+  // global positions.
+  scratch.chunk_sims.resize(nq * kSnapshotChunkRows);
+  float* const tmp = scratch.chunk_sims.data();
+  std::size_t base = 0;
+  for (const SnapshotChunk* c : snap.chunks) {
+    const std::size_t m = c->size;
+    switch (snap.format) {
+      case RowFormat::kF32:
+        simd::DotRowsMq(queries, nq, qstride, c->rows.f32, m, snap.dim, tmp);
+        break;
+      case RowFormat::kF16:
+        simd::DotRowsF16Mq(queries, nq, qstride, c->rows.f16, m, snap.dim,
+                           tmp);
+        break;
+      case RowFormat::kI8:
+        simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
+                          snap.dim, c->rows.i8, c->scales, m, snap.dim, tmp);
+        break;
+    }
+    for (std::size_t q = 0; q < nq; ++q) {
+      std::copy_n(tmp + q * m, m, sims_out + q * n + base);
+    }
+    base += m;
   }
 }
 
@@ -176,6 +192,175 @@ SemanticCache::LookupResult SnapshotJudge(
     }
   }
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotWriter
+
+namespace {
+
+// Parked entries that trigger an epoch advance from the write path, so
+// limbo stays bounded even with the housekeeping thread disabled.
+constexpr std::size_t kLimboFlushThreshold = 64;
+
+}  // namespace
+
+SnapshotWriter::SnapshotWriter(std::size_t dim, RowFormat format)
+    : slab_(dim, format) {}
+
+SnapshotWriter::~SnapshotWriter() = default;
+
+void SnapshotWriter::Sync(const SemanticCache& cache,
+                          std::vector<SeId>& changed,
+                          std::atomic<const ShardSnapshot*>& published,
+                          EpochDomain& epoch) {
+  // Units past their grace period go first, so this sync's adds can reuse
+  // their rows.  Limbo epochs are non-decreasing: draining is a prefix pop.
+  const std::uint64_t safe = epoch.safe_epoch();
+  while (!limbo_.empty() && limbo_.front().epoch <= safe) {
+    if (limbo_.front().row != kNoRow) slab_.Free(limbo_.front().row);
+    limbo_.pop_front();
+  }
+
+  // Reconcile only the ids the cache reported.  A record is stale when
+  // its id vanished or its probe fingerprint changed (dedup refresh
+  // renews the TTL, promotion retags the tenant); key, value and
+  // embedding are immutable per id, so a stale record keeps its row.
+  bool dirty = false;
+  for (const SeId id : changed) {
+    const SemanticElement* se = cache.Get(id);
+    const auto it = resident_.find(id);
+    if (se == nullptr) {
+      if (it == resident_.end()) continue;
+      Remove(it);
+    } else if (it == resident_.end()) {
+      Add(*se);
+    } else {
+      const ProbeRecord& rec = *it->second.record;
+      if (se->created_at == rec.created_at &&
+          se->expiration_time == rec.expiration_time &&
+          se->tenant == rec.tenant) {
+        continue;
+      }
+      Retag(it->second, *se);
+    }
+    dirty = true;
+  }
+  changed.clear();
+
+  // Republish when an entry changed OR the Sine thresholds moved (they
+  // are frozen into the header; a threshold-only publish copies just the
+  // spine).
+  const ShardSnapshot* cur = published.load(std::memory_order_seq_cst);
+  const SineOptions& live = cache.sine().options();
+  if (!dirty && cur != nullptr && cur->sine.tau_lsm == live.tau_lsm &&
+      cur->sine.tau_sim == live.tau_sim) {
+    return;
+  }
+  auto header = std::make_unique<ShardSnapshot>();
+  header->format = slab_.format();
+  header->dim = slab_.dim();
+  header->sine = live;
+  header->entries = size_;
+  header->chunks.reserve(chunks_.size());
+  for (const auto& c : chunks_) header->chunks.push_back(c.get());
+  const ShardSnapshot* old =
+      published.exchange(header.release(), std::memory_order_seq_cst);
+  if (old != nullptr) {
+    unlinked_.push_back(
+        Retired{.header = std::unique_ptr<const ShardSnapshot>(old)});
+  }
+
+  // Stamp AFTER the exchange: a reader that loaded the old header entered
+  // at an epoch <= the epoch at exchange time.
+  const std::uint64_t stamp = epoch.current_epoch();
+  for (Retired& r : unlinked_) {
+    r.epoch = stamp;
+    limbo_.push_back(std::move(r));
+  }
+  unlinked_.clear();
+  std::fill(fresh_.begin(), fresh_.end(), 0);
+
+  // kEpochRetire (70) ranks above kEngineShard (50), so flushing while
+  // the caller holds shard.mu is in order.
+  if (limbo_.size() > kLimboFlushThreshold) epoch.Flush();
+}
+
+void SnapshotWriter::Add(const SemanticElement& se) {
+  const auto pos = static_cast<std::uint32_t>(size_);
+  if (pos % kSnapshotChunkRows == 0) {
+    chunks_.push_back(std::make_unique<SnapshotChunk>());
+    fresh_.push_back(1);
+  }
+  auto record = std::make_unique<const ProbeRecord>(
+      ProbeRecord{se.id, se.key, se.value, se.tenant, se.created_at,
+                  se.expiration_time, se.embedding});
+  const std::uint32_t row = slab_.Add(se.embedding);
+  Put(pos, record.get(), row);
+  ++chunks_.back()->size;
+  ++size_;
+  resident_.emplace(se.id, Resident{std::move(record), row, pos});
+}
+
+void SnapshotWriter::Remove(std::unordered_map<SeId, Resident>::iterator it) {
+  // Swap-remove: the last entry moves into the hole, so at most two
+  // chunks change and the spine stays dense.
+  Resident& r = it->second;
+  const auto last = static_cast<std::uint32_t>(size_ - 1);
+  if (r.pos != last) {
+    const ProbeRecord* moved =
+        chunks_[last / kSnapshotChunkRows]->records[last % kSnapshotChunkRows];
+    Resident& m = resident_.at(moved->id);
+    Put(r.pos, moved, m.row);
+    m.pos = r.pos;
+  }
+  if (--Mutable(chunks_.size() - 1).size == 0) {
+    chunks_.pop_back();  // a fresh copy: its published original is parked
+    fresh_.pop_back();
+  }
+  --size_;
+  unlinked_.push_back(Retired{.record = std::move(r.record), .row = r.row});
+  resident_.erase(it);
+}
+
+void SnapshotWriter::Retag(Resident& r, const SemanticElement& se) {
+  ProbeRecord copy = *r.record;
+  copy.created_at = se.created_at;
+  copy.expiration_time = se.expiration_time;
+  copy.tenant = se.tenant;
+  auto record = std::make_unique<const ProbeRecord>(std::move(copy));
+  Put(r.pos, record.get(), r.row);
+  unlinked_.push_back(Retired{.record = std::move(r.record)});
+  r.record = std::move(record);
+}
+
+SnapshotChunk& SnapshotWriter::Mutable(std::size_t c) {
+  if (!fresh_[c]) {
+    auto copy = std::make_unique<SnapshotChunk>(*chunks_[c]);
+    unlinked_.push_back(Retired{.chunk = std::move(chunks_[c])});
+    chunks_[c] = std::move(copy);
+    fresh_[c] = 1;
+  }
+  return *chunks_[c];
+}
+
+void SnapshotWriter::Put(std::uint32_t pos, const ProbeRecord* record,
+                         std::uint32_t row) {
+  SnapshotChunk& c = Mutable(pos / kSnapshotChunkRows);
+  const std::size_t k = pos % kSnapshotChunkRows;
+  c.records[k] = record;
+  switch (slab_.format()) {
+    case RowFormat::kF32:
+      c.rows.f32[k] = slab_.Row(row);
+      break;
+    case RowFormat::kF16:
+      c.rows.f16[k] = slab_.RowF16(row);
+      break;
+    case RowFormat::kI8:
+      c.rows.i8[k] = slab_.RowI8(row);
+      c.scales[k] = slab_.RowScale(row);
+      break;
+  }
 }
 
 }  // namespace cortex::serve

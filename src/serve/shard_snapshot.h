@@ -2,55 +2,52 @@
 //
 // The serving engine's lock-free read path (DESIGN.md §13) never touches
 // the shard's shared_mutex.  Instead, every write that changes what a
-// probe could observe rebuilds a ShardSnapshot under the write lock and
-// publishes it through a seq_cst atomic pointer; readers pin it with an
-// EpochReadGuard (util/epoch.h) and the old snapshot is retired to the
-// engine's EpochDomain.  Per the epoch contract, BOTH sides of the
-// pointer hand-off are seq_cst: exchange on publish, load under the
-// guard.
+// probe could observe publishes a new ShardSnapshot under the write lock
+// through a seq_cst atomic pointer; readers pin it with an EpochReadGuard
+// (util/epoch.h).  Per the epoch contract, BOTH sides of the pointer
+// hand-off are seq_cst: exchange on publish, load under the guard.
 //
-// A snapshot pairs each resident SE with
-//   * a shared_ptr<const ProbeRecord> — the probe-relevant fields, copied
-//     once per id (key/value/embedding are immutable per id in
-//     SemanticCache, so records are shared across rebuilds);
-//   * a row in the shard's scan slab, quantized per the engine's
-//     probe_scan_format (f32 / f16 / i8).  Rows referenced by any live
-//     snapshot are never freed or reused: removed rows sit in a limbo
-//     list until the epoch grace period passes.
+// A snapshot is a header (row format, frozen Sine thresholds) over an
+// immutable spine of chunk descriptors.  Each SnapshotChunk holds up to
+// kSnapshotChunkRows entries as parallel arrays — record pointer, scan-row
+// pointer into the shard's VectorSlab, i8 scale — which is exactly the
+// layout the gather kernels take.  Chunks are kept dense (every chunk but
+// the last is full) by swap-remove, so snapshot position i lives at
+// chunks[i / 256] slot i % 256.  SnapshotWriter owns the chunks and the
+// records: a write copies only the chunks it touches plus the O(n/256)
+// spine, and consecutive snapshots share every other chunk.
 //
 // Probing is two-phase, mirroring FlatIndex::Search's variant-stable
 // ranking (ann/flat_index.cc):
-//   1. scan — one gather-kernel pass over the quantized rows, prefilter
-//      at tau_sim minus a quantization slack, keep a pool of the best
-//      max(4*top_k, 32) candidates;
+//   1. scan — one gather-kernel pass per chunk over the quantized rows,
+//      prefilter at tau_sim minus a quantization slack, keep a pool of the
+//      best max(4*top_k, 32) candidates;
 //   2. rerank — rescore the pool with the scalar double-precision fp32
 //      kernel, filter/sort/truncate exactly like FlatIndex.  Because the
 //      exact rerank reads fp32 originals, the final top-k and hit
 //      decision are bit-identical to the locked kFlat path whatever scan
 //      format or SIMD variant ran phase 1.
 //
-// Both phases run INSIDE the epoch guard and allocate nothing on the
-// steady state: callers pass a ProbeScratch whose vectors amortize to
-// the shard's high-water mark.  (The original design pooled shared_ptr
-// copies so the rerank could run outside the guard; under contention the
-// refcount RMWs on shared record control blocks dominated the probe and
-// made the epoch path slower than the locked one — see the
-// concurrency_probe bench.)  Stage 2 — visibility plus the judger
-// best-first walk — is SnapshotJudge, shared verbatim between the
-// sequential probe (borrowed records, still inside the guard) and the
-// batched pipeline (records re-homed to shared_ptrs, judged outside the
-// guard), so both paths produce identical results by construction.
+// Both phases and stage 2 (visibility plus the judger best-first walk,
+// SnapshotJudge) run INSIDE the epoch guard over records borrowed from
+// the snapshot, in the sequential probe and the batched pipeline alike,
+// and allocate nothing on the steady state: callers pass a ProbeScratch
+// whose vectors amortize to the shard's high-water mark.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/semantic_cache.h"
 #include "core/sine.h"
 #include "embedding/vector_slab.h"
+#include "util/epoch.h"
 
 namespace cortex::serve {
 
@@ -67,22 +64,39 @@ struct ProbeRecord {
   Vector embedding;  // fp32 original, the exact-rerank source
 };
 
+// Entries per chunk (matches VectorSlab's chunk size, a multiple of the
+// f32 kernels' 4-row block, so per-chunk scans keep the same row blocks
+// a flat scan over the same order would use).
+inline constexpr std::size_t kSnapshotChunkRows = 256;
+
+struct SnapshotChunk {
+  std::uint32_t size = 0;
+  const ProbeRecord* records[kSnapshotChunkRows];
+  // Scan row per entry; the member matching the snapshot's format is the
+  // active one.
+  union {
+    const float* f32[kSnapshotChunkRows];
+    const std::uint16_t* f16[kSnapshotChunkRows];
+    const std::int8_t* i8[kSnapshotChunkRows];
+  } rows;
+  float scales[kSnapshotChunkRows];  // kI8 row scales
+};
+
 struct ShardSnapshot {
   RowFormat format = RowFormat::kF32;
   std::size_t dim = 0;
   // Sine thresholds frozen at publish time (recalibration republishes).
   SineOptions sine;
+  std::size_t entries = 0;
+  // Dense spine: every chunk but the last holds kSnapshotChunkRows.
+  // Chunks, records and rows all outlive every reader of this snapshot
+  // (SnapshotWriter's limbo protocol).
+  std::vector<const SnapshotChunk*> chunks;
 
-  // Parallel arrays, one entry per resident SE (arbitrary order).  Row
-  // pointers point into the shard's scan slab; the limbo protocol
-  // guarantees they outlive every reader of this snapshot.
-  std::vector<std::shared_ptr<const ProbeRecord>> records;
-  std::vector<const float*> rows_f32;          // format == kF32
-  std::vector<const std::uint16_t*> rows_f16;  // format == kF16
-  std::vector<const std::int8_t*> rows_i8;     // format == kI8
-  std::vector<float> scales_i8;                // format == kI8
-
-  std::size_t size() const noexcept { return records.size(); }
+  std::size_t size() const noexcept { return entries; }
+  const ProbeRecord* record(std::size_t i) const noexcept {
+    return chunks[i / kSnapshotChunkRows]->records[i % kSnapshotChunkRows];
+  }
 };
 
 // Quantized-similarity slack subtracted from tau_sim when prefiltering
@@ -97,13 +111,10 @@ double SnapshotSlack(RowFormat format) noexcept;
 
 // One exact-reranked survivor, sorted best-first.  `record` is BORROWED
 // from the snapshot: it is valid only while the EpochReadGuard that
-// pinned the snapshot is held.  `index` locates the owning shared_ptr in
-// snap.records for callers (the batched pipeline) that must re-home
-// survivors before dropping the guard.
+// pinned the snapshot is held.
 struct RankedCandidate {
   double sim = 0.0;
   const ProbeRecord* record = nullptr;
-  std::uint32_t index = 0;
 };
 
 // Reusable scan scratch.  Probe throughput is allocation-sensitive:
@@ -112,6 +123,7 @@ struct RankedCandidate {
 // allocation-free.
 struct ProbeScratch {
   std::vector<float> sims;          // one score per snapshot row
+  std::vector<float> chunk_sims;    // mq scan output for one chunk
   std::vector<std::int8_t> q8;      // quantized query/queries (kI8 scan)
   std::vector<float> q8_scales;     // per-query i8 scales (mq scan)
   std::vector<std::uint32_t> keep;  // prefilter survivors (row indices)
@@ -134,8 +146,8 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
                           ProbeScratch& scratch);
 
 // Multi-query phase 1: scores `nq` queries (row q at queries + q*qstride,
-// qstride in floats) against every snapshot row in one multi-query
-// kernel pass, writing sims_out[q * snap.size() + i].  Slab bytes are
+// qstride in floats) against every snapshot row, one multi-query kernel
+// pass per chunk, writing sims_out[q * snap.size() + i].  Slab bytes are
 // read once per BATCH instead of once per query — the bandwidth win the
 // batching pipeline exists for.  Per-(query,row) scores are bitwise
 // identical to the sequential scan.  Same guard requirement as above.
@@ -154,5 +166,70 @@ SemanticCache::LookupResult SnapshotJudge(
     std::span<const RankedCandidate> ranked, const SineOptions& opt,
     Vector query_embedding, std::string_view query, double now,
     std::string_view tenant, const JudgerModel* judger);
+
+// Writer half of one shard's probe state: the scan slab, the chunk spine,
+// and the records every published snapshot points into.  Not thread-safe:
+// the engine calls it only under the shard's exclusive lock.  Readers see
+// nothing of it but what Sync exchanges into the published pointer.
+//
+// Lifetime (the limbo protocol): a record and its slab row are one
+// resident unit.  When an entry leaves, both are unlinked together and
+// parked in limbo — as are the chunks a write replaced and the header it
+// superseded — stamped with current_epoch() read AFTER the seq_cst
+// exchange (a pre-exchange stamp could read one epoch low and free state
+// a straggler reader still scans).  They are freed, and the row returned
+// to the slab, once safe_epoch() passes the stamp.
+class SnapshotWriter {
+ public:
+  SnapshotWriter(std::size_t dim, RowFormat format);
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+  // Frees everything still parked; no reader may hold a snapshot any
+  // more.  The header last exchanged into `published` is the caller's.
+  ~SnapshotWriter();
+
+  // Reconciles the ids in `changed` (the cache's change feed since the
+  // last call; duplicates allowed) against `cache` and, when an entry
+  // changed or the Sine thresholds moved, publishes a new header into
+  // `published`.  Cost is O(changed) chunk copies plus the O(n/256)
+  // spine — never O(resident).  Clears `changed`.
+  void Sync(const SemanticCache& cache, std::vector<SeId>& changed,
+            std::atomic<const ShardSnapshot*>& published, EpochDomain& epoch);
+
+ private:
+  static constexpr std::uint32_t kNoRow = UINT32_MAX;
+
+  struct Resident {
+    std::unique_ptr<const ProbeRecord> record;
+    std::uint32_t row = 0;  // slab row
+    std::uint32_t pos = 0;  // snapshot position
+  };
+  struct Retired {
+    std::uint64_t epoch = 0;
+    std::unique_ptr<const ProbeRecord> record{};
+    std::uint32_t row = kNoRow;  // freed with its record, when it had one
+    std::unique_ptr<const SnapshotChunk> chunk{};
+    std::unique_ptr<const ShardSnapshot> header{};
+  };
+
+  void Add(const SemanticElement& se);
+  void Remove(std::unordered_map<SeId, Resident>::iterator it);
+  // A fingerprint-only change: new record in the same slot, same row.
+  void Retag(Resident& r, const SemanticElement& se);
+  // Chunk `c`, copied first if this Sync has not yet copied it (the
+  // published original parks in limbo).
+  SnapshotChunk& Mutable(std::size_t c);
+  void Put(std::uint32_t pos, const ProbeRecord* record, std::uint32_t row);
+
+  VectorSlab slab_;
+  std::unordered_map<SeId, Resident> resident_;
+  std::vector<std::unique_ptr<SnapshotChunk>> chunks_;
+  // Per chunk: copied during the current Sync (not yet published, so
+  // still writable).
+  std::vector<char> fresh_;
+  std::size_t size_ = 0;
+  std::vector<Retired> unlinked_;  // this Sync's garbage, not yet stamped
+  std::deque<Retired> limbo_;      // stamped; epochs non-decreasing
+};
 
 }  // namespace cortex::serve

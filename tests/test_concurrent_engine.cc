@@ -7,17 +7,50 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
+#include "embedding/vector_slab.h"
+#include "llm/tags.h"
 #include "test_helpers.h"
+#include "util/rng.h"
+
+namespace cortex::serve {
+
+class ConcurrentEngineTestPeer {
+ public:
+  // Calls `fn` with shard `shard`'s cache and its published snapshot (null
+  // before the first publish) under the shard's shared lock, so the two
+  // are mutually consistent: writers publish and free snapshots only under
+  // the exclusive lock, which also pins the snapshot without an epoch
+  // guard.  `fn` must not call back into the engine.
+  template <typename Fn>
+  static void InspectShard(const ConcurrentShardedEngine& engine,
+                           std::size_t shard, Fn&& fn) {
+    const auto& s = *engine.shards_.at(shard);
+    ReaderLock lock(s.mu);
+    fn(*s.cache, s.snapshot.load(std::memory_order_seq_cst));
+  }
+};
+
+}  // namespace cortex::serve
 
 namespace cortex {
 namespace {
 
 using cortex::testing::MiniWorld;
+using serve::BatchLookupRequest;
 using serve::ConcurrentEngineOptions;
+using Peer = serve::ConcurrentEngineTestPeer;
 using serve::ConcurrentShardedEngine;
+using serve::kSnapshotChunkRows;
+using serve::ShardSnapshot;
+using serve::SnapshotChunk;
 
 class ConcurrentEngineTest : public ::testing::Test {
  protected:
@@ -337,6 +370,448 @@ TEST_F(ConcurrentEngineTest, LookupsRaceChurnUnderLockFreeProbe) {
 
   EXPECT_EQ(engine.Stats().lookups, lookups.load());
   EXPECT_GT(lookups.load(), 0u);
+}
+
+TEST_F(ConcurrentEngineTest,
+       SequentialAndBatchedReadersRaceChunkCrossingChurn) {
+  // One shard holding ~3 chunks: every replace, eviction and expiry
+  // swap-removes from an arbitrary chunk and pulls the last entry across
+  // a chunk boundary, while sequential Lookup and batched LookupBatch
+  // readers scan.  Records, chunks and rows live only as long as the
+  // limbo protocol keeps them, so a premature free surfaces here under
+  // ASan and a missing happens-before under TSan.
+  std::atomic<double> fake_now{0.0};
+  ConcurrentEngineOptions opts = BaseOptions();
+  opts.num_shards = 1;
+  opts.cache.min_ttl_sec = 2.0;
+  opts.cache.max_ttl_sec = 8.0;
+  opts.cache.capacity_tokens =
+      640.0 * static_cast<double>(ApproxTokenCount(world_.answer(0) + " #0"));
+  opts.housekeeping_interval_sec = 0.01;
+  opts.clock = [&fake_now] { return fake_now.load(); };
+  ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(), opts);
+
+  const std::size_t topics = world_.universe->size();
+  const auto request = [&](std::size_t i, std::size_t version) {
+    InsertRequest req;
+    req.key = world_.query(i % topics, i % 6) + " #" + std::to_string(i);
+    req.value = world_.answer(i % topics) + " #" + std::to_string(i) + "." +
+                std::to_string(version);
+    req.staticity = 1.0 + static_cast<double>(i % 10);
+    return req;
+  };
+  constexpr std::size_t kKeys = 700;
+  for (std::size_t i = 0; i < kKeys; ++i) engine.Insert(request(i, 0));
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sequential{0};
+  std::atomic<std::uint64_t> batched{0};
+  std::vector<std::thread> readers;
+  for (std::size_t tid = 0; tid < 2; ++tid) {
+    readers.emplace_back([&, tid] {
+      for (std::size_t i = tid; !stop.load(std::memory_order_relaxed); ++i) {
+        engine.Lookup(world_.query(i % topics, i % 6));
+        sequential.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    readers.emplace_back([&, tid] {
+      std::vector<std::string> queries(4);
+      std::vector<BatchLookupRequest> batch(4);
+      for (std::size_t i = tid; !stop.load(std::memory_order_relaxed); ++i) {
+        for (std::size_t q = 0; q < batch.size(); ++q) {
+          queries[q] = world_.query((i * 4 + q) % topics, (i + q) % 6);
+          batch[q] = BatchLookupRequest{};
+          batch[q].query = queries[q];
+        }
+        engine.LookupBatch(batch);
+        batched.fetch_add(batch.size(), std::memory_order_relaxed);
+      }
+    });
+  }
+  Rng rng(11);
+  for (std::size_t round = 0; round < 30; ++round) {
+    for (std::size_t w = 0; w < 40; ++w) {
+      engine.Insert(request(rng.NextBelow(kKeys), round + 1));
+    }
+    fake_now.store(fake_now.load() + 0.5);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(engine.Stats().lookups, sequential.load() + batched.load());
+  EXPECT_GT(sequential.load(), 0u);
+  EXPECT_GT(batched.load(), 0u);
+  EXPECT_GT(engine.TotalCounters().evictions +
+                engine.TotalCounters().expirations,
+            0u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental publish (DESIGN.md §13.3).  A write copies only the chunks
+// it touched, so the differential check is: after EVERY write, the
+// published snapshot mirrors the cache exactly, and lock-free probes
+// match the locked path.
+
+class IncrementalPublishTest : public ConcurrentEngineTest {
+ protected:
+  ConcurrentEngineOptions Options(bool lock_free, RowFormat format) {
+    ConcurrentEngineOptions opts = BaseOptions();
+    opts.num_shards = 1;  // snapshot positions are then fully controlled
+    opts.lock_free_probe = lock_free;
+    opts.probe_scan_format = format;
+    opts.cache.min_ttl_sec = 5.0;
+    opts.cache.max_ttl_sec = 50.0;
+    opts.cache.promote_distinct_tenants = 2;
+    opts.recalibration.samples_per_round = 4;
+    opts.clock = [this] { return now_; };
+    return opts;
+  }
+
+  // A distinct key and value per `i`, drawn from the topic phrasings so
+  // probes see realistic near neighbours.  The first value per topic is
+  // the topic's true answer, so recalibration sees correct hits too.
+  std::string Key(std::size_t i) const {
+    const std::size_t topics = world_.universe->size();
+    return world_.query(i % topics, (i / topics) % 6) + " #" +
+           std::to_string(i);
+  }
+  std::string Value(std::size_t i) const {
+    const std::size_t topics = world_.universe->size();
+    return i < topics ? world_.answer(i)
+                      : world_.answer(i % topics) + " #" + std::to_string(i);
+  }
+
+  // The published snapshot must hold exactly the cache's entries: one
+  // record per id with the same fingerprint and content, a dense spine,
+  // and scan rows holding the quantization of each fp32 embedding.
+  static void ExpectSnapshotMirrorsCache(const ConcurrentShardedEngine& engine,
+                                         RowFormat format,
+                                         const std::string& context) {
+    Peer::InspectShard(engine, 0, [&](const SemanticCache& cache,
+                                      const ShardSnapshot* snap) {
+      ASSERT_NE(snap, nullptr) << context;
+      const auto& entries = cache.entries();
+      ASSERT_EQ(snap->size(), entries.size()) << context;
+      EXPECT_EQ(snap->sine.tau_lsm, cache.sine().options().tau_lsm)
+          << context;
+      EXPECT_EQ(snap->sine.tau_sim, cache.sine().options().tau_sim)
+          << context;
+      const std::size_t n = snap->size();
+      ASSERT_EQ(snap->chunks.size(),
+                (n + kSnapshotChunkRows - 1) / kSnapshotChunkRows)
+          << context;
+      for (std::size_t c = 0; c < snap->chunks.size(); ++c) {
+        const std::size_t want = c + 1 < snap->chunks.size()
+                                     ? kSnapshotChunkRows
+                                     : n - c * kSnapshotChunkRows;
+        ASSERT_EQ(snap->chunks[c]->size, want) << context << " chunk " << c;
+      }
+      VectorSlab expected(snap->dim, format);
+      std::unordered_set<SeId> seen;
+      for (std::size_t i = 0; i < n; ++i) {
+        const serve::ProbeRecord* rec = snap->record(i);
+        ASSERT_TRUE(seen.insert(rec->id).second) << context << " dup id";
+        const auto it = entries.find(rec->id);
+        ASSERT_NE(it, entries.end()) << context << " stale id " << rec->id;
+        const SemanticElement& se = it->second;
+        EXPECT_EQ(rec->created_at, se.created_at) << context;
+        EXPECT_EQ(rec->expiration_time, se.expiration_time) << context;
+        EXPECT_EQ(rec->tenant, se.tenant) << context;
+        EXPECT_EQ(rec->key, se.key) << context;
+        EXPECT_EQ(rec->value, se.value) << context;
+        EXPECT_EQ(rec->embedding, se.embedding) << context;
+
+        const std::uint32_t row = expected.Add(se.embedding);
+        const SnapshotChunk& chunk = *snap->chunks[i / kSnapshotChunkRows];
+        const std::size_t k = i % kSnapshotChunkRows;
+        switch (format) {
+          case RowFormat::kF32:
+            EXPECT_EQ(std::memcmp(chunk.rows.f32[k], expected.Row(row),
+                                  snap->dim * sizeof(float)),
+                      0)
+                << context << " row " << i;
+            break;
+          case RowFormat::kF16:
+            EXPECT_EQ(std::memcmp(chunk.rows.f16[k], expected.RowF16(row),
+                                  snap->dim * sizeof(std::uint16_t)),
+                      0)
+                << context << " row " << i;
+            break;
+          case RowFormat::kI8:
+            EXPECT_EQ(std::memcmp(chunk.rows.i8[k], expected.RowI8(row),
+                                  snap->dim),
+                      0)
+                << context << " row " << i;
+            EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
+            break;
+        }
+        expected.Free(row);
+      }
+    });
+  }
+
+  // Lock-free Peek must equal the locked path's on a fixed probe set.
+  void ExpectProbesMatch(ConcurrentShardedEngine& locked,
+                         ConcurrentShardedEngine& epoch,
+                         const std::string& context) {
+    const std::size_t topics = world_.universe->size();
+    for (std::size_t t = 0; t < topics; t += 3) {
+      for (const std::string_view tenant : {"", "acme"}) {
+        const std::string& q = world_.query(t, (t / 3) % 6);
+        const auto a = locked.Peek(q, tenant);
+        const auto b = epoch.Peek(q, tenant);
+        ASSERT_EQ(a.has_value(), b.has_value()) << context << " q=" << q;
+        if (!a) continue;
+        EXPECT_EQ(a->id, b->id) << context;
+        EXPECT_EQ(a->value, b->value) << context;
+        EXPECT_EQ(a->matched_key, b->matched_key) << context;
+        EXPECT_EQ(a->similarity, b->similarity) << context;
+        EXPECT_EQ(a->judger_score, b->judger_score) << context;
+      }
+    }
+  }
+
+  double now_ = 1.0;
+};
+
+TEST_F(IncrementalPublishTest, ChunkBoundarySizesAndRemovalsMirrorTheCache) {
+  for (const RowFormat format :
+       {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+    for (const std::size_t size : {255u, 256u, 257u, 513u}) {
+      ConcurrentShardedEngine locked(&world_.embedder, world_.judger.get(),
+                                     Options(false, format));
+      ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
+                                    Options(true, format));
+      const auto insert = [&](std::size_t i, const std::string& value) {
+        InsertRequest req;
+        req.key = Key(i);
+        req.value = value;
+        const auto a = locked.Insert(req);
+        const auto b = epoch.Insert(std::move(req));
+        ASSERT_EQ(a, b);
+        ASSERT_TRUE(b.has_value());
+      };
+      for (std::size_t i = 0; i < size; ++i) insert(i, Value(i));
+      const std::string tag = std::string(RowFormatName(format)) + " n=" +
+                              std::to_string(size);
+      ExpectSnapshotMirrorsCache(epoch, format, tag + " filled");
+      ExpectProbesMatch(locked, epoch, tag + " filled");
+
+      // An exact-key replace removes the old entry — swap-remove from
+      // its chunk — and appends the new one.  Hit the first, a middle
+      // and the last chunk, including the very first and last slots.
+      std::vector<std::size_t> positions = {0, size / 2, size - 1};
+      if (size > kSnapshotChunkRows) positions.push_back(kSnapshotChunkRows);
+      for (const std::size_t pos : positions) {
+        std::string key;
+        Peer::InspectShard(epoch, 0, [&](const SemanticCache&,
+                                         const ShardSnapshot* snap) {
+          key = snap->record(pos)->key;
+        });
+        const std::size_t i = std::stoul(key.substr(key.rfind('#') + 1));
+        insert(i, Value(i) + " v" + std::to_string(pos));
+        const std::string ctx = tag + " replace@" + std::to_string(pos);
+        ExpectSnapshotMirrorsCache(epoch, format, ctx);
+        ExpectProbesMatch(locked, epoch, ctx);
+      }
+    }
+  }
+}
+
+TEST_F(IncrementalPublishTest, RandomWriteSequencesMirrorTheCache) {
+  // Every kind of write, drawn at random: inserts, exact-key replaces,
+  // dedup refreshes, tenant promotions, capacity evictions, TTL expiries,
+  // restores (fresh and dedup) and recalibrations that move tau.  After
+  // each one the lock-free snapshot must mirror the cache and probe
+  // exactly like the locked path.
+  for (const RowFormat format :
+       {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+    now_ = 1.0;
+    ConcurrentEngineOptions locked_opts = Options(false, format);
+    ConcurrentEngineOptions epoch_opts = Options(true, format);
+    // Room for ~60 entries, so long runs evict.
+    const double capacity =
+        60.0 * static_cast<double>(ApproxTokenCount(Value(1000)));
+    locked_opts.cache.capacity_tokens = capacity;
+    epoch_opts.cache.capacity_tokens = capacity;
+    ConcurrentShardedEngine locked(&world_.embedder, world_.judger.get(),
+                                   locked_opts);
+    ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
+                                  epoch_opts);
+    const auto fetch = [this](std::string_view q) {
+      return world_.oracle->ExpectedInfo(q);
+    };
+    locked.SetGroundTruthFetcher(fetch);
+    epoch.SetGroundTruthFetcher(fetch);
+
+    static constexpr const char* kTenants[] = {"", "acme", "globex"};
+    struct Written {
+      std::size_t i;
+      std::string tenant;
+    };
+    std::vector<Written> written;
+    Rng rng(0x1c0de + static_cast<std::uint64_t>(format));
+    std::size_t next = 0;
+    std::size_t tau_moves = 0;
+    const auto both_insert = [&](InsertRequest req) {
+      const auto a = locked.Insert(req);
+      const auto b = epoch.Insert(std::move(req));
+      ASSERT_EQ(a, b);
+    };
+    for (std::size_t op = 0; op < 700; ++op) {
+      const std::uint64_t kind = rng.NextBelow(100);
+      InsertRequest req;
+      req.staticity = 1.0 + static_cast<double>(rng.NextBelow(10));
+      req.initial_frequency = rng.NextBelow(3);
+      std::string what;
+      if (kind < 45 || written.empty()) {
+        what = "insert";
+        const std::size_t i = next++;
+        req.key = Key(i);
+        req.value = Value(i);
+        req.tenant = kTenants[rng.NextBelow(3)];
+        written.push_back({i, req.tenant});
+        both_insert(std::move(req));
+      } else if (kind < 55) {
+        what = "replace";
+        const Written& w = written[rng.NextBelow(written.size())];
+        req.key = Key(w.i);
+        req.value = Value(w.i) + " r" + std::to_string(op);
+        req.tenant = w.tenant;
+        both_insert(std::move(req));
+      } else if (kind < 67) {
+        what = "dedup";
+        const Written& w = written[rng.NextBelow(written.size())];
+        req.key = Key(next++);
+        req.value = Value(w.i);
+        req.tenant = w.tenant;
+        both_insert(std::move(req));
+      } else if (kind < 75) {
+        what = "promote";
+        const Written& w = written[rng.NextBelow(written.size())];
+        req.key = Key(next++);
+        req.value = Value(w.i);
+        req.tenant = w.tenant == "acme" ? "globex" : "acme";
+        both_insert(std::move(req));
+      } else if (kind < 85) {
+        what = "expire";
+        now_ += rng.Uniform(0.0, 12.0);
+        ASSERT_EQ(locked.RemoveExpired(), epoch.RemoveExpired());
+      } else if (kind < 93) {
+        what = "restore";
+        SemanticElement se;
+        const bool dedup = rng.NextBelow(2) == 0;
+        const std::size_t i =
+            dedup ? written[rng.NextBelow(written.size())].i : next++;
+        se.key = dedup ? Key(next++) : Key(i);
+        se.value = Value(i);
+        se.staticity = 5.0;
+        se.frequency = rng.NextBelow(4);
+        se.created_at = now_;
+        se.last_access = now_;
+        se.expiration_time = now_ + rng.Uniform(1.0, 80.0);
+        if (!dedup) written.push_back({i, ""});
+        ASSERT_EQ(locked.RestoreElement(se), epoch.RestoreElement(se));
+      } else {
+        what = "recalibrate";
+        // Judged lookups feed both recalibrators identically (committed
+        // results must match too), then one round may move tau.
+        for (std::size_t t = 0; t < world_.universe->size(); t += 2) {
+          const std::string& q = world_.query(t, 1 + op % 5);
+          const auto a = locked.Lookup(q);
+          const auto b = epoch.Lookup(q);
+          ASSERT_EQ(a.has_value(), b.has_value());
+          if (a) {
+            EXPECT_EQ(a->id, b->id);
+          }
+        }
+        const double before = epoch.tau_lsm(0);
+        locked.RecalibrateAllShards();
+        epoch.RecalibrateAllShards();
+        ASSERT_EQ(locked.tau_lsm(0), epoch.tau_lsm(0));
+        if (epoch.tau_lsm(0) != before) ++tau_moves;
+      }
+      const std::string ctx = std::string(RowFormatName(format)) + " op " +
+                              std::to_string(op) + " (" + what + ")";
+      ASSERT_EQ(locked.TotalSize(), epoch.TotalSize()) << ctx;
+      ExpectSnapshotMirrorsCache(epoch, format, ctx);
+      if (::testing::Test::HasFatalFailure()) return;
+      ExpectProbesMatch(locked, epoch, ctx);
+    }
+    const CacheCounters c = epoch.TotalCounters();
+    EXPECT_GT(c.evictions, 0u) << RowFormatName(format);
+    EXPECT_GT(c.expirations, 0u) << RowFormatName(format);
+    EXPECT_GT(c.dedup_refreshes, 0u) << RowFormatName(format);
+    EXPECT_GT(c.promotions, 0u) << RowFormatName(format);
+    EXPECT_GT(tau_moves, 0u) << RowFormatName(format);
+  }
+}
+
+TEST(ExpiryIndexTest, RemovesExactlyWhatAFullSweepWould) {
+  // The expiry-ordered index must pop exactly the entries a full store
+  // sweep (ExpiredAt over entries()) would remove — across inserts, TTL
+  // renewals by dedup, max-merging restores, replaces and evictions.
+  MiniWorld world(64, /*seed=*/5);
+  SemanticCacheOptions opts;
+  opts.min_ttl_sec = 10.0;
+  opts.max_ttl_sec = 100.0;
+  opts.capacity_tokens =
+      20.0 * static_cast<double>(ApproxTokenCount(world.answer(0) + " #0"));
+  SemanticCache cache(&world.embedder,
+                      MakeIndex(IndexType::kFlat, world.embedder.dimension()),
+                      world.judger.get(), MakeEviction(EvictionKind::kLcfu),
+                      opts);
+  std::vector<SeId> feed;
+  cache.set_change_sink(&feed);
+
+  Rng rng(99);
+  double now = 0.0;
+  std::size_t next = 0;
+  std::size_t swept = 0;
+  const std::size_t topics = world.universe->size();
+  for (std::size_t step = 0; step < 2000; ++step) {
+    const std::uint64_t kind = rng.NextBelow(10);
+    if (kind < 6) {
+      InsertRequest req;
+      const std::size_t i = kind == 0 && next > 0 ? rng.NextBelow(next) : next;
+      if (i == next) ++next;
+      // kind 0 re-fetches a known value under a new phrasing (a dedup
+      // refresh that renews the TTL).
+      req.key = world.query(i % topics, step % 6) + " @" + std::to_string(step);
+      req.value = world.answer(i % topics) + " #" + std::to_string(i);
+      req.staticity = 1.0 + static_cast<double>(rng.NextBelow(10));
+      cache.Insert(std::move(req), now);
+    } else if (kind < 8) {
+      SemanticElement se;
+      const std::size_t i = next > 0 ? rng.NextBelow(next) : 0;
+      se.key = "restored @" + std::to_string(step);
+      se.value = world.answer(i % topics) + " #" + std::to_string(i);
+      se.created_at = now;
+      se.expiration_time =
+          step % 97 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                         : now + rng.Uniform(0.0, 120.0);
+      cache.RestoreElement(std::move(se), now);
+    } else {
+      now += rng.Uniform(0.0, 15.0);
+      std::set<SeId> due;
+      for (const auto& [id, se] : cache.entries()) {
+        if (se.ExpiredAt(now)) due.insert(id);
+      }
+      feed.clear();
+      const std::size_t removed = cache.RemoveExpired(now);
+      EXPECT_EQ(removed, due.size()) << "step " << step;
+      EXPECT_EQ(std::set<SeId>(feed.begin(), feed.end()), due)
+          << "step " << step;
+      for (const auto& [id, se] : cache.entries()) {
+        EXPECT_FALSE(se.ExpiredAt(now)) << "step " << step << " id " << id;
+      }
+      swept += removed;
+    }
+  }
+  EXPECT_GT(swept, 0u);
+  EXPECT_GT(cache.counters().dedup_refreshes, 0u);
+  EXPECT_GT(cache.counters().evictions, 0u);
 }
 
 TEST_F(ConcurrentEngineTest, RoutingMatchesShardedCache) {

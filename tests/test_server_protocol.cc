@@ -11,6 +11,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -696,6 +698,63 @@ TEST_F(ServerEndToEndTest, OversizedFrameDisconnectsWithErr) {
   Request ping;
   ping.type = RequestType::kPing;
   EXPECT_FALSE(client.Call(ping, &error).has_value());
+}
+
+TEST_F(ServerEndToEndTest, StopWakesIdleAndJustReleasedWorkers) {
+  // Stop() must wake every worker parked in its queue wait.  Publishing
+  // the stop flag without queue_mu_ let it land between a worker's
+  // predicate check and its wait, losing the notify and hanging the join.
+  // Cycle servers whose workers are idle, or were just handed back to the
+  // wait by a client disconnect, a few hundred times under a deadline.
+  auto engine = MakeEngine();
+  constexpr int kThreads = 4;
+  constexpr int kCyclesPerThread = 75;
+  std::atomic<int> cycles{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      const std::string path = SocketPath(("stop" + std::to_string(t)).c_str());
+      for (int i = 0; i < kCyclesPerThread; ++i) {
+        ServerOptions opts;
+        opts.unix_path = path;
+        opts.num_workers = 3;
+        CortexServer server(engine.get(), opts);
+        std::string error;
+        if (!server.Start(&error)) {
+          ADD_FAILURE() << error;
+          return;
+        }
+        if (i % 2 == 1) {
+          // One worker serves a request, sees the hang-up, and heads back
+          // into the queue wait just as Stop() runs.
+          BlockingClient client;
+          if (client.ConnectUnix(path, &error)) {
+            Request ping;
+            ping.type = RequestType::kPing;
+            EXPECT_TRUE(client.Call(ping, &error).has_value()) << error;
+          }
+        }
+        server.Stop();
+        cycles.fetch_add(1);
+      }
+    });
+  }
+  // A lost wake-up hangs Stop() for good, so fail loudly at the deadline
+  // instead of leaving the suite to time out.
+  constexpr int kTotal = kThreads * kCyclesPerThread;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (cycles.load() < kTotal &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (cycles.load() < kTotal) {
+    std::fprintf(stderr, "Stop() hung: %d of %d start/stop cycles done\n",
+                 cycles.load(), kTotal);
+    std::abort();
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(cycles.load(), kTotal);
 }
 
 }  // namespace
