@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   const bool csv = flags.GetBool("csv", false);
 
   std::cout << "kernel variant: " << simd::VariantName(simd::ActiveVariant())
-            << " (pin with CORTEX_SIMD=scalar|avx2|avx512|neon)\n\n";
+            << " (pin with CORTEX_SIMD=scalar|avx2|neon)\n\n";
 
   // --- Recall/work comparison on embedded workload queries ---
   std::cout << "=== ANN index ablation: recall@5 vs distance computations"

@@ -14,7 +14,7 @@
 //   --min-ms=M      per-measurement wall budget (default 200 ms)
 //
 // A second table covers the quantized scan tier (DESIGN.md §13): the same
-// batched dot at f32 / f16 / i8 row encodings with slab-style padded
+// batched dot at f32 / i8 row encodings with slab-style padded
 // strides, reporting bytes streamed per scored vector — the number the
 // int8 path exists to shrink.
 #include <chrono>
@@ -84,39 +84,25 @@ double MeasureQuantNsPerVector(const simd::KernelSet& kernels,
   std::vector<std::int8_t> qi8(dim);
   float qscale = 0.0f;
   std::vector<const float*> rows_f32;
-  std::vector<const std::uint16_t*> rows_f16;
   std::vector<const std::int8_t*> rows_i8;
   std::vector<float> scales;
   for (std::uint32_t i = 0; i < n; ++i) {
-    switch (format) {
-      case RowFormat::kF32:
-        rows_f32.push_back(slab.Row(i));
-        break;
-      case RowFormat::kF16:
-        rows_f16.push_back(slab.RowF16(i));
-        break;
-      case RowFormat::kI8:
-        rows_i8.push_back(slab.RowI8(i));
-        scales.push_back(slab.RowScale(i));
-        break;
+    if (format == RowFormat::kI8) {
+      rows_i8.push_back(slab.RowI8(i));
+      scales.push_back(slab.RowScale(i));
+    } else {
+      rows_f32.push_back(slab.Row(i));
     }
   }
   const auto scan = [&] {
-    switch (format) {
-      case RowFormat::kF32:
-        kernels.dot_rows(query.data(), rows_f32.data(), n, dim, out.data());
-        break;
-      case RowFormat::kF16:
-        kernels.dot_rows_f16(query.data(), rows_f16.data(), n, dim,
-                             out.data());
-        break;
-      case RowFormat::kI8:
-        // The engine quantizes the query once per probe, i.e. once per
-        // scan call — keep that cost inside the timed region.
-        qscale = simd::QuantizeRowI8(query, qi8.data());
-        kernels.dot_rows_i8(qi8.data(), qscale, rows_i8.data(),
-                            scales.data(), n, dim, out.data());
-        break;
+    if (format == RowFormat::kI8) {
+      // The engine quantizes the query once per probe, i.e. once per scan
+      // call — keep that cost inside the timed region.
+      qscale = simd::QuantizeRowI8(query, qi8.data());
+      kernels.dot_rows_i8(qi8.data(), qscale, rows_i8.data(), scales.data(),
+                          n, dim, out.data());
+    } else {
+      kernels.dot_rows(query.data(), rows_f32.data(), n, dim, out.data());
     }
   };
   scan();  // warm-up: faults pages, primes caches
@@ -194,8 +180,7 @@ int main(int argc, char** argv) {
     for (auto& x : query) x = static_cast<float>(rng.Normal());
     for (const auto v : variants) {
       double f32_ns = 0.0;
-      for (const RowFormat format :
-           {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+      for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
         VectorSlab slab(dim, format);
         Rng row_rng(29);
         for (std::size_t i = 0; i < n; ++i) {

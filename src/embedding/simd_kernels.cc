@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string_view>
 
 #include "util/check.h"
@@ -13,16 +11,7 @@
 #if (defined(__x86_64__) || defined(__amd64__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define CORTEX_SIMD_HAVE_X86 1
-// GCC 12's maskless AVX-512 intrinsics (and even _mm512_castps512_ps256)
-// pass an uninitialized __m256 as the masked-builtin pass-through operand,
-// tripping -Werror=uninitialized when inlined (GCC PR105593).  The value is
-// fully overwritten (mask = -1), so the warning is a false positive;
-// suppress it for the header only.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
-#pragma GCC diagnostic pop
 #endif
 #if defined(__aarch64__)
 #define CORTEX_SIMD_HAVE_NEON 1
@@ -127,30 +116,6 @@ void DotRowsI8Scalar(const std::int8_t* query, float query_scale,
   }
 }
 
-double DotF16Scalar(const float* q, const std::uint16_t* r,
-                    std::size_t dim) noexcept {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    acc += static_cast<double>(q[i]) * static_cast<double>(F16ToF32(r[i]));
-  }
-  return acc;
-}
-
-void DotBatchF16Scalar(const float* query, const std::uint16_t* rows,
-                       std::size_t n, std::size_t stride, std::size_t dim,
-                       float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(DotF16Scalar(query, rows + i * stride, dim));
-  }
-}
-
-void DotRowsF16Scalar(const float* query, const std::uint16_t* const* rows,
-                      std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(DotF16Scalar(query, rows[i], dim));
-  }
-}
-
 // Multi-query scalar kernels: rows outer, queries inner — the same loop
 // interchange every variant applies, scoring with the single-query
 // primitive so each (query, row) score matches the sequential kernel
@@ -203,23 +168,11 @@ void DotRowsI8MqScalar(const std::int8_t* queries, const float* query_scales,
   }
 }
 
-void DotRowsF16MqScalar(const float* queries, std::size_t nq,
-                        std::size_t qstride, const std::uint16_t* const* rows,
-                        std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] = static_cast<float>(
-          DotF16Scalar(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kScalarKernels = {
-    DotScalar,        L2SqScalar,      DotBatchScalar,
-    DotRowsScalar,    L2SqBatchScalar, DotBatchI8Scalar,
-    DotRowsI8Scalar,  DotBatchF16Scalar, DotRowsF16Scalar,
-    DotBatchMqScalar, L2SqBatchMqScalar, DotRowsMqScalar,
-    DotRowsI8MqScalar, DotRowsF16MqScalar,
+    DotScalar,        L2SqScalar,       DotBatchScalar,
+    DotRowsScalar,    L2SqBatchScalar,  DotBatchI8Scalar,
+    DotRowsI8Scalar,  DotBatchMqScalar, L2SqBatchMqScalar,
+    DotRowsMqScalar,  DotRowsI8MqScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -231,10 +184,6 @@ constexpr KernelSet kScalarKernels = {
 #if CORTEX_SIMD_HAVE_X86
 
 #define CORTEX_TARGET_AVX2 __attribute__((target("avx2,fma")))
-// fp16 row decode needs VCVTPH2PS; F16C predates AVX2 on every x86 core,
-// and VariantSupported checks it at runtime anyway.
-#define CORTEX_TARGET_AVX2F16 __attribute__((target("avx2,fma,f16c")))
-#define CORTEX_TARGET_AVX512 __attribute__((target("avx512f")))
 
 CORTEX_TARGET_AVX2 inline float HSum8(__m256 v) {
   __m128 lo = _mm256_castps256_ps128(v);
@@ -413,46 +362,6 @@ void DotRowsI8Avx2(const std::int8_t* query, float query_scale,
   }
 }
 
-CORTEX_TARGET_AVX2F16 float DotF16Avx2(const float* q, const std::uint16_t* r,
-                                       std::size_t dim) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256 r0 = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + i)));
-    const __m256 r1 = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + i + 8)));
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(q + i), r0, acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(q + i + 8), r1, acc1);
-  }
-  for (; i + 8 <= dim; i += 8) {
-    const __m256 rv = _mm256_cvtph_ps(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(r + i)));
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(q + i), rv, acc0);
-  }
-  float total = HSum8(_mm256_add_ps(acc0, acc1));
-  for (; i < dim; ++i) total += q[i] * F16ToF32(r[i]);
-  return total;
-}
-
-void DotBatchF16Avx2(const float* query, const std::uint16_t* rows,
-                     std::size_t n, std::size_t stride, std::size_t dim,
-                     float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim * 2);
-    out[i] = DotF16Avx2(query, rows + i * stride, dim);
-  }
-}
-
-void DotRowsF16Avx2(const float* query, const std::uint16_t* const* rows,
-                    std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    out[i] = DotF16Avx2(query, rows[i], dim);
-  }
-}
-
 // Multi-query AVX2: identical row-block boundaries to the single-query
 // kernels, with the query loop moved inside the block so a 4-row tile is
 // read from memory once per batch and stays L1-resident across queries.
@@ -525,300 +434,11 @@ void DotRowsI8MqAvx2(const std::int8_t* queries, const float* query_scales,
   }
 }
 
-void DotRowsF16MqAvx2(const float* queries, std::size_t nq,
-                      std::size_t qstride, const std::uint16_t* const* rows,
-                      std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] = DotF16Avx2(queries + q * qstride, rows[i], dim);
-    }
-  }
-}
-
 constexpr KernelSet kAvx2Kernels = {
-    DotAvx2,        L2SqAvx2,      DotBatchAvx2,
-    DotRowsAvx2,    L2SqBatchAvx2, DotBatchI8Avx2,
-    DotRowsI8Avx2,  DotBatchF16Avx2, DotRowsF16Avx2,
-    DotBatchMqAvx2, L2SqBatchMqAvx2, DotRowsMqAvx2,
-    DotRowsI8MqAvx2, DotRowsF16MqAvx2,
-};
-
-// ---------------------------------------------------------------------------
-// AVX-512F (x86-64): 16-lane FMA, same shape as the AVX2 kernels.
-
-CORTEX_TARGET_AVX512 inline float HSum16(__m512 v) {
-  return _mm512_reduce_add_ps(v);
-}
-
-CORTEX_TARGET_AVX512 double DotAvx512(const float* a, const float* b,
-                                      std::size_t dim) {
-  __m512 acc0 = _mm512_setzero_ps();
-  __m512 acc1 = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 32 <= dim; i += 32) {
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i + 16),
-                           _mm512_loadu_ps(b + i + 16), acc1);
-  }
-  for (; i + 16 <= dim; i += 16) {
-    acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
-                           acc0);
-  }
-  float total = HSum16(_mm512_add_ps(acc0, acc1));
-  for (; i < dim; ++i) total += a[i] * b[i];
-  return static_cast<double>(total);
-}
-
-CORTEX_TARGET_AVX512 double L2SqAvx512(const float* a, const float* b,
-                                       std::size_t dim) {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512 d =
-        _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    acc = _mm512_fmadd_ps(d, d, acc);
-  }
-  float total = HSum16(acc);
-  for (; i < dim; ++i) {
-    const float d = a[i] - b[i];
-    total += d * d;
-  }
-  return static_cast<double>(total);
-}
-
-CORTEX_TARGET_AVX512 void Dot4Avx512(const float* q, const float* r0,
-                                     const float* r1, const float* r2,
-                                     const float* r3, std::size_t dim,
-                                     float* out) {
-  __m512 a0 = _mm512_setzero_ps();
-  __m512 a1 = _mm512_setzero_ps();
-  __m512 a2 = _mm512_setzero_ps();
-  __m512 a3 = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512 qv = _mm512_loadu_ps(q + i);
-    a0 = _mm512_fmadd_ps(qv, _mm512_loadu_ps(r0 + i), a0);
-    a1 = _mm512_fmadd_ps(qv, _mm512_loadu_ps(r1 + i), a1);
-    a2 = _mm512_fmadd_ps(qv, _mm512_loadu_ps(r2 + i), a2);
-    a3 = _mm512_fmadd_ps(qv, _mm512_loadu_ps(r3 + i), a3);
-  }
-  float t0 = HSum16(a0);
-  float t1 = HSum16(a1);
-  float t2 = HSum16(a2);
-  float t3 = HSum16(a3);
-  for (; i < dim; ++i) {
-    const float qq = q[i];
-    t0 += qq * r0[i];
-    t1 += qq * r1[i];
-    t2 += qq * r2[i];
-    t3 += qq * r3[i];
-  }
-  out[0] = t0;
-  out[1] = t1;
-  out[2] = t2;
-  out[3] = t3;
-}
-
-void DotBatchAvx512(const float* query, const float* rows, std::size_t n,
-                    std::size_t stride, std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 <= n) PrefetchRow(rows + (i + 4) * stride, 4 * stride);
-    const float* base = rows + i * stride;
-    Dot4Avx512(query, base, base + stride, base + 2 * stride,
-               base + 3 * stride, dim, out + i);
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(DotAvx512(query, rows + i * stride, dim));
-  }
-}
-
-void DotRowsAvx512(const float* query, const float* const* rows,
-                   std::size_t n, std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t p = i + 4; p < std::min(i + 8, n); ++p) {
-      PrefetchRow(rows[p], dim);
-    }
-    Dot4Avx512(query, rows[i], rows[i + 1], rows[i + 2], rows[i + 3], dim,
-               out + i);
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(DotAvx512(query, rows[i], dim));
-  }
-}
-
-void L2SqBatchAvx512(const float* query, const float* rows, std::size_t n,
-                     std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchRow(rows + (i + 1) * stride, dim);
-    out[i] = static_cast<float>(L2SqAvx512(query, rows + i * stride, dim));
-  }
-}
-
-// AVX512F-only (no BW/VNNI assumed): widen int8 to i32 lanes, VPMULLD,
-// reduce.  Exact i32 arithmetic, so bit-identical to scalar.
-CORTEX_TARGET_AVX512 std::int32_t DotI8SumAvx512(const std::int8_t* a,
-                                                 const std::int8_t* b,
-                                                 std::size_t dim) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512i av = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m512i bv = _mm512_cvtepi8_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm512_add_epi32(acc, _mm512_mullo_epi32(av, bv));
-  }
-  std::int32_t sum = static_cast<std::int32_t>(_mm512_reduce_add_epi32(acc));
-  for (; i < dim; ++i) {
-    sum += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return sum;
-}
-
-void DotBatchI8Avx512(const std::int8_t* query, float query_scale,
-                      const std::int8_t* rows, const float* scales,
-                      std::size_t n, std::size_t stride, std::size_t dim,
-                      float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim);
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumAvx512(query, rows + i * stride, dim));
-  }
-}
-
-void DotRowsI8Avx512(const std::int8_t* query, float query_scale,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    out[i] =
-        DescaleI8(query_scale, scales[i], DotI8SumAvx512(query, rows[i], dim));
-  }
-}
-
-CORTEX_TARGET_AVX512 float DotF16Avx512(const float* q,
-                                        const std::uint16_t* r,
-                                        std::size_t dim) {
-  __m512 acc = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m512 rv = _mm512_cvtph_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + i)));
-    acc = _mm512_fmadd_ps(_mm512_loadu_ps(q + i), rv, acc);
-  }
-  float total = HSum16(acc);
-  for (; i < dim; ++i) total += q[i] * F16ToF32(r[i]);
-  return total;
-}
-
-void DotBatchF16Avx512(const float* query, const std::uint16_t* rows,
-                       std::size_t n, std::size_t stride, std::size_t dim,
-                       float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim * 2);
-    out[i] = DotF16Avx512(query, rows + i * stride, dim);
-  }
-}
-
-void DotRowsF16Avx512(const float* query, const std::uint16_t* const* rows,
-                      std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    out[i] = DotF16Avx512(query, rows[i], dim);
-  }
-}
-
-// Multi-query AVX-512: same interchange as the AVX2 mq kernels.
-void DotBatchMqAvx512(const float* queries, std::size_t nq,
-                      std::size_t qstride, const float* rows, std::size_t n,
-                      std::size_t stride, std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 <= n) PrefetchRow(rows + (i + 4) * stride, 4 * stride);
-    const float* base = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Avx512(queries + q * qstride, base, base + stride,
-                 base + 2 * stride, base + 3 * stride, dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotAvx512(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void L2SqBatchMqAvx512(const float* queries, std::size_t nq,
-                       std::size_t qstride, const float* rows, std::size_t n,
-                       std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchRow(rows + (i + 1) * stride, dim);
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(L2SqAvx512(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void DotRowsMqAvx512(const float* queries, std::size_t nq,
-                     std::size_t qstride, const float* const* rows,
-                     std::size_t n, std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t p = i + 4; p < std::min(i + 8, n); ++p) {
-      PrefetchRow(rows[p], dim);
-    }
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Avx512(queries + q * qstride, rows[i], rows[i + 1], rows[i + 2],
-                 rows[i + 3], dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotAvx512(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
-void DotRowsI8MqAvx512(const std::int8_t* queries, const float* query_scales,
-                       std::size_t nq, std::size_t qstride,
-                       const std::int8_t* const* rows, const float* scales,
-                       std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumAvx512(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
-void DotRowsF16MqAvx512(const float* queries, std::size_t nq,
-                        std::size_t qstride, const std::uint16_t* const* rows,
-                        std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] = DotF16Avx512(queries + q * qstride, rows[i], dim);
-    }
-  }
-}
-
-constexpr KernelSet kAvx512Kernels = {
-    DotAvx512,        L2SqAvx512,      DotBatchAvx512,
-    DotRowsAvx512,    L2SqBatchAvx512, DotBatchI8Avx512,
-    DotRowsI8Avx512,  DotBatchF16Avx512, DotRowsF16Avx512,
-    DotBatchMqAvx512, L2SqBatchMqAvx512, DotRowsMqAvx512,
-    DotRowsI8MqAvx512, DotRowsF16MqAvx512,
+    DotAvx2,        L2SqAvx2,       DotBatchAvx2,
+    DotRowsAvx2,    L2SqBatchAvx2,  DotBatchI8Avx2,
+    DotRowsI8Avx2,  DotBatchMqAvx2, L2SqBatchMqAvx2,
+    DotRowsMqAvx2,  DotRowsI8MqAvx2,
 };
 
 #endif  // CORTEX_SIMD_HAVE_X86
@@ -964,37 +584,6 @@ void DotRowsI8Neon(const std::int8_t* query, float query_scale,
   }
 }
 
-// FCVTL is baseline ARMv8-A: decode four halves per step.
-float DotF16Neon(const float* q, const std::uint16_t* r, std::size_t dim) {
-  float32x4_t acc = vdupq_n_f32(0.0f);
-  std::size_t i = 0;
-  for (; i + 4 <= dim; i += 4) {
-    const float32x4_t rv =
-        vcvt_f32_f16(vreinterpret_f16_u16(vld1_u16(r + i)));
-    acc = vfmaq_f32(acc, vld1q_f32(q + i), rv);
-  }
-  float total = vaddvq_f32(acc);
-  for (; i < dim; ++i) total += q[i] * F16ToF32(r[i]);
-  return total;
-}
-
-void DotBatchF16Neon(const float* query, const std::uint16_t* rows,
-                     std::size_t n, std::size_t stride, std::size_t dim,
-                     float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim * 2);
-    out[i] = DotF16Neon(query, rows + i * stride, dim);
-  }
-}
-
-void DotRowsF16Neon(const float* query, const std::uint16_t* const* rows,
-                    std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    out[i] = DotF16Neon(query, rows[i], dim);
-  }
-}
-
 // Multi-query NEON: same interchange as the x86 mq kernels.
 void DotBatchMqNeon(const float* queries, std::size_t nq, std::size_t qstride,
                     const float* rows, std::size_t n, std::size_t stride,
@@ -1065,23 +654,11 @@ void DotRowsI8MqNeon(const std::int8_t* queries, const float* query_scales,
   }
 }
 
-void DotRowsF16MqNeon(const float* queries, std::size_t nq,
-                      std::size_t qstride, const std::uint16_t* const* rows,
-                      std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim * 2);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] = DotF16Neon(queries + q * qstride, rows[i], dim);
-    }
-  }
-}
-
 constexpr KernelSet kNeonKernels = {
-    DotNeon,        L2SqNeon,      DotBatchNeon,
-    DotRowsNeon,    L2SqBatchNeon, DotBatchI8Neon,
-    DotRowsI8Neon,  DotBatchF16Neon, DotRowsF16Neon,
-    DotBatchMqNeon, L2SqBatchMqNeon, DotRowsMqNeon,
-    DotRowsI8MqNeon, DotRowsF16MqNeon,
+    DotNeon,        L2SqNeon,       DotBatchNeon,
+    DotRowsNeon,    L2SqBatchNeon,  DotBatchI8Neon,
+    DotRowsI8Neon,  DotBatchMqNeon, L2SqBatchMqNeon,
+    DotRowsMqNeon,  DotRowsI8MqNeon,
 };
 
 #endif  // CORTEX_SIMD_HAVE_NEON
@@ -1106,13 +683,11 @@ Dispatch ResolveFromEnv() {
     v = Variant::kScalar;
   } else if (want == "avx2") {
     v = Variant::kAvx2;
-  } else if (want == "avx512") {
-    v = Variant::kAvx512;
   } else if (want == "neon") {
     v = Variant::kNeon;
   } else {
     CHECK(false) << "CORTEX_SIMD='" << want
-                 << "' is not one of scalar|avx2|avx512|neon";
+                 << "' is not one of scalar|avx2|neon";
   }
   CHECK(VariantSupported(v))
       << "CORTEX_SIMD=" << VariantName(v)
@@ -1127,53 +702,6 @@ Dispatch& ActiveDispatch() noexcept {
 }
 
 }  // namespace
-
-std::uint16_t F32ToF16(float f) noexcept {
-  std::uint32_t x;
-  std::memcpy(&x, &f, sizeof x);
-  const std::uint16_t sign = static_cast<std::uint16_t>((x >> 16) & 0x8000u);
-  x &= 0x7fffffffu;
-  if (x >= 0x47800000u) {  // too large for a finite half, or inf/nan
-    if (x > 0x7f800000u) return sign | 0x7e00u;  // quiet NaN
-    return sign | 0x7c00u;                       // +-inf
-  }
-  if (x < 0x38800000u) {  // maps to a subnormal half (or zero)
-    if (x < 0x33000000u) return sign;  // below half of the smallest subnormal
-    const std::uint32_t shift = 113u - (x >> 23);
-    const std::uint32_t mant = (x & 0x7fffffu) | 0x800000u;
-    std::uint16_t h = static_cast<std::uint16_t>(mant >> (shift + 13));
-    // Round to nearest, ties to even.
-    const std::uint32_t rem = mant & ((1u << (shift + 13)) - 1u);
-    const std::uint32_t half = 1u << (shift + 12);
-    if (rem > half || (rem == half && (h & 1u))) ++h;
-    return sign | h;
-  }
-  // Normal range; a mantissa round-up may carry into the exponent (and at
-  // the top, into infinity) — the carry arithmetic is exactly right.
-  std::uint32_t h = (((x >> 23) - 112u) << 10) | ((x >> 13) & 0x3ffu);
-  const std::uint32_t rem = x & 0x1fffu;
-  if (rem > 0x1000u || (rem == 0x1000u && (h & 1u))) ++h;
-  return static_cast<std::uint16_t>(sign | h);
-}
-
-float F16ToF32(std::uint16_t h) noexcept {
-  const float sign = (h & 0x8000u) ? -1.0f : 1.0f;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x3ffu;
-  if (exp == 0) {
-    // Subnormal: mant * 2^-24, exact in binary32.
-    return sign * static_cast<float>(mant) * 0x1p-24f;
-  }
-  if (exp == 31) {
-    if (mant != 0) return std::numeric_limits<float>::quiet_NaN();
-    return sign * std::numeric_limits<float>::infinity();
-  }
-  std::uint32_t bits = (static_cast<std::uint32_t>(h & 0x8000u) << 16) |
-                       ((exp + 112u) << 23) | (mant << 13);
-  float f;
-  std::memcpy(&f, &bits, sizeof f);
-  return f;
-}
 
 float QuantizeRowI8(std::span<const float> v, std::int8_t* out) noexcept {
   float amax = 0.0f;
@@ -1196,8 +724,6 @@ const char* VariantName(Variant v) noexcept {
       return "scalar";
     case Variant::kAvx2:
       return "avx2";
-    case Variant::kAvx512:
-      return "avx512";
     case Variant::kNeon:
       return "neon";
   }
@@ -1210,16 +736,7 @@ bool VariantSupported(Variant v) noexcept {
       return true;
     case Variant::kAvx2:
 #if CORTEX_SIMD_HAVE_X86
-      // f16c: the fp16 row kernels decode with VCVTPH2PS.  Every AVX2
-      // core ships F16C (it predates AVX2), so this costs no coverage.
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-             __builtin_cpu_supports("f16c");
-#else
-      return false;
-#endif
-    case Variant::kAvx512:
-#if CORTEX_SIMD_HAVE_X86
-      return __builtin_cpu_supports("avx512f");
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
       return false;
 #endif
@@ -1235,15 +752,13 @@ bool VariantSupported(Variant v) noexcept {
 
 std::vector<Variant> SupportedVariants() {
   std::vector<Variant> out;
-  for (const Variant v : {Variant::kScalar, Variant::kAvx2, Variant::kAvx512,
-                          Variant::kNeon}) {
+  for (const Variant v : {Variant::kScalar, Variant::kAvx2, Variant::kNeon}) {
     if (VariantSupported(v)) out.push_back(v);
   }
   return out;
 }
 
 Variant BestSupportedVariant() noexcept {
-  if (VariantSupported(Variant::kAvx512)) return Variant::kAvx512;
   if (VariantSupported(Variant::kAvx2)) return Variant::kAvx2;
   if (VariantSupported(Variant::kNeon)) return Variant::kNeon;
   return Variant::kScalar;
@@ -1258,8 +773,6 @@ const KernelSet& KernelsFor(Variant v) {
 #if CORTEX_SIMD_HAVE_X86
     case Variant::kAvx2:
       return kAvx2Kernels;
-    case Variant::kAvx512:
-      return kAvx512Kernels;
 #endif
 #if CORTEX_SIMD_HAVE_NEON
     case Variant::kNeon:

@@ -8,10 +8,12 @@
 // software prefetch.
 //
 // Dispatch: the best variant compiled into the binary AND supported by the
-// running CPU is resolved once on first use (AVX-512 > AVX2+FMA on x86-64,
-// NEON on aarch64, scalar everywhere).  The CORTEX_SIMD env var
-// (scalar|avx2|avx512|neon) pins a variant for testing and A/B runs; tests
-// may also swap variants in-process via ForceVariant().
+// running CPU is resolved once on first use (AVX2+FMA on x86-64, NEON on
+// aarch64, scalar everywhere).  There is deliberately no wider x86 table:
+// bench_vector_ops measured a 16-lane int8 kernel slower than the AVX2 one
+// at every dim (DESIGN.md §9.1).  The CORTEX_SIMD env var
+// (scalar|avx2|neon) pins a variant for testing and A/B runs; tests may
+// also swap variants in-process via ForceVariant().
 //
 // Numerics: the scalar kernels accumulate in double and are bit-identical
 // to the historical vector_ops loops, so CORTEX_SIMD=scalar reproduces
@@ -31,9 +33,8 @@ namespace cortex::simd {
 
 enum class Variant : std::uint8_t {
   kScalar = 0,
-  kAvx2 = 1,    // AVX2 + FMA, x86-64
-  kAvx512 = 2,  // AVX-512F, x86-64
-  kNeon = 3,    // aarch64
+  kAvx2 = 1,  // AVX2 + FMA, x86-64
+  kNeon = 2,  // aarch64
 };
 
 const char* VariantName(Variant v) noexcept;
@@ -59,9 +60,7 @@ struct KernelSet {
   // per-row scales (row = scale * q[0..dim)); the query is pre-quantized
   // once per probe with QuantizeRowI8.  The integer dot is exact (i32
   // accumulation, no overflow below dim ~1.3e5), so int8 scores are
-  // bit-identical across every variant.  fp16 rows are IEEE binary16;
-  // decode is exact, accumulation follows the fp32 kernels' contract
-  // (scalar = double accumulation, SIMD = float lanes, ~1e-6 agreement).
+  // bit-identical across every variant.
   void (*dot_batch_i8)(const std::int8_t* query, float query_scale,
                        const std::int8_t* rows, const float* scales,
                        std::size_t n, std::size_t stride, std::size_t dim,
@@ -69,11 +68,6 @@ struct KernelSet {
   void (*dot_rows_i8)(const std::int8_t* query, float query_scale,
                       const std::int8_t* const* rows, const float* scales,
                       std::size_t n, std::size_t dim, float* out);
-  void (*dot_batch_f16)(const float* query, const std::uint16_t* rows,
-                        std::size_t n, std::size_t stride, std::size_t dim,
-                        float* out);
-  void (*dot_rows_f16)(const float* query, const std::uint16_t* const* rows,
-                       std::size_t n, std::size_t dim, float* out);
 
   // Multi-query (mq) kernels for the cross-request batching pipeline
   // (DESIGN.md §14): score `nq` queries — query q at queries + q*qstride,
@@ -98,21 +92,11 @@ struct KernelSet {
                          std::size_t qstride, const std::int8_t* const* rows,
                          const float* scales, std::size_t n, std::size_t dim,
                          float* out);
-  void (*dot_rows_f16_mq)(const float* queries, std::size_t nq,
-                          std::size_t qstride,
-                          const std::uint16_t* const* rows, std::size_t n,
-                          std::size_t dim, float* out);
 };
 
 // ---------------------------------------------------------------------------
 // Quantized row encoding.  Encoding is ALWAYS software-scalar so stored
-// bytes are identical whatever variant is active; only decoding happens in
-// SIMD lanes (and is exact, so it cannot diverge).
-
-// IEEE binary16 conversion, round-to-nearest-even.  F16ToF32 is exact and
-// bit-identical to hardware VCVTPH2PS on every finite input.
-std::uint16_t F32ToF16(float f) noexcept;
-float F16ToF32(std::uint16_t h) noexcept;
+// bytes are identical whatever variant is active.
 
 // Symmetric per-row int8 quantization: out[i] = round(v[i] * 127 / amax),
 // clamped to [-127, 127]; returns the scale (amax / 127, or 0 for an
@@ -197,19 +181,6 @@ inline void DotRowsI8(const std::int8_t* query_i8, float query_scale,
                               out);
 }
 
-inline void DotBatchF16(std::span<const float> query,
-                        const std::uint16_t* rows, std::size_t n,
-                        std::size_t stride, float* out) noexcept {
-  ActiveKernels().dot_batch_f16(query.data(), rows, n, stride, query.size(),
-                                out);
-}
-
-inline void DotRowsF16(std::span<const float> query,
-                       const std::uint16_t* const* rows, std::size_t n,
-                       float* out) noexcept {
-  ActiveKernels().dot_rows_f16(query.data(), rows, n, query.size(), out);
-}
-
 // Multi-query wrappers (see the KernelSet mq contract above): matrices,
 // not spans — query q lives at queries + q*qstride, score (q, i) lands at
 // out[q*n + i].
@@ -241,13 +212,6 @@ inline void DotRowsI8Mq(const std::int8_t* queries, const float* query_scales,
                         std::size_t n, std::size_t dim, float* out) noexcept {
   ActiveKernels().dot_rows_i8_mq(queries, query_scales, nq, qstride, rows,
                                  scales, n, dim, out);
-}
-
-inline void DotRowsF16Mq(const float* queries, std::size_t nq,
-                         std::size_t qstride, const std::uint16_t* const* rows,
-                         std::size_t n, std::size_t dim,
-                         float* out) noexcept {
-  ActiveKernels().dot_rows_f16_mq(queries, nq, qstride, rows, n, dim, out);
 }
 
 }  // namespace cortex::simd

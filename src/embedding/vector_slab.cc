@@ -12,8 +12,6 @@ const char* RowFormatName(RowFormat f) noexcept {
   switch (f) {
     case RowFormat::kF32:
       return "f32";
-    case RowFormat::kF16:
-      return "f16";
     case RowFormat::kI8:
       return "i8";
   }
@@ -24,8 +22,6 @@ std::size_t RowFormatElemBytes(RowFormat f) noexcept {
   switch (f) {
     case RowFormat::kF32:
       return sizeof(float);
-    case RowFormat::kF16:
-      return sizeof(std::uint16_t);
     case RowFormat::kI8:
       return sizeof(std::int8_t);
   }
@@ -39,8 +35,8 @@ void VectorSlab::AlignedFree::operator()(std::byte* p) const noexcept {
 VectorSlab::VectorSlab(std::size_t dim, RowFormat format)
     : dim_(dim), format_(format), elem_bytes_(RowFormatElemBytes(format)) {
   CHECK_GT(dim, 0u);
-  // Pad rows to a 64-byte boundary whatever the element width (16 floats,
-  // 32 halves, or 64 int8 lanes per 64-byte line).
+  // Pad rows to a 64-byte boundary whatever the element width (16 floats
+  // or 64 int8 lanes per 64-byte line).
   const std::size_t elems_per_line = 64 / elem_bytes_;
   stride_ = (dim + elems_per_line - 1) / elems_per_line * elems_per_line;
 }
@@ -79,11 +75,6 @@ void VectorSlab::Overwrite(std::uint32_t row, std::span<const float> v) {
     case RowFormat::kF32:
       std::memcpy(dst, v.data(), dim_ * sizeof(float));
       break;
-    case RowFormat::kF16: {
-      auto* h = reinterpret_cast<std::uint16_t*>(dst);
-      for (std::size_t i = 0; i < dim_; ++i) h[i] = simd::F32ToF16(v[i]);
-      break;
-    }
     case RowFormat::kI8:
       scales_[row] =
           simd::QuantizeRowI8(v, reinterpret_cast<std::int8_t*>(dst));
@@ -112,11 +103,6 @@ void VectorSlab::DecodeRow(std::uint32_t row, std::span<float> out) const {
     case RowFormat::kF32:
       std::memcpy(out.data(), Row(row), dim_ * sizeof(float));
       break;
-    case RowFormat::kF16: {
-      const std::uint16_t* h = RowF16(row);
-      for (std::size_t i = 0; i < dim_; ++i) out[i] = simd::F16ToF32(h[i]);
-      break;
-    }
     case RowFormat::kI8: {
       const std::int8_t* q = RowI8(row);
       const float scale = scales_[row];

@@ -16,12 +16,10 @@
 // Row storage format (DESIGN.md §13): callers always Add/Overwrite fp32
 // spans; the slab encodes per its RowFormat —
 //   * kF32 — 4 bytes/elem, the default; Row()/RowSpan() expose floats;
-//   * kF16 — IEEE binary16, 2 bytes/elem, software round-to-nearest-even
-//     encode so stored bytes never depend on the active SIMD variant;
 //   * kI8  — symmetric per-row int8 (scale = amax/127), 1 byte/elem plus
 //     one float scale per row, ~4x less scan bandwidth than fp32.
-// Quantized tiers are for SCANNING; exact reranks read fp32 originals
-// kept elsewhere (the two-phase contract in ann/ and serve/).
+// The i8 tier is for SCANNING; exact reranks read fp32 originals kept
+// elsewhere (the two-phase contract in ann/ and serve/).
 #pragma once
 
 #include <cstddef>
@@ -36,12 +34,11 @@ namespace cortex {
 
 enum class RowFormat : std::uint8_t {
   kF32 = 0,
-  kF16 = 1,
-  kI8 = 2,
+  kI8 = 1,
 };
 
 const char* RowFormatName(RowFormat f) noexcept;
-// Bytes per stored element (4 / 2 / 1).
+// Bytes per stored element (4 / 1).
 std::size_t RowFormatElemBytes(RowFormat f) noexcept;
 
 class VectorSlab {
@@ -70,18 +67,15 @@ class VectorSlab {
     return {Row(row), dim_};
   }
 
-  // Format-specific raw accessors for the quantized scan kernels.
-  const std::uint16_t* RowF16(std::uint32_t row) const noexcept {
-    return reinterpret_cast<const std::uint16_t*>(RawRow(row));
-  }
+  // Raw accessor for the i8 scan kernels.
   const std::int8_t* RowI8(std::uint32_t row) const noexcept {
     return reinterpret_cast<const std::int8_t*>(RawRow(row));
   }
-  // Per-row quantization scale; 1.0 for non-i8 formats.
+  // Per-row quantization scale; 1.0 for kF32.
   float RowScale(std::uint32_t row) const noexcept {
     return format_ == RowFormat::kI8 ? scales_[row] : 1.0f;
   }
-  // Decodes any format back to fp32 (tests, diagnostics).
+  // Decodes either format back to fp32 (tests, diagnostics).
   void DecodeRow(std::uint32_t row, std::span<float> out) const;
 
   RowFormat format() const noexcept { return format_; }

@@ -82,15 +82,17 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   per_shard.capacity_tokens = options_.cache.capacity_tokens /
                               static_cast<double>(options_.num_shards);
   per_shard_capacity_ = per_shard.capacity_tokens;
+  // Every shard runs a flat index (the lock-free scan's exact-parity
+  // oracle), LCFU eviction, and recalibration seeded per shard.
+  constexpr std::uint64_t kRecalibrationSeed = 97;
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     auto cache = std::make_unique<SemanticCache>(
-        embedder, MakeIndex(options_.index_type, embedder->dimension()),
-        judger, MakeEviction(options_.eviction), per_shard);
+        embedder, MakeIndex(IndexType::kFlat, embedder->dimension()), judger,
+        MakeEviction(EvictionKind::kLcfu), per_shard);
     shards_.push_back(std::make_unique<Shard>(
-        std::move(cache), options_.recalibration,
-        options_.recalibration_seed + i, embedder->dimension(),
-        options_.probe_scan_format));
+        std::move(cache), options_.recalibration, kRecalibrationSeed + i,
+        embedder->dimension(), options_.probe_scan_format));
     const std::string prefix =
         "cortex_engine_shard" + std::to_string(i) + "_";
     Shard& shard = *shards_.back();

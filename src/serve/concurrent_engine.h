@@ -69,8 +69,6 @@ struct ConcurrentEngineOptions {
   // Per-shard options; capacity_tokens is the TOTAL budget, divided evenly
   // across shards (same convention as ShardedCacheOptions).
   SemanticCacheOptions cache;
-  IndexType index_type = IndexType::kFlat;
-  EvictionKind eviction = EvictionKind::kLcfu;
 
   // Background housekeeping cadence in engine-clock seconds; <= 0 disables
   // the thread entirely (tests drive RemoveExpired by hand).
@@ -79,7 +77,6 @@ struct ConcurrentEngineOptions {
   // ground-truth fetcher is installed (SetGroundTruthFetcher).
   double recalibration_interval_sec = 0.0;
   RecalibratorOptions recalibration;
-  std::uint64_t recalibration_seed = 97;
 
   // Engine clock in seconds.  Defaults to wall-clock seconds since engine
   // construction; tests inject a fake.  Must be monotonic non-decreasing
@@ -101,8 +98,7 @@ struct ConcurrentEngineOptions {
   // mutex; when false it takes the shared lock and runs the in-cache
   // Probe (the pre-epoch path, kept for A/B benches and as a fallback).
   // The lock-free probe's stage 1 is an exact quantized scan + fp32
-  // rerank — identical to the locked path under IndexType::kFlat, better
-  // recall than it under IVF/HNSW (those prune, the scan does not).
+  // rerank — identical to the locked path's flat index.
   bool lock_free_probe = true;
   // Scan-tier row format for the snapshot slab: kI8 cuts scan bytes per
   // vector ~4x vs fp32; the fp32-rerank contract makes the final top-k

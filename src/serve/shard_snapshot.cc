@@ -30,17 +30,11 @@ void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
   }
   float* out = scratch.sims.data();
   for (const SnapshotChunk* c : snap.chunks) {
-    switch (snap.format) {
-      case RowFormat::kF32:
-        simd::DotRows(query, c->rows.f32, c->size, out);
-        break;
-      case RowFormat::kF16:
-        simd::DotRowsF16(query, c->rows.f16, c->size, out);
-        break;
-      case RowFormat::kI8:
-        simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows.i8, c->scales,
-                        c->size, snap.dim, out);
-        break;
+    if (snap.format == RowFormat::kI8) {
+      simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows.i8, c->scales,
+                      c->size, snap.dim, out);
+    } else {
+      simd::DotRows(query, c->rows.f32, c->size, out);
     }
     out += c->size;
   }
@@ -120,18 +114,11 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
   std::size_t base = 0;
   for (const SnapshotChunk* c : snap.chunks) {
     const std::size_t m = c->size;
-    switch (snap.format) {
-      case RowFormat::kF32:
-        simd::DotRowsMq(queries, nq, qstride, c->rows.f32, m, snap.dim, tmp);
-        break;
-      case RowFormat::kF16:
-        simd::DotRowsF16Mq(queries, nq, qstride, c->rows.f16, m, snap.dim,
-                           tmp);
-        break;
-      case RowFormat::kI8:
-        simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
-                          snap.dim, c->rows.i8, c->scales, m, snap.dim, tmp);
-        break;
+    if (snap.format == RowFormat::kI8) {
+      simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
+                        snap.dim, c->rows.i8, c->scales, m, snap.dim, tmp);
+    } else {
+      simd::DotRowsMq(queries, nq, qstride, c->rows.f32, m, snap.dim, tmp);
     }
     for (std::size_t q = 0; q < nq; ++q) {
       std::copy_n(tmp + q * m, m, sims_out + q * n + base);
@@ -349,17 +336,11 @@ void SnapshotWriter::Put(std::uint32_t pos, const ProbeRecord* record,
   SnapshotChunk& c = Mutable(pos / kSnapshotChunkRows);
   const std::size_t k = pos % kSnapshotChunkRows;
   c.records[k] = record;
-  switch (slab_.format()) {
-    case RowFormat::kF32:
-      c.rows.f32[k] = slab_.Row(row);
-      break;
-    case RowFormat::kF16:
-      c.rows.f16[k] = slab_.RowF16(row);
-      break;
-    case RowFormat::kI8:
-      c.rows.i8[k] = slab_.RowI8(row);
-      c.scales[k] = slab_.RowScale(row);
-      break;
+  if (slab_.format() == RowFormat::kI8) {
+    c.rows.i8[k] = slab_.RowI8(row);
+    c.scales[k] = slab_.RowScale(row);
+  } else {
+    c.rows.f32[k] = slab_.Row(row);
   }
 }
 

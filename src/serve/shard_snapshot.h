@@ -76,7 +76,6 @@ struct SnapshotChunk {
   // active one.
   union {
     const float* f32[kSnapshotChunkRows];
-    const std::uint16_t* f16[kSnapshotChunkRows];
     const std::int8_t* i8[kSnapshotChunkRows];
   } rows;
   float scales[kSnapshotChunkRows];  // kI8 row scales
@@ -100,9 +99,9 @@ struct ShardSnapshot {
 };
 
 // Quantized-similarity slack subtracted from tau_sim when prefiltering
-// scan scores (phase 1).  f16 roundtrip error on unit vectors is ~1e-3
-// and i8 ~2e-3; 0.02 absorbs both with a wide margin, and the exact
-// rerank removes every false admit.  Unused (slack 0) for kF32.
+// scan scores (phase 1).  i8 roundtrip error on unit vectors is ~2e-3;
+// 0.02 absorbs it with a wide margin, and the exact rerank removes every
+// false admit.  Unused (slack 0) for kF32.
 inline constexpr double kQuantSimSlack = 0.02;
 
 // Prefilter slack for a given scan format (kQuantSimSlack, or 0 for the

@@ -247,8 +247,7 @@ TEST_F(ConcurrentEngineTest, RecalibrationTickRunsOnEveryShard) {
 // similarities and judger scores, same counters — whatever scan format.
 
 TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
-  for (const RowFormat format :
-       {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
     ConcurrentEngineOptions locked_opts = BaseOptions();
     locked_opts.lock_free_probe = false;
     ConcurrentEngineOptions epoch_opts = BaseOptions();
@@ -525,26 +524,17 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
         const std::uint32_t row = expected.Add(se.embedding);
         const SnapshotChunk& chunk = *snap->chunks[i / kSnapshotChunkRows];
         const std::size_t k = i % kSnapshotChunkRows;
-        switch (format) {
-          case RowFormat::kF32:
-            EXPECT_EQ(std::memcmp(chunk.rows.f32[k], expected.Row(row),
-                                  snap->dim * sizeof(float)),
-                      0)
-                << context << " row " << i;
-            break;
-          case RowFormat::kF16:
-            EXPECT_EQ(std::memcmp(chunk.rows.f16[k], expected.RowF16(row),
-                                  snap->dim * sizeof(std::uint16_t)),
-                      0)
-                << context << " row " << i;
-            break;
-          case RowFormat::kI8:
-            EXPECT_EQ(std::memcmp(chunk.rows.i8[k], expected.RowI8(row),
-                                  snap->dim),
-                      0)
-                << context << " row " << i;
-            EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
-            break;
+        if (format == RowFormat::kI8) {
+          EXPECT_EQ(
+              std::memcmp(chunk.rows.i8[k], expected.RowI8(row), snap->dim),
+              0)
+              << context << " row " << i;
+          EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
+        } else {
+          EXPECT_EQ(std::memcmp(chunk.rows.f32[k], expected.Row(row),
+                                snap->dim * sizeof(float)),
+                    0)
+              << context << " row " << i;
         }
         expected.Free(row);
       }
@@ -576,8 +566,7 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
 };
 
 TEST_F(IncrementalPublishTest, ChunkBoundarySizesAndRemovalsMirrorTheCache) {
-  for (const RowFormat format :
-       {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
     for (const std::size_t size : {255u, 256u, 257u, 513u}) {
       ConcurrentShardedEngine locked(&world_.embedder, world_.judger.get(),
                                      Options(false, format));
@@ -625,8 +614,7 @@ TEST_F(IncrementalPublishTest, RandomWriteSequencesMirrorTheCache) {
   // restores (fresh and dedup) and recalibrations that move tau.  After
   // each one the lock-free snapshot must mirror the cache and probe
   // exactly like the locked path.
-  for (const RowFormat format :
-       {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
     now_ = 1.0;
     ConcurrentEngineOptions locked_opts = Options(false, format);
     ConcurrentEngineOptions epoch_opts = Options(true, format);

