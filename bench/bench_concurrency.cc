@@ -21,10 +21,12 @@
 //     and one multi-query slab scan per shard).  Reports throughput and
 //     client-observed p99 for both legs;
 //   * --insert-scaling — the write path against resident size (DESIGN.md
-//     §13.3): one shard, dim 256, i8 scan, no evictions.  At 1k/4k/16k/
-//     64k resident entries it times a run of new inserts and a run of
-//     dedup refreshes (a new phrasing of a resident value) and reports
-//     p50/p99 of each.  Incremental publish keeps both curves flat.
+//     §13.3): one shard, dim 256, i8 scan.  At 1k/4k/16k/64k resident
+//     entries it times a run of new inserts and a run of dedup refreshes
+//     (a new phrasing of a resident value) in an engine that never
+//     evicts, then a run of evicting inserts into an engine filled to
+//     capacity, and reports p50/p99 of each.  Incremental publish keeps
+//     the first two curves flat, the victim index the third.
 // Flags:
 //   --json   also write BENCH_concurrency.json (the deterministic
 //            virtual-clock table in default mode; thread-scaling rows in
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "llm/tags.h"
 #include "serve/batch_pipeline.h"
 #include "serve/concurrent_engine.h"
 #include "util/flags.h"
@@ -526,63 +529,94 @@ int InsertScalingMain(const Flags& flags) {
 
   serve::ConcurrentEngineOptions opts;
   opts.num_shards = 1;
-  opts.cache.capacity_tokens = 1e12;  // no evictions
   opts.housekeeping_interval_sec = 0.0;
   opts.probe_scan_format = RowFormat::kI8;
-  serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
 
   std::cout << "=== insert scaling (one shard, dim " << embedder.dimension()
-            << ", i8 scan, no evictions, " << kSamples
-            << " timed inserts per cell) ===\n\n";
+            << ", i8 scan, " << kSamples << " timed inserts per cell) ===\n\n";
   struct Row {
     std::size_t resident;
     double new_p50_us, new_p99_us, dedup_p50_us, dedup_p99_us;
+    double evict_p50_us = 0.0, evict_p99_us = 0.0, evictions_per_insert = 0.0;
   };
   std::vector<Row> rows;
-  TextTable table({"resident", "new p50 (us)", "new p99 (us)",
-                   "dedup p50 (us)", "dedup p99 (us)"});
-  const auto timed = [&](InsertRequest req, Histogram& h) {
+  const auto timed = [](serve::ConcurrentShardedEngine& engine,
+                        InsertRequest req, Histogram& h) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto id = engine.Insert(std::move(req));
+    engine.Insert(std::move(req));
     h.Add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         t0)
               .count());
-    return id.has_value();
   };
-  // Every request gets a fresh key; values 0..resident-1 are resident, so
-  // a dedup sample always names a value that is in the cache.
-  std::size_t key = 0;
-  std::size_t resident = 0;
-  for (const std::size_t target : kResident) {
-    for (; resident < target; ++resident) {
-      engine.Insert(request(key++, resident));
+  {
+    opts.cache.capacity_tokens = 1e12;  // no evictions
+    serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
+    // Every request gets a fresh key; values 0..resident-1 are resident,
+    // so a dedup sample always names a value that is in the cache.
+    std::size_t key = 0;
+    std::size_t resident = 0;
+    for (const std::size_t target : kResident) {
+      for (; resident < target; ++resident) {
+        engine.Insert(request(key++, resident));
+      }
+      Histogram fresh, dedup;
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        timed(engine, request(key++, resident++), fresh);
+      }
+      // A new phrasing of a resident value: the cache dedups onto it and
+      // renews its TTL, a fingerprint-only change.
+      for (std::size_t i = 0; i < kSamples; ++i) {
+        timed(engine, request(key++, (i * 7919) % resident), dedup);
+      }
+      rows.push_back({target, fresh.p50() * 1e6, fresh.p99() * 1e6,
+                      dedup.p50() * 1e6, dedup.p99() * 1e6});
     }
-    Histogram fresh, dedup;
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      timed(request(key++, resident++), fresh);
+    const CacheCounters counters = engine.TotalCounters();
+    if (counters.evictions != 0) {
+      std::cout << "WARNING: the run evicted; the curve is not eviction-free\n";
     }
-    // A new phrasing of a resident value: the cache dedups onto it and
-    // renews its TTL, a fingerprint-only change.
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      timed(request(key++, (i * 7919) % resident), dedup);
+    if (counters.dedup_refreshes != std::size(kResident) * kSamples) {
+      std::cout << "WARNING: " << counters.dedup_refreshes
+                << " dedup refreshes; some dedup samples were new inserts\n";
     }
-    rows.push_back({target, fresh.p50() * 1e6, fresh.p99() * 1e6,
-                    dedup.p50() * 1e6, dedup.p99() * 1e6});
-    const Row& r = rows.back();
-    table.AddRow({std::to_string(target), TextTable::Num(r.new_p50_us, 1),
+  }
+  // Evicting inserts: one engine per cell, its capacity exactly the
+  // tokens of `resident` entries, so once full every new entry evicts the
+  // lowest-scored one (about one victim per insert; values differ in
+  // size).  One engine at a time keeps peak memory at one 64k engine.
+  for (Row& row : rows) {
+    double tokens = 0.0;
+    for (std::size_t v = 0; v < row.resident; ++v) {
+      tokens += static_cast<double>(ApproxTokenCount(request(v, v).value));
+    }
+    opts.cache.capacity_tokens = tokens;
+    serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
+    std::size_t key = 0;
+    for (; key < row.resident; ++key) engine.Insert(request(key, key));
+    const std::uint64_t filled = engine.TotalCounters().evictions;
+    Histogram evicting;
+    for (std::size_t i = 0; i < kSamples; ++i, ++key) {
+      timed(engine, request(key, key), evicting);
+    }
+    row.evict_p50_us = evicting.p50() * 1e6;
+    row.evict_p99_us = evicting.p99() * 1e6;
+    row.evictions_per_insert =
+        static_cast<double>(engine.TotalCounters().evictions - filled) /
+        static_cast<double>(kSamples);
+  }
+  TextTable table({"resident", "new p50 (us)", "new p99 (us)",
+                   "dedup p50 (us)", "dedup p99 (us)", "evict p50 (us)",
+                   "evict p99 (us)", "evictions/insert"});
+  for (const Row& r : rows) {
+    table.AddRow({std::to_string(r.resident), TextTable::Num(r.new_p50_us, 1),
                   TextTable::Num(r.new_p99_us, 1),
                   TextTable::Num(r.dedup_p50_us, 1),
-                  TextTable::Num(r.dedup_p99_us, 1)});
+                  TextTable::Num(r.dedup_p99_us, 1),
+                  TextTable::Num(r.evict_p50_us, 1),
+                  TextTable::Num(r.evict_p99_us, 1),
+                  TextTable::Num(r.evictions_per_insert, 3)});
   }
   table.Print(std::cout, csv);
-  const CacheCounters counters = engine.TotalCounters();
-  if (counters.evictions != 0) {
-    std::cout << "WARNING: the run evicted; the curve is not eviction-free\n";
-  }
-  if (counters.dedup_refreshes != std::size(kResident) * kSamples) {
-    std::cout << "WARNING: " << counters.dedup_refreshes
-              << " dedup refreshes; some dedup samples were new inserts\n";
-  }
   if (flags.GetBool("json", false)) {
     std::ofstream out("BENCH_concurrency_insert.json");
     out << "{\n  \"benchmark\": \"concurrency_insert_scaling\",\n"
@@ -595,6 +629,9 @@ int InsertScalingMain(const Flags& flags) {
           << ", \"new_insert_p99_latency_us\": " << rows[i].new_p99_us
           << ", \"dedup_refresh_p50_latency_us\": " << rows[i].dedup_p50_us
           << ", \"dedup_refresh_p99_latency_us\": " << rows[i].dedup_p99_us
+          << ", \"evicting_insert_p50_latency_us\": " << rows[i].evict_p50_us
+          << ", \"evicting_insert_p99_latency_us\": " << rows[i].evict_p99_us
+          << ", \"evictions_per_insert\": " << rows[i].evictions_per_insert
           << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
@@ -602,8 +639,10 @@ int InsertScalingMain(const Flags& flags) {
     std::cout << "wrote BENCH_concurrency_insert.json\n";
   }
   std::cout << "\nexpected shape: flat — a write copies the <=2 chunks it"
-               " touches plus the O(n/256) spine, so p50 at 64k resident"
-               " stays within 2x of p50 at 1k for both kinds of insert.\n";
+               " touches plus the O(n/256) spine, and an eviction pops the"
+               " top of a per-namespace victim heap, so p50 at 64k"
+               " resident stays within 2x of p50 at 1k for all three kinds"
+               " of insert.\n";
   return 0;
 }
 

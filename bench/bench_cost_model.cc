@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   TextTable table1({"Company", "Operation", "Cost (per 1k reqs.)"});
   for (const auto& p : StandardApiPricing()) {
     table1.AddRow({p.provider, p.operation,
-                   "$" + TextTable::Num(p.dollars_per_1k_calls, 0)});
+                   std::string("$").append(
+                       TextTable::Num(p.dollars_per_1k_calls, 0))});
   }
   table1.Print(std::cout, csv);
 

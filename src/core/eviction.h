@@ -4,6 +4,14 @@
 // savings it buys per byte: log-damped frequency x retrieval cost x
 // retrieval latency x staticity, normalised by size.  Expired items score
 // zero.  LRU and LFU are provided as the Table-6 baselines.
+//
+// Contract: a score may depend on the clock only through expiry.  For an
+// SE that is unexpired at both t1 and t2, Score(se, t1) == Score(se, t2).
+// SemanticCache relies on it: it keeps its entries in an index ordered by
+// score, computed once per change to an entry's fields, and every eviction
+// runs right after the TTL purge, when no resident entry is expired.  A
+// policy whose score ages with `now` (e.g. a decayed frequency) would need
+// that index rebuilt on every eviction.
 #pragma once
 
 #include <string>

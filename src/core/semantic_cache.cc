@@ -99,8 +99,10 @@ void SemanticCache::CommitLookup(const LookupResult& result, double now) {
   ++counters_.hits;
   const auto it = store_.find(result.hit->id);
   if (it == store_.end()) return;  // evicted between probe and commit
-  ++it->second.frequency;
-  it->second.last_access = now;
+  SemanticElement& se = it->second;
+  ++se.frequency;
+  se.last_access = now;
+  PushVictim(se);
 }
 
 std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
@@ -191,8 +193,10 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
     if (promote_this) {
       tenant_usage_[se.tenant].tokens -= se.size_tokens;
       key_to_id_.erase(NamespacedKey(se.tenant, se.key));
+      UncountVictim(se.tenant);
       se.tenant.clear();
       tenant_usage_[se.tenant].tokens += se.size_tokens;
+      ++victims_[se.tenant].live;
       // The shared namespace may already hold this exact key with other
       // content; the freshly promoted copy replaces it.
       if (const auto shared_it = key_to_id_.find(NamespacedKey("", se.key));
@@ -205,6 +209,7 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
     se.shareable = se.shareable && request.shareable;
     se.frequency += request.initial_frequency;
     se.last_access = now;
+    PushVictim(se);
     // The content was just re-retrieved fresh, so renew its lifetime.
     if (options_.ttl_enabled) {
       SetExpiration(se, now + options_.min_ttl_sec +
@@ -232,10 +237,9 @@ std::optional<SeId> SemanticCache::Insert(InsertRequest request, double now,
   // Budget first: the inserting tenant makes room inside its own share
   // before the cache considers anyone else's entries.
   if (!request.tenant.empty() && request.budget_tokens > 0.0) {
-    EvictTenantDownTo(request.tenant, request.budget_tokens - size_tokens,
-                      now);
+    EvictTenantDownTo(request.tenant, request.budget_tokens - size_tokens);
   }
-  EvictDownTo(options_.capacity_tokens - size_tokens, now, request.tenant);
+  EvictDownTo(options_.capacity_tokens - size_tokens, request.tenant);
   if (timing != nullptr) timing->evict_seconds = ElapsedSince(evict_t0);
 
   SemanticElement se;
@@ -287,6 +291,7 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
     if (!VisibleTo(existing, se.tenant)) continue;
     existing.frequency = std::max(existing.frequency, se.frequency);
     existing.last_access = std::max(existing.last_access, se.last_access);
+    PushVictim(existing);
     SetExpiration(existing,
                   std::max(existing.expiration_time, se.expiration_time));
     existing.shareable = existing.shareable && se.shareable;
@@ -300,7 +305,7 @@ std::optional<SeId> SemanticCache::RestoreElement(SemanticElement se,
     RemoveInternal(it->second, /*expired=*/false);
   }
   RemoveExpired(now);
-  EvictDownTo(options_.capacity_tokens - se.size_tokens, now, se.tenant);
+  EvictDownTo(options_.capacity_tokens - se.size_tokens, se.tenant);
 
   se.id = next_id_++;
   return Admit(std::move(se), value_hash);
@@ -313,10 +318,67 @@ SeId SemanticCache::Admit(SemanticElement se, std::size_t value_hash) {
   key_to_id_.emplace(NamespacedKey(se.tenant, se.key), se.id);
   value_hash_to_id_.emplace(value_hash, se.id);
   const SeId id = se.id;
-  IndexExpiry(store_.emplace(id, std::move(se)).first->second);
+  const SemanticElement& stored =
+      store_.emplace(id, std::move(se)).first->second;
+  IndexExpiry(stored);
+  ++victims_[stored.tenant].live;
+  PushVictim(stored);
   ++counters_.insertions;
   NoteChanged(id);
   return id;
+}
+
+SemanticCache::VictimKey SemanticCache::VictimKeyOf(
+    const SemanticElement& se) const {
+  // Any instant before expiry gives a live entry's score (EvictionPolicy's
+  // contract), and -infinity precedes every expiration.  Adding 0.0 folds
+  // -0.0 into +0.0 so that the two zeros tie.
+  return {eviction_->Score(se, -std::numeric_limits<double>::infinity()) + 0.0,
+          se.last_access + 0.0, se.id};
+}
+
+bool SemanticCache::IsCurrentVictim(const std::string& tenant,
+                                    const VictimKey& key) const {
+  const auto it = store_.find(key.id);
+  if (it == store_.end() || it->second.tenant != tenant) return false;
+  const VictimKey current = VictimKeyOf(it->second);
+  return !(current < key) && !(key < current);
+}
+
+void SemanticCache::PushVictim(const SemanticElement& se) {
+  VictimHeap& heap = victims_[se.tenant];
+  heap.keys.push_back(VictimKeyOf(se));
+  std::push_heap(heap.keys.begin(), heap.keys.end(), std::greater<>());
+  if (heap.keys.size() <= 2 * heap.live + 64) return;
+  // Compact: keep each current key once.  Ascending order is already a
+  // valid min-heap, so sorting replaces make_heap.
+  std::erase_if(heap.keys, [this, &se](const VictimKey& key) {
+    return !IsCurrentVictim(se.tenant, key);
+  });
+  std::sort(heap.keys.begin(), heap.keys.end());
+  heap.keys.erase(std::unique(heap.keys.begin(), heap.keys.end(),
+                              [](const VictimKey& a, const VictimKey& b) {
+                                return a.id == b.id;
+                              }),
+                  heap.keys.end());
+}
+
+void SemanticCache::UncountVictim(const std::string& tenant) {
+  const auto it = victims_.find(tenant);
+  CHECK(it != victims_.end() && it->second.live > 0)
+      << "victim index out of step for tenant '" << tenant << "'";
+  if (--it->second.live == 0) victims_.erase(it);
+}
+
+const SemanticCache::VictimKey& SemanticCache::TopVictim(
+    const std::string& tenant, VictimHeap& heap) {
+  while (!IsCurrentVictim(tenant, heap.keys.front())) {
+    std::pop_heap(heap.keys.begin(), heap.keys.end(), std::greater<>());
+    heap.keys.pop_back();
+    CHECK(!heap.keys.empty())
+        << "victim index out of step for tenant '" << tenant << "'";
+  }
+  return heap.keys.front();
 }
 
 void SemanticCache::SetExpiration(SemanticElement& se,
@@ -373,20 +435,22 @@ std::size_t SemanticCache::RemoveExpired(double now) {
   return removed;
 }
 
-void SemanticCache::EvictDownTo(double target_tokens, double now,
+void SemanticCache::EvictDownTo(double target_tokens,
                                 std::string_view offender) {
   target_tokens = std::max(target_tokens, 0.0);
   // Victim tiers, best first: the offending tenant's own entries, then
   // any tenant holding more than its recorded budget, then the shared
   // pool, and only as a last resort a within-budget bystander tenant
   // (reachable only when budgets oversubscribe the capacity).  Within a
-  // tier the eviction policy's lowest score loses, exactly as before.
-  const auto tier_of = [this, offender](const SemanticElement& se) -> int {
-    if (!offender.empty() && se.tenant == offender) return 0;
-    if (se.tenant.empty()) return 2;
-    if (const auto budget = tenant_budget_.find(se.tenant);
+  // tier the lowest VictimKey loses.  A tier is a property of the
+  // namespace, so the victim is the least (tier, top key) over the
+  // namespaces' victim heaps.
+  const auto tier_of = [this, offender](const std::string& tenant) -> int {
+    if (!offender.empty() && tenant == offender) return 0;
+    if (tenant.empty()) return 2;
+    if (const auto budget = tenant_budget_.find(tenant);
         budget != tenant_budget_.end() && budget->second > 0.0) {
-      const auto usage = tenant_usage_.find(se.tenant);
+      const auto usage = tenant_usage_.find(tenant);
       if (usage != tenant_usage_.end() &&
           usage->second.tokens > budget->second) {
         return 1;
@@ -394,51 +458,37 @@ void SemanticCache::EvictDownTo(double target_tokens, double now,
     }
     return 3;
   };
-  while (usage_tokens_ > target_tokens && !store_.empty()) {
-    SeId victim = 0;
+  while (usage_tokens_ > target_tokens && !victims_.empty()) {
+    const std::string* victim_tenant = nullptr;
+    const VictimKey* victim = nullptr;
     int victim_tier = 4;
-    double victim_score = std::numeric_limits<double>::infinity();
-    for (const auto& [id, se] : store_) {
-      const int tier = tier_of(se);
-      if (tier > victim_tier) continue;
-      const double score = eviction_->Score(se, now);
-      if (tier < victim_tier || score < victim_score) {
+    for (auto& [tenant, heap] : victims_) {
+      const int tier = tier_of(tenant);
+      const VictimKey& first = TopVictim(tenant, heap);
+      if (tier < victim_tier || (tier == victim_tier && first < *victim)) {
         victim_tier = tier;
-        victim_score = score;
-        victim = id;
+        victim = &first;
+        victim_tenant = &tenant;
       }
     }
-    const auto victim_it = store_.find(victim);
-    CHECK(victim_it != store_.end());
-    ++tenant_usage_[victim_it->second.tenant].evictions;
-    RemoveInternal(victim, /*expired=*/false);
+    ++tenant_usage_[*victim_tenant].evictions;
+    RemoveInternal(victim->id, /*expired=*/false);
     ++counters_.evictions;
   }
 }
 
 void SemanticCache::EvictTenantDownTo(const std::string& tenant,
-                                      double budget_tokens, double now) {
+                                      double budget_tokens) {
   budget_tokens = std::max(budget_tokens, 0.0);
-  while (!store_.empty()) {
+  while (true) {
     const auto usage = tenant_usage_.find(tenant);
     if (usage == tenant_usage_.end() || usage->second.tokens <= budget_tokens) {
       return;
     }
-    SeId victim = 0;
-    double victim_score = std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (const auto& [id, se] : store_) {
-      if (se.tenant != tenant) continue;
-      const double score = eviction_->Score(se, now);
-      if (!found || score < victim_score) {
-        found = true;
-        victim_score = score;
-        victim = id;
-      }
-    }
-    if (!found) return;
+    const auto heap = victims_.find(tenant);
+    if (heap == victims_.end()) return;
     ++usage->second.evictions;
-    RemoveInternal(victim, /*expired=*/false);
+    RemoveInternal(TopVictim(tenant, heap->second).id, /*expired=*/false);
     ++counters_.evictions;
   }
 }
@@ -463,6 +513,7 @@ void SemanticCache::RemoveInternal(SeId id, bool expired) {
       break;
     }
   }
+  UncountVictim(it->second.tenant);
   sine_.Remove(id);
   if (expired) ++counters_.expirations;
   store_.erase(it);

@@ -10,6 +10,7 @@
 //     are periodically refreshed (§4.3's aging mechanism).
 #pragma once
 
+#include <compare>
 #include <memory>
 #include <optional>
 #include <string>
@@ -124,6 +125,35 @@ struct InsertRequest {
 };
 
 class SemanticCache {
+  // Victim-index order (DESIGN.md §12.2): lowest policy score first, then
+  // least recently accessed, then lowest id.  std::strong_order keeps the
+  // order total even for a NaN score or timestamp (a corrupt snapshot).
+  struct VictimKey {
+    double score = 0.0;
+    double last_access = 0.0;
+    SeId id = 0;
+    friend bool operator<(const VictimKey& a, const VictimKey& b) noexcept {
+      if (const auto c = std::strong_order(a.score, b.score); c != 0) {
+        return c < 0;
+      }
+      if (const auto c = std::strong_order(a.last_access, b.last_access);
+          c != 0) {
+        return c < 0;
+      }
+      return a.id < b.id;
+    }
+    // For std::greater<>, which keeps the least key on top of a heap.
+    friend bool operator>(const VictimKey& a, const VictimKey& b) noexcept {
+      return b < a;
+    }
+  };
+  // One namespace's victims: a lazy min-heap of keys (see victims_) and
+  // the number of the namespace's resident entries.
+  struct VictimHeap {
+    std::vector<VictimKey> keys;
+    std::size_t live = 0;
+  };
+
  public:
   SemanticCache(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
                 const JudgerModel* judger,
@@ -233,13 +263,20 @@ class SemanticCache {
   // the shared pool, and only as a last resort from within-budget
   // bystanders (keeps the capacity invariant when budgets oversubscribe
   // the shard).
-  void EvictDownTo(double target_tokens, double now,
-                   std::string_view offender);
+  void EvictDownTo(double target_tokens, std::string_view offender);
   // Evicts within one tenant's namespace until its usage fits
   // `budget_tokens`; charged to that tenant's eviction count.
-  void EvictTenantDownTo(const std::string& tenant, double budget_tokens,
-                         double now);
+  void EvictTenantDownTo(const std::string& tenant, double budget_tokens);
   void RemoveInternal(SeId id, bool expired);
+  // Victim-index maintenance.  Admit counts an entry into its namespace
+  // and RemoveInternal out of it (UncountVictim); every change to an
+  // entry's score inputs or namespace ends with PushVictim.
+  VictimKey VictimKeyOf(const SemanticElement& se) const;
+  bool IsCurrentVictim(const std::string& tenant, const VictimKey& key) const;
+  void PushVictim(const SemanticElement& se);
+  void UncountVictim(const std::string& tenant);
+  // The least current key of `tenant`'s heap, popping stale keys above it.
+  const VictimKey& TopVictim(const std::string& tenant, VictimHeap& heap);
   // Links a fully-populated SE (id assigned) into every index; returns
   // its id.
   SeId Admit(SemanticElement se, std::size_t value_hash);
@@ -272,6 +309,17 @@ class SemanticCache {
   // RemoveExpired skips stale entries, and the heap is rebuilt from the
   // store once stale entries outnumber live ones.
   std::vector<std::pair<double, SeId>> expiry_;
+  // Victim index: one heap per namespace (the empty tenant is the shared
+  // pool) over every resident entry, pushed whenever an entry is admitted
+  // or re-keyed.  An entry's score depends on the clock only through
+  // expiry (EvictionPolicy's contract) and eviction always runs right
+  // after RemoveExpired, so a key stays current until the entry's score
+  // inputs change.  A key is current while its id is resident in that
+  // namespace with exactly that key; older keys go stale and are popped
+  // when they surface.  A heap is compacted once its stale keys outnumber
+  // its live entries, and a namespace with no resident entries has no
+  // heap, so eviction visits only non-empty namespaces.
+  std::unordered_map<std::string, VictimHeap> victims_;
   std::vector<SeId>* change_sink_ = nullptr;
   double usage_tokens_ = 0.0;
   SeId next_id_ = 1;

@@ -75,12 +75,12 @@ TEST(AgentModel, PromptTokensReflectAccumulatedContext) {
 }
 
 TEST(AgentModel, ZeroStepTaskAnswersImmediately) {
-  AgentTask task;
-  task.id = 1;
-  task.description = "trivial";
-  task.final_answer = "42";
   AgentModel model;
-  AgentSession session(std::move(task));
+  AgentSession session(AgentTask{.id = 1,
+                                 .description = "trivial",
+                                 .steps = {},
+                                 .final_think = {},
+                                 .final_answer = "42"});
   const AgentTurn t = model.Next(session);
   EXPECT_FALSE(t.tool_query.has_value());
   ASSERT_TRUE(t.answer.has_value());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace cortex {
 namespace {
@@ -101,6 +103,33 @@ TEST(AllPolicies, ExpiredItemsScoreZero) {
   EXPECT_DOUBLE_EQ(LcfuPolicy().Score(expired, now), 0.0);
   EXPECT_DOUBLE_EQ(LruPolicy().Score(expired, now), 0.0);
   EXPECT_DOUBLE_EQ(LfuPolicy().Score(expired, now), 0.0);
+}
+
+TEST(AllPolicies, ScoreOfAnUnexpiredEntryDoesNotDependOnTheClock) {
+  // EvictionPolicy's contract, which SemanticCache's victim index relies
+  // on: before expiry, Score(se, t1) == Score(se, t2).  -infinity is the
+  // instant the cache itself scores entries at.
+  const std::vector<double> times = {-std::numeric_limits<double>::infinity(),
+                                     -5.0, 0.0, 3.5, 99.0, 999.999};
+  const LcfuPolicy lcfu;
+  const LruPolicy lru;
+  const LfuPolicy lfu;
+  for (const EvictionPolicy* policy :
+       std::vector<const EvictionPolicy*>{&lcfu, &lru, &lfu}) {
+    SCOPED_TRACE(policy->name());
+    for (const double expiration :
+         {1000.0, std::numeric_limits<double>::infinity()}) {
+      for (auto se : {MakeSe(0, 0.0, 0.0, 1.0, 40.0, expiration),
+                      MakeSe(7, 0.02, 1.3, 8.0, 60.0, expiration),
+                      MakeSe(300, 0.001, 0.05, 10.0, 5.0, expiration)}) {
+        se.last_access = 42.0;
+        const double reference = policy->Score(se, times.front());
+        for (const double t : times) {
+          EXPECT_EQ(policy->Score(se, t), reference) << "t=" << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(AllPolicies, NamesAreStable) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "ann/flat_index.h"
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <tuple>
 
+#include "ann/flat_index.h"
+#include "core/engine.h"
 #include "llm/tags.h"
 #include "test_helpers.h"
 
@@ -18,14 +21,15 @@ class SemanticCacheTest : public ::testing::Test {
  protected:
   SemanticCacheTest() { Rebuild({}); }
 
-  void Rebuild(SemanticCacheOptions options) {
+  void Rebuild(SemanticCacheOptions options,
+               EvictionKind eviction = EvictionKind::kLcfu) {
     if (options.capacity_tokens == SemanticCacheOptions{}.capacity_tokens) {
       options.capacity_tokens = 1e6;  // default: effectively unbounded
     }
     cache_ = std::make_unique<SemanticCache>(
         &world_.embedder,
         std::make_unique<FlatIndex>(world_.embedder.dimension()),
-        world_.judger.get(), std::make_unique<LcfuPolicy>(), options);
+        world_.judger.get(), MakeEviction(eviction), options);
   }
 
   InsertRequest RequestFor(std::size_t topic_id, std::size_t paraphrase = 0,
@@ -254,48 +258,212 @@ INSTANTIATE_TEST_SUITE_P(Capacities, CacheCapacityTest,
                          ::testing::Values(150.0, 400.0, 1200.0, 5000.0));
 
 TEST_F(SemanticCacheTest, EvictionAlwaysRemovesTheLowestScoredEntry) {
-  SemanticCacheOptions opts;
-  opts.capacity_tokens = 6.0 * 80.0;
-  Rebuild(opts);
-  Rng rng(9);
-  const LcfuPolicy policy;
-  double now = 0.0;
-  for (int i = 0; i < 120; ++i) {
-    now += 1.0;
-    const auto topic = rng.NextBelow(world_.universe->size());
-    // Random metadata so scores differ meaningfully.
-    InsertRequest req = RequestFor(topic, rng.NextBelow(6));
-    req.retrieval_latency_sec = rng.Uniform(0.1, 2.0);
-    req.retrieval_cost_dollars = rng.Uniform(0.0, 0.05);
-    req.initial_frequency = rng.NextBelow(5);
-
-    // Reference model: predicted victim set = entries with the minimum
-    // policy score before the insert.
-    std::vector<SeId> before_ids;
-    double min_score = std::numeric_limits<double>::infinity();
-    for (const auto& [id, se] : cache_->entries()) {
-      before_ids.push_back(id);
-      min_score = std::min(min_score, policy.Score(se, now));
-    }
-    std::vector<SeId> min_ids;
-    for (const auto& [id, se] : cache_->entries()) {
-      if (policy.Score(se, now) == min_score) min_ids.push_back(id);
-    }
-    const auto evictions_before = cache_->counters().evictions;
-    cache_->Insert(std::move(req), now);
-    if (cache_->counters().evictions == evictions_before + 1) {
-      // Exactly one entry was evicted: it must be one of the minimum-score
-      // candidates from the reference model.
-      for (SeId id : before_ids) {
-        if (cache_->Get(id) == nullptr) {
-          EXPECT_NE(std::find(min_ids.begin(), min_ids.end(), id),
-                    min_ids.end())
-              << "evicted entry was not a minimum-score candidate";
-        }
-      }
-    }
+  // Differential test of the victim index against a full scan.  Before
+  // every write the reference snapshots the resident entries; after it,
+  // the reference replays the write's eviction on that snapshot — exact-key
+  // replace and TTL purge first, then the tenant budget, then capacity,
+  // each victim the least (tier, score, last_access, id) — and the cache
+  // must have evicted exactly those ids, in that order.  The op mix covers
+  // every path that changes a score input: inserts with mixed metadata,
+  // hits, dedup refreshes, exact-key replaces, restores that merge or
+  // admit, TTL expiries, tenant budgets and promotions.
+  double size_cap = 0.0;
+  for (std::size_t t = 0; t < world_.universe->size(); ++t) {
+    size_cap = std::max(
+        size_cap, static_cast<double>(ApproxTokenCount(world_.answer(t))));
   }
-  EXPECT_GT(cache_->counters().evictions, 10u);
+  size_cap += 4.0;  // a revised value is a few tokens longer
+  const std::vector<std::string> tenants = {"", "a", "b", "c"};
+  const std::map<std::string, double> budgets = {{"a", 2.5 * size_cap},
+                                                 {"c", 3.5 * size_cap}};
+  for (const EvictionKind kind :
+       {EvictionKind::kLcfu, EvictionKind::kLru, EvictionKind::kLfu}) {
+    SemanticCacheOptions opts;
+    opts.capacity_tokens = 8.0 * size_cap;
+    opts.min_ttl_sec = 40.0;
+    opts.max_ttl_sec = 400.0;
+    opts.promote_distinct_tenants = 2;
+    Rebuild(opts, kind);
+    const auto policy = MakeEviction(kind);
+    SCOPED_TRACE(policy->name());
+    std::vector<SeId> changed;
+    cache_->set_change_sink(&changed);
+    std::map<std::string, double> recorded_budget;
+    std::size_t replaces = 0;
+    Rng rng(9);
+    double now = 0.0;
+    for (int step = 0; step < 600; ++step) {
+      // Several ops often share a clock reading, so last_access ties too.
+      now += static_cast<double>(rng.NextBelow(2));
+      const std::string& tenant = tenants[rng.NextBelow(tenants.size())];
+      const auto topic = rng.NextBelow(world_.universe->size());
+      const auto para = rng.NextBelow(6);
+      const auto op = rng.NextBelow(10);
+      if (op < 2) {  // a hit bumps frequency and last_access
+        cache_->Lookup(world_.query(topic, para), now, tenant);
+        continue;
+      }
+      if (op == 2) {
+        // A hot entry: a burst of hits re-keys it far more often than the
+        // namespace has entries, which makes its victim heap compact.
+        if (cache_->size() == 0) continue;
+        auto it = cache_->entries().begin();
+        std::advance(it, rng.NextBelow(cache_->size()));
+        const std::string key = it->second.key;
+        const std::string owner = it->second.tenant;
+        for (int hit = 0; hit < 100; ++hit) {
+          cache_->Lookup(key, now + 0.01 * (hit % 3), owner);
+        }
+        continue;
+      }
+      // Wire inserts carry no cost or latency (every LCFU score is 0).
+      const bool free_fetch = rng.NextBelow(3) == 0;
+      const double latency = free_fetch ? 0.0 : rng.Uniform(0.1, 2.0);
+      const double cost = free_fetch ? 0.0 : rng.Uniform(0.0, 0.05);
+      std::string value = world_.answer(topic);
+      if (rng.NextBelow(4) == 0) {
+        // Same key, new content: an exact-key replace, not a dedup.
+        value.append(" revision ").append(std::to_string(step));
+      }
+
+      const std::map<SeId, SemanticElement> before(cache_->entries().begin(),
+                                                   cache_->entries().end());
+      const CacheCounters counters_before = cache_->counters();
+      changed.clear();
+      std::optional<SeId> id;
+      double budget = 0.0;
+      const bool insert = op < 8;
+      if (insert) {
+        InsertRequest req;
+        req.key = world_.query(topic, para);
+        req.value = std::move(value);
+        req.tenant = tenant;
+        req.staticity = 1.0 + static_cast<double>(rng.NextBelow(10));
+        req.initial_frequency = rng.NextBelow(4);
+        req.retrieval_latency_sec = latency;
+        req.retrieval_cost_dollars = cost;
+        req.shareable = rng.NextBelow(4) != 0;
+        if (const auto b = budgets.find(tenant); b != budgets.end()) {
+          budget = b->second;
+          req.budget_tokens = budget;
+          recorded_budget[tenant] = budget;
+        }
+        id = cache_->Insert(std::move(req), now);
+      } else {
+        SemanticElement se;
+        if (op == 8 && !before.empty()) {
+          // A snapshot copy of a resident value: the max-merge path.
+          auto it = before.begin();
+          std::advance(it, rng.NextBelow(before.size()));
+          se = it->second;
+          se.frequency += rng.NextBelow(3);
+        } else {
+          se.key = world_.query(topic, para);
+          se.value = std::move(value);
+          se.tenant = tenant;
+          se.staticity = 1.0 + static_cast<double>(rng.NextBelow(10));
+          se.frequency = rng.NextBelow(4);
+          se.retrieval_latency_sec = latency;
+          se.retrieval_cost_dollars = cost;
+        }
+        se.last_access = now - static_cast<double>(rng.NextBelow(20));
+        se.created_at = se.last_access;
+        se.expiration_time =
+            now + 1.0 + static_cast<double>(rng.NextBelow(200));
+        id = cache_->RestoreElement(std::move(se), now);
+      }
+
+      std::vector<SeId> expected;
+      if (id && cache_->counters().dedup_refreshes ==
+                    counters_before.dedup_refreshes) {
+        const SemanticElement& added = *cache_->Get(*id);
+        struct Live {
+          SeId id;
+          std::string tenant;
+          double size;
+          double score;
+          double last_access;
+        };
+        std::vector<Live> live;
+        std::map<std::string, double> usage;
+        double total = 0.0;
+        SeId replaced = 0;
+        for (const auto& [eid, e] : before) {
+          if (e.tenant == added.tenant && e.key == added.key) {
+            replaced = eid;
+            continue;
+          }
+          if (e.ExpiredAt(now)) continue;
+          live.push_back({eid, e.tenant, e.size_tokens, policy->Score(e, now),
+                          e.last_access});
+          usage[e.tenant] += e.size_tokens;
+          total += e.size_tokens;
+        }
+        if (replaced != 0) ++replaces;
+        // Evicts the least (tier, score, last_access, id) while `more()`;
+        // tier 5 marks entries out of scope.
+        const auto evict_while = [&](auto tier_of, auto more) {
+          while (more()) {
+            auto best = live.end();
+            auto best_rank = std::make_tuple(5, 0.0, 0.0, SeId{0});
+            for (auto it = live.begin(); it != live.end(); ++it) {
+              const auto rank = std::make_tuple(tier_of(it->tenant), it->score,
+                                                it->last_access, it->id);
+              if (std::get<0>(rank) < 5 &&
+                  (best == live.end() || rank < best_rank)) {
+                best = it;
+                best_rank = rank;
+              }
+            }
+            if (best == live.end()) return;
+            expected.push_back(best->id);
+            usage[best->tenant] -= best->size;
+            total -= best->size;
+            live.erase(best);
+          }
+        };
+        const double size = added.size_tokens;
+        if (insert && !added.tenant.empty() && budget > 0.0) {
+          const double share = std::max(budget - size, 0.0);
+          evict_while(
+              [&](const std::string& t) { return t == added.tenant ? 0 : 5; },
+              [&] { return usage[added.tenant] > share; });
+        }
+        const double target = std::max(opts.capacity_tokens - size, 0.0);
+        evict_while(
+            [&](const std::string& t) {
+              if (!added.tenant.empty() && t == added.tenant) return 0;
+              if (t.empty()) return 2;
+              const auto b = recorded_budget.find(t);
+              if (b != recorded_budget.end() && usage[t] > b->second) return 1;
+              return 3;
+            },
+            [&] { return total > target; });
+
+        std::vector<SeId> evicted;
+        for (const SeId c : changed) {
+          const auto was = before.find(c);
+          if (was != before.end() && c != replaced &&
+              !was->second.ExpiredAt(now) && cache_->Get(c) == nullptr &&
+              std::find(evicted.begin(), evicted.end(), c) == evicted.end()) {
+            evicted.push_back(c);
+          }
+        }
+        EXPECT_EQ(evicted, expected) << "step " << step;
+      }
+      EXPECT_EQ(cache_->counters().evictions - counters_before.evictions,
+                expected.size())
+          << "step " << step;
+    }
+    const CacheCounters& c = cache_->counters();
+    EXPECT_GT(c.evictions, 50u);
+    EXPECT_GT(c.expirations, 0u);
+    EXPECT_GT(c.dedup_refreshes, 0u);
+    EXPECT_GT(c.promotions, 0u);
+    EXPECT_GT(replaces, 0u);
+    EXPECT_GT(cache_->TenantUsageFor("a").evictions, 0u);
+    cache_->set_change_sink(nullptr);
+  }
 }
 
 }  // namespace

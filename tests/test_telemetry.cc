@@ -328,7 +328,7 @@ RequestTrace MakeTrace(TraceOp op, std::uint32_t shard, double total) {
   trace.shard = shard;
   trace.total = total;
   trace.AddSpan(TracePhase::kCommit, 0.0, total);
-  trace.SetQuery("q" + std::to_string(shard));
+  trace.SetQuery(std::string("q").append(std::to_string(shard)));
   return trace;
 }
 
@@ -387,7 +387,8 @@ TEST(FlightRecorderTest, ConcurrentRecordsStayInternallyConsistent) {
     while (!stop.load(std::memory_order_acquire)) {
       for (const RequestTrace& t : recorder.Snapshot()) {
         if (t.total != static_cast<double>(t.shard) ||
-            t.query_view() != "q" + std::to_string(t.shard)) {
+            t.query_view() !=
+                std::string("q").append(std::to_string(t.shard))) {
           torn.fetch_add(1, std::memory_order_relaxed);
         }
       }

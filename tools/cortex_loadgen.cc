@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> tenant_ids;
   tenant_ids.reserve(tenant_count);
   for (std::size_t i = 0; i < tenant_count; ++i) {
-    tenant_ids.push_back("t" + std::to_string(i));
+    tenant_ids.push_back(std::string("t").append(std::to_string(i)));
   }
 
   const GroundTruthOracle& oracle = *world->bundle.oracle;
@@ -462,7 +462,7 @@ int main(int argc, char** argv) {
       const TenantStats& t = total.tenants[i];
       const std::uint64_t settled = t.hits + t.misses;
       per_tenant.AddRow(
-          {"t" + std::to_string(i),
+          {std::string("t").append(std::to_string(i)),
            std::to_string(t.lookup_latency.count()),
            settled ? TextTable::Percent(static_cast<double>(t.hits) /
                                         static_cast<double>(settled))
