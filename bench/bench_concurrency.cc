@@ -7,13 +7,12 @@
 //     virtual clock (single-threaded, deterministic);
 //   * --real-threads — real parallel speedup: N OS threads replay the
 //     workload through the serving layer's ConcurrentShardedEngine
-//     (per-shard shared_mutex) and we measure wall-clock throughput, the
-//     scaling story behind cortexd's worker pool;
+//     (lock-free probes, per-shard commit lock) and we measure wall-clock
+//     throughput, the scaling story behind cortexd's worker pool;
 //   * --probe-scaling — the DESIGN.md §13 read path in isolation: N
-//     threads hammer read-only Peek() against a pre-populated engine,
-//     locked (shared_mutex probe) vs epoch (lock-free snapshot probe),
-//     at 1..16 threads.  Nothing commits, so the two curves differ only
-//     in how the probe synchronizes.
+//     threads hammer read-only Peek() (the lock-free snapshot probe)
+//     against a pre-populated engine at 1..16 threads.  Nothing commits,
+//     so throughput should grow with threads up to the core count.
 //   * --pipeline — the DESIGN.md §14 batching pipeline vs unbatched
 //     lookups: N concurrent clients drive the same pre-populated engine
 //     either directly (each lookup embeds + scans alone) or through
@@ -163,15 +162,15 @@ int RealThreadsMain(const Flags& flags) {
     std::cout << "wrote BENCH_concurrency.json\n";
   }
   std::cout << "\nexpected shape: near-linear scaling while threads <="
-               " shards (probes run under per-shard shared locks), then"
+               " shards (probes take no shard lock), then"
                " commit/insert serialisation flattens the curve.\n";
   return 0;
 }
 
-// One (mode, threads) cell: every thread strides the query list doing
+// One thread-count cell: every thread strides the query list doing
 // read-only Peeks for a fixed per-thread count; returns aggregate
-// lookups/sec.  Peek mutates nothing, so one pre-seeded engine per mode
-// serves every thread count.
+// lookups/sec.  Peek mutates nothing, so one pre-seeded engine serves
+// every thread count.
 double RunProbeScaling(serve::ConcurrentShardedEngine& engine,
                        const std::vector<const std::string*>& queries,
                        std::size_t num_threads, std::size_t per_thread,
@@ -205,10 +204,8 @@ int ProbeScalingMain(const Flags& flags) {
   const auto per_thread =
       static_cast<std::size_t>(flags.GetInt("lookups-per-thread", 2000));
   // Widen the topic universe (default 4000 vs Musique's 250) so the probe
-  // is scan-bound: with ~a thousand resident rows per shard the ANN scan
-  // dominates, which is what separates the two probe designs — the
-  // locked path scans fp32 index rows under a shared lock, the epoch
-  // path streams the quantized snapshot slab with no lock at all.
+  // is scan-bound: with ~a thousand resident rows per shard the quantized
+  // snapshot scan dominates.
   const auto topics =
       static_cast<std::size_t>(flags.GetInt("topics", 4000));
 
@@ -226,61 +223,55 @@ int ProbeScalingMain(const Flags& flags) {
     for (const auto& step : task.steps) queries.push_back(&step.query);
   }
 
-  // One engine per mode (lock_free_probe is fixed at construction), each
-  // seeded with the whole topic universe and warmed so every cell probes
-  // the same steady state.
-  const auto make_engine = [&](bool lock_free) {
-    serve::ConcurrentEngineOptions opts;
-    opts.num_shards = shards;
-    opts.cache.capacity_tokens = bundle.TotalKnowledgeTokens();
-    opts.housekeeping_interval_sec = 0.0;
-    opts.lock_free_probe = lock_free;
-    auto engine = std::make_unique<serve::ConcurrentShardedEngine>(
-        &embedder, &judger, opts);
-    for (const auto& topic : bundle.universe->topics()) {
-      InsertRequest req;
-      req.key = topic.paraphrases.front();
-      req.value = topic.answer;
-      req.staticity = topic.staticity;
-      req.initial_frequency = 1;
-      engine->Insert(std::move(req));
-    }
-    for (const std::string* q : queries) engine->Peek(*q);
-    return engine;
-  };
-  const auto locked_engine = make_engine(/*lock_free=*/false);
-  const auto epoch_engine = make_engine(/*lock_free=*/true);
+  // Seed the whole topic universe; the warm-up pass records which queries
+  // hit, so every cell's hit count can be checked against a sequential
+  // replay of its query schedule.
+  serve::ConcurrentEngineOptions opts;
+  opts.num_shards = shards;
+  opts.cache.capacity_tokens = bundle.TotalKnowledgeTokens();
+  opts.housekeeping_interval_sec = 0.0;
+  serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
+  for (const auto& topic : bundle.universe->topics()) {
+    InsertRequest req;
+    req.key = topic.paraphrases.front();
+    req.value = topic.answer;
+    req.staticity = topic.staticity;
+    req.initial_frequency = 1;
+    engine.Insert(std::move(req));
+  }
+  std::vector<char> hit(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    hit[i] = engine.Peek(*queries[i]).has_value();
+  }
 
-  std::cout << "=== probe scaling (read-only Peek, locked shared_mutex vs"
-               " lock-free epoch snapshot, "
+  std::cout << "=== probe scaling (read-only Peek, lock-free epoch snapshot, "
             << shards << " shards, " << topics << " resident topics, "
             << per_thread << " lookups/thread) ===\n\n";
 
   struct Row {
     std::size_t threads;
-    double locked_tput, epoch_tput, epoch_vs_locked;
-    std::size_t hits;
+    double epoch_tput;
   };
   std::vector<Row> rows;
-  TextTable table({"threads", "locked (req/s)", "epoch (req/s)",
-                   "epoch/locked"});
+  TextTable table({"threads", "epoch (req/s)"});
   for (const std::size_t t :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
         std::size_t{16}}) {
-    std::size_t locked_hits = 0, epoch_hits = 0;
-    const double locked = RunProbeScaling(*locked_engine, queries, t,
-                                          per_thread, &locked_hits);
-    const double epoch = RunProbeScaling(*epoch_engine, queries, t,
-                                         per_thread, &epoch_hits);
-    if (locked_hits != epoch_hits) {
-      std::cout << "WARNING: hit-count mismatch at " << t << " threads ("
-                << locked_hits << " locked vs " << epoch_hits
-                << " epoch)\n";
+    std::size_t hits = 0;
+    const double epoch =
+        RunProbeScaling(engine, queries, t, per_thread, &hits);
+    std::size_t expected = 0;
+    for (std::size_t tid = 0; tid < t; ++tid) {
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        expected += hit[(tid + i) % queries.size()];
+      }
     }
-    const double ratio = locked > 0.0 ? epoch / locked : 0.0;
-    rows.push_back({t, locked, epoch, ratio, epoch_hits});
-    table.AddRow({std::to_string(t), TextTable::Num(locked),
-                  TextTable::Num(epoch), TextTable::Num(ratio, 2) + "x"});
+    if (hits != expected) {
+      std::cout << "WARNING: hit-count mismatch at " << t << " threads ("
+                << hits << " vs " << expected << " sequential)\n";
+    }
+    rows.push_back({t, epoch});
+    table.AddRow({std::to_string(t), TextTable::Num(epoch)});
   }
   table.Print(std::cout, csv);
   if (flags.GetBool("json", false)) {
@@ -292,19 +283,15 @@ int ProbeScalingMain(const Flags& flags) {
         << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       out << "    {\"threads\": " << rows[i].threads
-          << ", \"locked_throughput_rps\": " << rows[i].locked_tput
-          << ", \"epoch_throughput_rps\": " << rows[i].epoch_tput
-          << ", \"epoch_speedup_vs_locked\": " << rows[i].epoch_vs_locked
-          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+          << ", \"epoch_throughput_rps\": " << rows[i].epoch_tput << "}"
+          << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote BENCH_concurrency_probe.json\n";
   }
-  std::cout << "\nexpected shape: the curves track each other at 1 thread"
-               " (same scan, same kernels); as threads grow the locked curve"
-               " flattens on shared_mutex reader-count traffic while the"
-               " epoch curve keeps scaling — the gap is the point of"
-               " DESIGN.md §13.\n";
+  std::cout << "\nexpected shape: throughput grows with threads up to the"
+               " core count (no probe touches a shard lock), then holds"
+               " flat.\n";
   return 0;
 }
 

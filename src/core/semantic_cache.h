@@ -88,16 +88,6 @@ struct CacheCounters {
   }
 };
 
-// Optional per-stage wall time for a Probe, filled only when the caller
-// passes a non-null pointer.  Plain doubles (std::chrono durations) so
-// core/ stays free of telemetry dependencies; the serving layer converts
-// these to trace spans and histogram samples.
-struct ProbeTiming {
-  double embed_seconds = 0.0;
-  double ann_seconds = 0.0;
-  double judger_seconds = 0.0;
-};
-
 // Optional wall time spent on TTL purge + eviction inside an Insert.
 struct InsertTiming {
   double evict_seconds = 0.0;
@@ -155,6 +145,11 @@ class SemanticCache {
   };
 
  public:
+  // `index` may be null, for a cache whose lookups are served elsewhere
+  // (each cortexd shard probes its own epoch snapshot, fed by the change
+  // feed below): writes then keep no stage-1 index, and Probe and Lookup
+  // CHECK-fail.  Inserts, eviction, expiry and restores work the same
+  // either way.
   SemanticCache(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
                 const JudgerModel* judger,
                 std::unique_ptr<EvictionPolicy> eviction,
@@ -177,11 +172,8 @@ class SemanticCache {
   // The read-only half of Lookup: identical two-stage retrieval semantics,
   // but no mutation at all — no counter updates, no frequency bump, and no
   // lazy TTL purge (expired or not-yet-visible entries are skipped rather
-  // than removed).  Safe to run concurrently with other const methods; the
-  // serving layer calls it under a per-shard shared lock.  `timing`, when
-  // non-null, receives per-stage wall time.
+  // than removed).  Safe to run concurrently with other const methods.
   LookupResult Probe(std::string_view query, double now,
-                     ProbeTiming* timing = nullptr,
                      std::string_view tenant = {}) const;
 
   // The mutating half: counts the lookup (and hit) and bumps the matched
@@ -204,7 +196,9 @@ class SemanticCache {
   // Re-admits a fully-populated SE (e.g. from a snapshot), preserving its
   // accumulated metadata — frequency, timestamps, expiration — instead of
   // resetting it the way Insert does.  Subject to the usual capacity,
-  // key-replace, value-dedup, and TTL rules; ids are reassigned.
+  // key-replace, value-dedup, and TTL rules; ids are reassigned.  An
+  // embedding of the wrong length, or one that is not finite and
+  // unit-norm, is recomputed from the key.
   std::optional<SeId> RestoreElement(SemanticElement se, double now);
 
   // Exact-key presence probe (Algorithm 3's Cache.Contains guard), scoped

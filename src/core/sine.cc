@@ -1,19 +1,8 @@
 #include "core/sine.h"
 
-#include <chrono>
-
 #include "util/check.h"
 
 namespace cortex {
-
-namespace {
-
-double ElapsedSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 Sine::Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
            const JudgerModel* judger, SineOptions options)
@@ -21,7 +10,7 @@ Sine::Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
       index_(std::move(index)),
       judger_(judger),
       options_(options) {
-  CHECK(embedder_ != nullptr && index_ != nullptr);
+  CHECK(embedder_ != nullptr);
   CHECK(!options_.use_judger || judger_ != nullptr)
       << "use_judger requires a judger model";
 }
@@ -32,13 +21,13 @@ Vector Sine::EmbedQuery(std::string_view query) const {
 
 SineLookupResult Sine::Lookup(std::string_view query,
                               const Vector& query_embedding,
-                              const SeAccessor& get_se,
-                              SineTiming* timing) const {
+                              const SeAccessor& get_se) const {
+  CHECK(index_ != nullptr)
+      << "Sine::Lookup without an index: a cache built with a null index"
+         " cannot Probe or Lookup";
   SineLookupResult result;
-  const auto ann_t0 = std::chrono::steady_clock::now();
   const auto candidates =
       index_->Search(query_embedding, options_.top_k, options_.tau_sim);
-  if (timing != nullptr) timing->ann_seconds = ElapsedSince(ann_t0);
   result.ann_candidates = candidates.size();
 
   if (!options_.use_judger) {
@@ -55,7 +44,6 @@ SineLookupResult Sine::Lookup(std::string_view query,
   // Candidates arrive best-first; validation short-circuits on the first
   // acceptance.  Judging every survivor would multiply judger load (and
   // with it the latency of every hit) for marginal precision gain.
-  const auto judger_t0 = std::chrono::steady_clock::now();
   for (const auto& c : candidates) {
     const SemanticElement* se = get_se(c.id);
     if (se == nullptr) continue;
@@ -72,14 +60,15 @@ SineLookupResult Sine::Lookup(std::string_view query,
       break;
     }
   }
-  if (timing != nullptr) timing->judger_seconds = ElapsedSince(judger_t0);
   return result;
 }
 
 void Sine::Insert(const SemanticElement& se) {
-  index_->Add(se.id, se.embedding);
+  if (index_ != nullptr) index_->Add(se.id, se.embedding);
 }
 
-void Sine::Remove(SeId id) { index_->Remove(id); }
+void Sine::Remove(SeId id) {
+  if (index_ != nullptr) index_->Remove(id);
+}
 
 }  // namespace cortex

@@ -61,19 +61,14 @@ struct SineLookupResult {
   std::size_t judger_calls = 0;
 };
 
-// Optional per-stage wall time, filled only when a caller passes a
-// non-null pointer (zero overhead otherwise).  Plain std::chrono so core/
-// carries no telemetry dependency; the serving layer converts to spans.
-struct SineTiming {
-  double ann_seconds = 0.0;     // stage-1 ANN search
-  double judger_seconds = 0.0;  // stage-2 judger validation
-};
-
 class Sine {
  public:
   using SeAccessor = std::function<const SemanticElement*(SeId)>;
 
-  // embedder/judger are borrowed and must outlive the index.
+  // embedder/judger are borrowed and must outlive the index.  `index` may
+  // be null: Insert/Remove then keep no stage-1 index and Lookup
+  // CHECK-fails (the serving tier's shards, which probe their own
+  // snapshot, DESIGN.md §13).
   Sine(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
        const JudgerModel* judger, SineOptions options = {});
 
@@ -83,17 +78,18 @@ class Sine {
 
   // Runs the two-stage retrieval.  `get_se` resolves candidate ids to SEs
   // (returning nullptr skips the candidate — e.g. concurrently evicted).
-  // `timing`, when non-null, receives per-stage wall time.
   SineLookupResult Lookup(std::string_view query,
                           const Vector& query_embedding,
-                          const SeAccessor& get_se,
-                          SineTiming* timing = nullptr) const;
+                          const SeAccessor& get_se) const;
 
   void Insert(const SemanticElement& se);
   void Remove(SeId id);
 
-  std::size_t size() const { return index_->size(); }
+  // Indexed vectors (0 without an index).
+  std::size_t size() const { return index_ ? index_->size() : 0; }
+  // Requires an index.
   const VectorIndex& index() const noexcept { return *index_; }
+  std::size_t dimension() const noexcept { return embedder_->dimension(); }
   const SineOptions& options() const noexcept { return options_; }
   const JudgerModel* judger() const noexcept { return judger_; }
 

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/sharded_cache.h"
 #include "util/check.h"
 
 namespace cortex::serve {
@@ -82,13 +83,14 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   per_shard.capacity_tokens = options_.cache.capacity_tokens /
                               static_cast<double>(options_.num_shards);
   per_shard_capacity_ = per_shard.capacity_tokens;
-  // Every shard runs a flat index (the lock-free scan's exact-parity
-  // oracle), LCFU eviction, and recalibration seeded per shard.
+  // Every shard runs LCFU eviction and recalibration seeded per shard.
+  // Its cache keeps no ANN index: lookups probe the shard snapshot, which
+  // the cache's change feed keeps in step.
   constexpr std::uint64_t kRecalibrationSeed = 97;
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     auto cache = std::make_unique<SemanticCache>(
-        embedder, MakeIndex(IndexType::kFlat, embedder->dimension()), judger,
+        embedder, /*index=*/nullptr, judger,
         MakeEviction(EvictionKind::kLcfu), per_shard);
     shards_.push_back(std::make_unique<Shard>(
         std::move(cache), options_.recalibration, kRecalibrationSeed + i,
@@ -100,10 +102,8 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
     shard.misses = registry_->GetCounter(prefix + "misses");
     shard.judger_rejects = registry_->GetCounter(prefix + "judger_rejects");
     shard.evictions = registry_->GetCounter(prefix + "evictions");
-    if (options_.lock_free_probe) {
-      WriterLock lock(shard.mu);
-      shard.cache->set_change_sink(&shard.changed);
-    }
+    WriterLock lock(shard.mu);
+    shard.cache->set_change_sink(&shard.changed);
   }
 
   if (options_.housekeeping_interval_sec > 0.0) {
@@ -218,15 +218,7 @@ SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
 std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
                                                       std::string_view tenant) {
   Shard& shard = *shards_[ShardFor(query)];
-  const double now = clock_();
-  SemanticCache::LookupResult result;
-  if (options_.lock_free_probe) {
-    result = LockFreeProbe(shard, query, now, tenant, nullptr);
-  } else {
-    ReaderLock lock(shard.mu);
-    result = shard.cache->Probe(query, now, nullptr, tenant);
-  }
-  return std::move(result.hit);
+  return LockFreeProbe(shard, query, clock_(), tenant, nullptr).hit;
 }
 
 std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
@@ -238,21 +230,12 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
   if (trace != nullptr) trace->shard = static_cast<std::uint32_t>(shard_idx);
 
   // Probe (scan + judger — the expensive part) never blocks on the shard
-  // mutex in the default lock-free mode: it reads the epoch-protected
-  // snapshot instead.  The locked fallback takes the shared lock and runs
-  // the in-cache Probe.  Sub-phase timing is only collected when a trace
-  // wants it.
+  // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
+  // only collected when a trace wants it.
   ProbeTiming probe_timing;
-  SemanticCache::LookupResult result;
   const double probe_t0 = telemetry::WallSeconds();
-  if (options_.lock_free_probe) {
-    result = LockFreeProbe(shard, query, now, tenant,
-                           trace != nullptr ? &probe_timing : nullptr);
-  } else {
-    ReaderLock lock(shard.mu);
-    result = shard.cache->Probe(
-        query, now, trace != nullptr ? &probe_timing : nullptr, tenant);
-  }
+  SemanticCache::LookupResult result = LockFreeProbe(
+      shard, query, now, tenant, trace != nullptr ? &probe_timing : nullptr);
   const double commit_t0 = telemetry::WallSeconds();
   probe_seconds_->Observe(commit_t0 - probe_t0);
 
@@ -294,7 +277,7 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
   }
 
   if (trace != nullptr) {
-    // Probe sub-phases run back-to-back inside the shared-lock section;
+    // Probe sub-phases run back-to-back inside the epoch section;
     // reconstruct their starts by accumulation from the probe start.
     double t = probe_t0;
     trace->AddSpan(telemetry::TracePhase::kEmbed, t,
@@ -316,12 +299,9 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
 void ConcurrentShardedEngine::LookupBatch(
     std::span<BatchLookupRequest> batch) {
   if (batch.empty()) return;
-  if (batch.size() == 1 || !options_.lock_free_probe) {
-    // One element gains nothing from batching, and the locked fallback has
-    // no snapshot to multi-scan — both degenerate to sequential lookups.
-    for (BatchLookupRequest& r : batch) {
-      r.hit = Lookup(r.query, r.trace, r.tenant);
-    }
+  if (batch.size() == 1) {
+    // One element gains nothing from batching.
+    batch[0].hit = Lookup(batch[0].query, batch[0].trace, batch[0].tenant);
     return;
   }
 
@@ -525,7 +505,7 @@ std::optional<SeId> ConcurrentShardedEngine::Insert(
       tenant_evictions_delta = shard.cache->TenantUsageFor(tenant).evictions -
                                tenant_evictions_before;
     }
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    SyncProbeState(shard);
   }
   const double insert_end = telemetry::WallSeconds();
   insert_seconds_->Observe(insert_end - insert_t0);
@@ -574,7 +554,7 @@ std::size_t ConcurrentShardedEngine::RemoveExpired() {
       usage_delta = shard->cache->usage_tokens() - usage_before;
       entries_delta = static_cast<double>(shard->cache->size()) -
                       static_cast<double>(size_before);
-      if (options_.lock_free_probe) SyncProbeState(*shard);
+      SyncProbeState(*shard);
     }
     ApplyCacheDeltas(*shard, before, after, usage_delta, entries_delta);
   }
@@ -708,7 +688,7 @@ std::optional<SeId> ConcurrentShardedEngine::RestoreElement(
     usage_delta = shard.cache->usage_tokens() - usage_before;
     entries_delta = static_cast<double>(shard.cache->size()) -
                     static_cast<double>(size_before);
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    SyncProbeState(shard);
   }
   ApplyCacheDeltas(shard, before, after, usage_delta, entries_delta);
   return id;
@@ -734,7 +714,7 @@ bool ConcurrentShardedEngine::RecalibrateShard(Shard& shard) {
     shard.cache->sine().set_tau_lsm(*round.new_tau);
     // Thresholds are frozen into the published snapshot; republish so
     // lock-free probes judge against the recalibrated tau.
-    if (options_.lock_free_probe) SyncProbeState(shard);
+    SyncProbeState(shard);
     return true;
   }
   return false;

@@ -2,19 +2,17 @@
 // layer (cortexd).  Wraps the paper's sharded deployment (Fig. 4) for real
 // parallel clients instead of the single-threaded virtual-clock sim:
 //
-//   * a lock-free lookup probe (on by default, DESIGN.md §13): each shard
-//     publishes an immutable ShardSnapshot — a spine of chunks of
-//     quantized scan rows plus probe-relevant record copies — through a
-//     seq_cst atomic pointer; readers pin it with an EpochReadGuard and
-//     never touch the shard mutex for the expensive part (scan + judger).
-//     Writers copy only the chunks a write touched, republish under the
-//     exclusive lock, and park what they replaced until the engine's
-//     EpochDomain says no reader can hold it.  With
-//     lock_free_probe=false, lookups fall back to taking the shared lock
-//     for the probe instead.  Either way
-//     the cheap commit (counters, frequency bump) upgrades to the
-//     exclusive lock; insert/evict/expire take the exclusive lock
-//     outright;
+//   * a lock-free lookup probe (DESIGN.md §13): each shard publishes an
+//     immutable ShardSnapshot — a spine of chunks of quantized scan rows
+//     plus probe-relevant record copies — through a seq_cst atomic
+//     pointer; readers pin it with an EpochReadGuard and never touch the
+//     shard mutex for the expensive part (scan + judger).  The snapshot is
+//     the shard's only searchable store: its SemanticCache keeps no ANN
+//     index.  Writers copy only the chunks a write touched, republish
+//     under the exclusive lock, and park what they replaced until the
+//     engine's EpochDomain says no reader can hold it.  The cheap commit
+//     (counters, frequency bump) takes the exclusive lock;
+//     insert/evict/expire take it outright;
 //   * live telemetry (DESIGN.md §8): every request updates counters,
 //     gauges, and latency histograms on a MetricRegistry — instrument
 //     handles are resolved once at construction, so the hot path is pure
@@ -49,7 +47,6 @@
 #include "core/snapshot.h"
 #include "core/recalibrator.h"
 #include "core/semantic_cache.h"
-#include "core/sharded_cache.h"
 #include "embedding/hashed_embedder.h"
 #include "embedding/vector_slab.h"
 #include "serve/shard_snapshot.h"
@@ -93,16 +90,9 @@ struct ConcurrentEngineOptions {
   // computed against each shard's capacity share.
   tenant::TenantRegistryOptions tenants;
 
-  // Lock-free probe (DESIGN.md §13).  When true, Lookup's expensive probe
-  // reads an epoch-protected ShardSnapshot and never takes the shard
-  // mutex; when false it takes the shared lock and runs the in-cache
-  // Probe (the pre-epoch path, kept for A/B benches and as a fallback).
-  // The lock-free probe's stage 1 is an exact quantized scan + fp32
-  // rerank — identical to the locked path's flat index.
-  bool lock_free_probe = true;
-  // Scan-tier row format for the snapshot slab: kI8 cuts scan bytes per
-  // vector ~4x vs fp32; the fp32-rerank contract makes the final top-k
-  // identical whatever format scans.
+  // Scan-tier row format for the shard snapshots (DESIGN.md §13.4): kI8
+  // cuts scan bytes per vector ~4x vs fp32; the fp32-rerank contract makes
+  // the final top-k identical whatever format scans.
   RowFormat probe_scan_format = RowFormat::kI8;
 };
 
@@ -179,17 +169,16 @@ class ConcurrentShardedEngine {
   // request order.  Every request's hit/miss, similarities, verdicts,
   // and tenant visibility are identical to calling Lookup sequentially
   // (same snapshot, same exact-rerank, same stage-2 walk; commits do not
-  // change probe-relevant state).  A one-element batch — or an engine
-  // running with lock_free_probe=false — degenerates to sequential
-  // Lookup calls.
+  // change probe-relevant state).  A one-element batch degenerates to a
+  // Lookup call.
   void LookupBatch(std::span<BatchLookupRequest> batch);
 
   // Read-only lookup: the same two-stage probe, but nothing commits — no
-  // frequency bump, no judgment log, no stats.  With lock_free_probe this
-  // touches no shard mutex at all, so concurrent Peeks scale with cores
-  // (the probe-scaling leg of bench_concurrency measures exactly this);
-  // it is also the right call for health checks and cache-warmness
-  // queries that must not perturb eviction state.
+  // frequency bump, no judgment log, no stats.  It touches no shard mutex
+  // at all, so concurrent Peeks scale with cores (the probe-scaling leg
+  // of bench_concurrency measures exactly this); it is also the right
+  // call for health checks and cache-warmness queries that must not
+  // perturb eviction state.
   std::optional<CacheHit> Peek(std::string_view query,
                                std::string_view tenant = {});
 
@@ -289,8 +278,7 @@ class ConcurrentShardedEngine {
     std::atomic<const ShardSnapshot*> snapshot{nullptr};
     // Scan slab, chunk spine and records behind `snapshot`.
     SnapshotWriter probe GUARDED_BY(mu);
-    // The cache's change feed (installed only with lock_free_probe): ids
-    // touched since the last SyncProbeState.
+    // The cache's change feed: ids touched since the last SyncProbeState.
     std::vector<SeId> changed GUARDED_BY(mu);
 
     // Per-shard registry handles (cortex_engine_shard<i>_*).  The
@@ -321,8 +309,16 @@ class ConcurrentShardedEngine {
   // CommitLookup deliberately does not: frequency/last_access are not
   // probe-relevant.
   void SyncProbeState(Shard& shard) REQUIRES(shard.mu);
-  // The epoch-protected probe (phases 1+2); returns the same LookupResult
-  // the locked SemanticCache::Probe produces.  Takes no shard lock.
+  // Per-stage wall time of one probe, filled only for traced lookups.
+  struct ProbeTiming {
+    double embed_seconds = 0.0;
+    double ann_seconds = 0.0;
+    double judger_seconds = 0.0;
+  };
+
+  // The epoch-protected probe (phases 1+2); returns the LookupResult
+  // SemanticCache::Probe would over a flat index of the shard's entries.
+  // Takes no shard lock.
   SemanticCache::LookupResult LockFreeProbe(Shard& shard,
                                             std::string_view query,
                                             double now,

@@ -9,7 +9,7 @@
 namespace cortex::serve {
 
 double SnapshotSlack(RowFormat format) noexcept {
-  // f32 scans at the same precision as the locked path's float scan; the
+  // f32 scans at the same precision as FlatIndex's float scan; the
   // quantized formats need headroom for roundtrip error.
   return format == RowFormat::kF32 ? 0.0 : kQuantSimSlack;
 }
@@ -72,7 +72,7 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
 
   // Exact rerank over the fp32 originals with the scalar double kernel —
   // the same rescoring FlatIndex::Search applies, so the ranked list is
-  // what the locked kFlat path would have produced.
+  // what a kFlat Sine over the same entries would produce.
   const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
   for (std::size_t i = 0; i < pool_size; ++i) {
     const ProbeRecord* rec = snap.record(keep[i]);
@@ -139,9 +139,8 @@ SemanticCache::LookupResult SnapshotJudge(
   // Visibility mirrors SemanticCache::Probe's accessor: future-dated and
   // expired entries are skipped (never removed — this path is read-only),
   // and another tenant's private entries stay invisible.  The top_k
-  // truncation deliberately ran FIRST: stage 1 has no tenant concept in
-  // the locked path either, so invisible entries consume top_k slots
-  // there too.
+  // truncation deliberately ran FIRST: Sine's stage 1 has no tenant
+  // concept either, so invisible entries consume top_k slots there too.
   const auto visible = [&](const ProbeRecord& r) {
     return r.created_at <= now && r.expiration_time > now &&
            (r.tenant.empty() || r.tenant == tenant);
@@ -279,6 +278,9 @@ void SnapshotWriter::Add(const SemanticElement& se) {
     chunks_.push_back(std::make_unique<SnapshotChunk>());
     fresh_.push_back(1);
   }
+  // The slab is the shard's only index, so this is the one release-mode
+  // guard on a serving write's vector length.
+  CHECK_EQ(se.embedding.size(), slab_.dim());
   auto record = std::make_unique<const ProbeRecord>(
       ProbeRecord{se.id, se.key, se.value, se.tenant, se.created_at,
                   se.expiration_time, se.embedding});

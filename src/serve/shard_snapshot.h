@@ -25,8 +25,9 @@
 //   2. rerank — rescore the pool with the scalar double-precision fp32
 //      kernel, filter/sort/truncate exactly like FlatIndex.  Because the
 //      exact rerank reads fp32 originals, the final top-k and hit
-//      decision are bit-identical to the locked kFlat path whatever scan
-//      format or SIMD variant ran phase 1.
+//      decision are bit-identical to a Sine over a kFlat index of the
+//      same entries (the tests' oracle) whatever scan format or SIMD
+//      variant ran phase 1.
 //
 // Both phases and stage 2 (visibility plus the judger best-first walk,
 // SnapshotJudge) run INSIDE the epoch guard over records borrowed from

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "embedding/simd_kernels.h"
+#include "flat_oracle.h"
 #include "serve/concurrent_engine.h"
 #include "telemetry/metrics.h"
 #include "test_helpers.h"
@@ -102,8 +103,10 @@ class BatchPipelineTest : public ::testing::Test {
       for (std::size_t topic = 0; topic < topics; ++topic) {
         Probe p;
         p.query = world_.query(topic, (topic + round) % 6);
-        if (topic % 3 == 0) p.tenant = "acme";
-        if (topic % 3 == 1) p.tenant = "globex";  // sees shared pool only
+        // Tenants rotate per round, so every acme-private topic is also
+        // probed by a tenant that must not see it.
+        if ((topic + round) % 3 == 0) p.tenant = "acme";
+        if ((topic + round) % 3 == 1) p.tenant = "globex";  // shared pool only
         probes.push_back(std::move(p));
       }
     }
@@ -116,8 +119,9 @@ class BatchPipelineTest : public ::testing::Test {
 
 // The tentpole property: for every batch size, slab format, and compiled
 // SIMD variant, LookupBatch returns results bit-identical to sequential
-// Lookup calls — ids, values, exact similarities, judger scores, and
-// tenant visibility all EXPECT_EQ, never EXPECT_NEAR.
+// Lookup calls, and both equal the flat oracle (flat_oracle.h) — ids,
+// values, exact similarities, judger scores, and tenant visibility all
+// EXPECT_EQ, never EXPECT_NEAR.
 TEST_F(BatchPipelineTest, LookupBatchBitIdenticalToSequentialLookups) {
   const auto probes = ProbeStream();
   for (const auto variant : simd::SupportedVariants()) {
@@ -144,8 +148,18 @@ TEST_F(BatchPipelineTest, LookupBatchBitIdenticalToSequentialLookups) {
 
           std::vector<std::optional<CacheHit>> want(n);
           for (std::size_t i = 0; i < n; ++i) {
-            want[i] = seq.Lookup(probes[base + i].query, nullptr,
-                                 probes[base + i].tenant);
+            const Probe& p = probes[base + i];
+            const auto oracle = serve::ConcurrentEngineTestPeer::FlatOracle(
+                seq, p.query, now_, p.tenant);
+            want[i] = seq.Lookup(p.query, nullptr, p.tenant);
+            SCOPED_TRACE("oracle, probe " + std::to_string(base + i));
+            ASSERT_EQ(want[i].has_value(), oracle.has_value());
+            if (!oracle) continue;
+            EXPECT_EQ(want[i]->id, oracle->id);
+            EXPECT_EQ(want[i]->value, oracle->value);
+            EXPECT_EQ(want[i]->matched_key, oracle->matched_key);
+            EXPECT_EQ(want[i]->similarity, oracle->similarity);
+            EXPECT_EQ(want[i]->judger_score, oracle->judger_score);
           }
 
           std::vector<BatchLookupRequest> reqs(n);

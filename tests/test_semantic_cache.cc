@@ -466,5 +466,74 @@ TEST_F(SemanticCacheTest, EvictionAlwaysRemovesTheLowestScoredEntry) {
   }
 }
 
+// A cache built without an index (a cortexd shard's, which probes its
+// own epoch snapshot) keeps every write path but cannot probe.
+class NullIndexCacheTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  }
+
+  SemanticCache MakeCache(SemanticCacheOptions options) {
+    return SemanticCache(&world_.embedder, /*index=*/nullptr,
+                         world_.judger.get(),
+                         MakeEviction(EvictionKind::kLcfu), options);
+  }
+
+  InsertRequest RequestFor(std::size_t topic) {
+    InsertRequest req;
+    req.key = world_.query(topic, 0);
+    req.value = world_.answer(topic);
+    req.staticity = world_.topic(topic).staticity;
+    return req;
+  }
+
+  MiniWorld world_;
+};
+using NullIndexCacheDeathTest = NullIndexCacheTest;
+
+TEST_F(NullIndexCacheDeathTest, ProbeAndLookupAbort) {
+  SemanticCache cache = MakeCache({});
+  ASSERT_TRUE(cache.Insert(RequestFor(0), 0.0).has_value());
+  EXPECT_DEATH(cache.Probe(world_.query(0, 1), 1.0),
+               "null index cannot Probe or Lookup");
+  EXPECT_DEATH(cache.Lookup(world_.query(0, 1), 1.0),
+               "null index cannot Probe or Lookup");
+}
+
+TEST_F(NullIndexCacheTest, InsertEvictExpireAndRestoreStillWork) {
+  SemanticCacheOptions options;
+  options.min_ttl_sec = 10.0;
+  options.max_ttl_sec = 20.0;
+  options.capacity_tokens = 0.0;
+  for (std::size_t topic = 0; topic < 3; ++topic) {
+    options.capacity_tokens +=
+        static_cast<double>(ApproxTokenCount(world_.answer(topic)));
+  }
+  SemanticCache cache = MakeCache(options);
+
+  for (std::size_t topic = 0; topic < 4; ++topic) {
+    ASSERT_TRUE(cache.Insert(RequestFor(topic), 0.0).has_value());
+  }
+  EXPECT_GT(cache.counters().evictions, 0u);
+  EXPECT_LE(cache.usage_tokens(), options.capacity_tokens);
+  EXPECT_TRUE(cache.ContainsKey(world_.query(3, 0)));
+
+  const std::size_t resident = cache.size();
+  EXPECT_EQ(cache.RemoveExpired(100.0), resident);
+  EXPECT_EQ(cache.size(), 0u);
+
+  SemanticElement se;
+  se.key = world_.query(5, 0);
+  se.value = world_.answer(5);
+  se.created_at = 100.0;
+  se.expiration_time = 200.0;
+  const auto id = cache.RestoreElement(std::move(se), 100.0);
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(cache.Get(*id)->embedding,
+            world_.embedder.Embed(world_.query(5, 0)));
+  EXPECT_EQ(cache.sine().size(), 0u);
+}
+
 }  // namespace
 }  // namespace cortex
