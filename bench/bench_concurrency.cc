@@ -25,7 +25,9 @@
 //     (a new phrasing of a resident value) in an engine that never
 //     evicts, then a run of evicting inserts into an engine filled to
 //     capacity, and reports p50/p99 of each.  Incremental publish keeps
-//     the first two curves flat, the victim index the third.
+//     the first two curves flat, the victim index the third.  It also
+//     reports the engine's heap per resident entry: the mallinfo2()
+//     in-use delta across the evicting engine's single-threaded fill.
 // Flags:
 //   --json   also write BENCH_concurrency.json (the deterministic
 //            virtual-clock table in default mode; thread-scaling rows in
@@ -33,6 +35,8 @@
 //            (--probe-scaling), BENCH_concurrency_pipeline.json
 //            (--pipeline), or BENCH_concurrency_insert.json
 //            (--insert-scaling) for the CI bench-diff flywheel
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -488,6 +492,12 @@ int PipelineMain(const Flags& flags) {
   return 0;
 }
 
+// Bytes the allocator has handed out and not yet taken back (glibc).
+double HeapInUse() {
+  const struct mallinfo2 m = mallinfo2();
+  return static_cast<double>(m.uordblks + m.hblkhd);
+}
+
 int InsertScalingMain(const Flags& flags) {
   const bool csv = flags.GetBool("csv", false);
   constexpr std::size_t kSamples = 2000;  // timed inserts per cell and kind
@@ -525,6 +535,7 @@ int InsertScalingMain(const Flags& flags) {
     std::size_t resident;
     double new_p50_us, new_p99_us, dedup_p50_us, dedup_p99_us;
     double evict_p50_us = 0.0, evict_p99_us = 0.0, evictions_per_insert = 0.0;
+    double heap_kib_per_resident = 0.0;
   };
   std::vector<Row> rows;
   const auto timed = [](serve::ConcurrentShardedEngine& engine,
@@ -571,6 +582,8 @@ int InsertScalingMain(const Flags& flags) {
   // tokens of `resident` entries, so once full every new entry evicts the
   // lowest-scored one (about one victim per insert; values differ in
   // size).  One engine at a time keeps peak memory at one 64k engine.
+  // The fill is single-threaded (no housekeeping thread), so its heap
+  // delta is a deterministic count of what the engine keeps per entry.
   for (Row& row : rows) {
     double tokens = 0.0;
     for (std::size_t v = 0; v < row.resident; ++v) {
@@ -578,8 +591,11 @@ int InsertScalingMain(const Flags& flags) {
     }
     opts.cache.capacity_tokens = tokens;
     serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
+    const double heap0 = HeapInUse();
     std::size_t key = 0;
     for (; key < row.resident; ++key) engine.Insert(request(key, key));
+    row.heap_kib_per_resident = (HeapInUse() - heap0) / 1024.0 /
+                                static_cast<double>(row.resident);
     const std::uint64_t filled = engine.TotalCounters().evictions;
     Histogram evicting;
     for (std::size_t i = 0; i < kSamples; ++i, ++key) {
@@ -593,7 +609,8 @@ int InsertScalingMain(const Flags& flags) {
   }
   TextTable table({"resident", "new p50 (us)", "new p99 (us)",
                    "dedup p50 (us)", "dedup p99 (us)", "evict p50 (us)",
-                   "evict p99 (us)", "evictions/insert"});
+                   "evict p99 (us)", "evictions/insert",
+                   "heap/resident (KiB)"});
   for (const Row& r : rows) {
     table.AddRow({std::to_string(r.resident), TextTable::Num(r.new_p50_us, 1),
                   TextTable::Num(r.new_p99_us, 1),
@@ -601,7 +618,8 @@ int InsertScalingMain(const Flags& flags) {
                   TextTable::Num(r.dedup_p99_us, 1),
                   TextTable::Num(r.evict_p50_us, 1),
                   TextTable::Num(r.evict_p99_us, 1),
-                  TextTable::Num(r.evictions_per_insert, 3)});
+                  TextTable::Num(r.evictions_per_insert, 3),
+                  TextTable::Num(r.heap_kib_per_resident, 3)});
   }
   table.Print(std::cout, csv);
   if (flags.GetBool("json", false)) {
@@ -619,6 +637,7 @@ int InsertScalingMain(const Flags& flags) {
           << ", \"evicting_insert_p50_latency_us\": " << rows[i].evict_p50_us
           << ", \"evicting_insert_p99_latency_us\": " << rows[i].evict_p99_us
           << ", \"evictions_per_insert\": " << rows[i].evictions_per_insert
+          << ", \"heap_kib_per_resident\": " << rows[i].heap_kib_per_resident
           << "}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }

@@ -8,7 +8,10 @@
 //
 // Flags:
 //   --json          also write BENCH_vector_ops.json (variant, dim,
-//                   ns/vector, GB/s) for machine consumption
+//                   ns/vector, GB/s) for machine consumption, with the
+//                   CMAKE_BUILD_TYPE it was built as: the scalar kernels'
+//                   codegen depends on it, so bench_diff refuses a
+//                   baseline from another build type
 //   --csv           CSV tables instead of aligned text
 //   --rows=N        rows in the scanned block (default 4096)
 //   --min-ms=M      per-measurement wall budget (default 200 ms)
@@ -209,7 +212,8 @@ int main(int argc, char** argv) {
 
   if (json) {
     std::ofstream out("BENCH_vector_ops.json");
-    out << "{\n  \"benchmark\": \"vector_ops\",\n  \"active_variant\": \""
+    out << "{\n  \"benchmark\": \"vector_ops\",\n  \"build_type\": \""
+        << CORTEX_BUILD_TYPE << "\",\n  \"active_variant\": \""
         << simd::VariantName(simd::ActiveVariant())
         << "\",\n  \"rows_per_call\": " << n << ",\n  \"results\": [\n";
     for (std::size_t i = 0; i < all.size(); ++i) {

@@ -19,7 +19,9 @@ with the band chosen per key name:
     unless the algorithm changed.
 
 Strings under VOLATILE_STRING_KEYS (e.g. active_variant — the SIMD level
-differs per machine) only warn on mismatch.
+differs per machine) only warn on mismatch.  A build_type mismatch (the
+CMAKE_BUILD_TYPE a bench echoes) fails with its own message: codegen, and
+so every timing after it, depends on the build type.
 
 stdlib only; exit 0 = within band, 1 = regression/shape mismatch.
 """
@@ -82,6 +84,11 @@ def diff(base, cand, path, key, errors, warnings, wide_rel, wide_abs):
     elif base != cand:
         if key in VOLATILE_STRING_KEYS:
             warnings.append(f"{path}: {base!r} -> {cand!r} (volatile, ok)")
+        elif key == "build_type":
+            errors.append(
+                f"{path}: baseline built as {base!r}, candidate as"
+                f" {cand!r}; rebuild with CMAKE_BUILD_TYPE={base}"
+            )
         else:
             errors.append(f"{path}: {base!r} != {cand!r}")
 

@@ -137,13 +137,13 @@ leg_asan() {
   # the full sweep — they are the likeliest sanitizer tripwires.
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir "$CI_DIR/asan-ubsan" --output-on-failure \
-      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic'
+      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic|SnapshotLifetime'
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     run_ctest "$CI_DIR/asan-ubsan"
 }
 
 leg_tsan() {
-  scripts/tsan.sh -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic'
+  scripts/tsan.sh -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic|SnapshotLifetime'
   scripts/tsan.sh
 }
 

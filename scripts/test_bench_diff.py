@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for scripts/bench_diff.py: wide vs tight band selection,
 shape mismatches (missing/added keys, list lengths, type changes),
-volatile-string handling, and end-to-end exit codes.
+volatile-string and build-type handling, and end-to-end exit codes.
 
 Run directly (python3 scripts/test_bench_diff.py) or via ctest.
 """
@@ -94,6 +94,28 @@ class ShapeMismatchTest(unittest.TestCase):
     def test_other_string_mismatch_fails(self):
         errors, _ = run_diff({"benchmark": "ann"}, {"benchmark": "ivf"})
         self.assertEqual(len(errors), 1)
+
+
+class BuildTypeTest(unittest.TestCase):
+    def test_build_type_mismatch_fails_by_name(self):
+        # A RelWithDebInfo run against the Release baseline: the scalar i8
+        # speedup is far outside its wide band, but the build type is
+        # what the report must name.
+        base = {"build_type": "Release",
+                "quantized": [{"speedup_vs_f32": 4.3}]}
+        cand = {"build_type": "RelWithDebInfo",
+                "quantized": [{"speedup_vs_f32": 1.0}]}
+        errors, _ = run_diff(base, cand)
+        self.assertTrue(any(e.startswith("$.build_type:") and
+                            "CMAKE_BUILD_TYPE=Release" in e
+                            for e in errors), errors)
+        errors, _ = run_diff(base, dict(cand, build_type="Release"))
+        self.assertFalse(any("build_type" in e for e in errors))
+
+    def test_committed_vector_ops_baseline_is_release(self):
+        path = Path(__file__).resolve().parent.parent / "BENCH_vector_ops.json"
+        self.assertEqual(json.loads(path.read_text())["build_type"],
+                         "Release")
 
 
 class EndToEndTest(unittest.TestCase):

@@ -50,22 +50,13 @@ SemanticCache::LookupResult SemanticCache::Lookup(std::string_view query,
                                                   std::string_view tenant) {
   // Expired entries must not serve hits; purge lazily before matching.
   RemoveExpired(now);
-  LookupResult result = Probe(query, now, tenant);
-  CommitLookup(result, now);
-  return result;
-}
-
-SemanticCache::LookupResult SemanticCache::Probe(std::string_view query,
-                                                 double now,
-                                                 std::string_view tenant) const {
   LookupResult result;
   result.query_embedding = sine_.EmbedQuery(query);
 
   // An SE whose retrieval completes in the future must not serve hits yet
   // (inserts are recorded eagerly with their completion-time timestamps;
-  // visibility honours the clock), expired entries must not serve hits
-  // even though this read-only path cannot remove them, and another
-  // tenant's private entries must stay invisible.
+  // visibility honours the clock), and another tenant's private entries
+  // must stay invisible.
   result.sine =
       sine_.Lookup(query, result.query_embedding,
                    [this, now, tenant](SeId id) -> const SemanticElement* {
@@ -82,6 +73,7 @@ SemanticCache::LookupResult SemanticCache::Probe(std::string_view query,
                           result.sine.match->similarity,
                           result.sine.match->judger_score};
   }
+  CommitLookup(result, now);
   return result;
 }
 
@@ -511,7 +503,11 @@ void SemanticCache::RemoveInternal(SeId id, bool expired) {
   UncountVictim(it->second.tenant);
   sine_.Remove(id);
   if (expired) ++counters_.expirations;
-  store_.erase(it);
+  if (retire_sink_ != nullptr) {
+    retire_sink_->push_back(store_.extract(it));
+  } else {
+    store_.erase(it);
+  }
   NoteChanged(id);
 }
 

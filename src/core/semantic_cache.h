@@ -147,8 +147,8 @@ class SemanticCache {
  public:
   // `index` may be null, for a cache whose lookups are served elsewhere
   // (each cortexd shard probes its own epoch snapshot, fed by the change
-  // feed below): writes then keep no stage-1 index, and Probe and Lookup
-  // CHECK-fail.  Inserts, eviction, expiry and restores work the same
+  // feed below): writes then keep no stage-1 index, and Lookup
+  // CHECK-fails.  Inserts, eviction, expiry and restores work the same
   // either way.
   SemanticCache(const Embedder* embedder, std::unique_ptr<VectorIndex> index,
                 const JudgerModel* judger,
@@ -164,22 +164,17 @@ class SemanticCache {
   };
 
   // Two-stage semantic lookup at time `now`, scoped to `tenant`: only the
-  // tenant's own namespace plus the shared pool can match.  A hit bumps
-  // the SE's frequency and last_access.
+  // tenant's own namespace plus the shared pool can match, and entries
+  // created after `now` stay invisible.  Purges expired entries first,
+  // then commits the result (CommitLookup).
   LookupResult Lookup(std::string_view query, double now,
                       std::string_view tenant = {});
 
-  // The read-only half of Lookup: identical two-stage retrieval semantics,
-  // but no mutation at all — no counter updates, no frequency bump, and no
-  // lazy TTL purge (expired or not-yet-visible entries are skipped rather
-  // than removed).  Safe to run concurrently with other const methods.
-  LookupResult Probe(std::string_view query, double now,
-                     std::string_view tenant = {}) const;
-
-  // The mutating half: counts the lookup (and hit) and bumps the matched
-  // SE's confirmed frequency / last_access.  The SE may have been evicted
-  // between probe and commit (concurrent serving); the hit still counts —
-  // the caller served the value — but the bump is skipped.
+  // Counts a lookup (and hit) and bumps the matched SE's confirmed
+  // frequency / last_access.  The serving engine probes its own snapshot
+  // and commits here; the SE may have been evicted between probe and
+  // commit, in which case the hit still counts — the caller served the
+  // value — but the bump is skipped.
   void CommitLookup(const LookupResult& result, double now);
 
   // Inserts (evicting as needed); returns the new SE's id, or nullopt when
@@ -240,6 +235,9 @@ class SemanticCache {
     return store_;
   }
 
+  // A removed entry's store node: owns the SemanticElement, unchanged.
+  using RetiredElement = std::unordered_map<SeId, SemanticElement>::node_type;
+
   // Change feed.  When a sink is installed, every mutation appends the id
   // of each entry it added, removed, or whose probe fingerprint
   // (expiration_time, tenant) it changed — inserts, replaces, evictions,
@@ -249,6 +247,22 @@ class SemanticCache {
   // null (the default) costs nothing.
   void set_change_sink(std::vector<SeId>* sink) noexcept {
     change_sink_ = sink;
+  }
+
+  // Retire sink.  A resident SE's key, value and embedding are set once
+  // when it is admitted and never change, and store nodes never move, so
+  // another structure may borrow those bytes (string_view / span) for as
+  // long as the entry lives.  Without a sink, a removed entry is destroyed
+  // on the spot.  With one installed, every removal — eviction, TTL purge,
+  // exact-key replace, a promotion that displaces a shared copy, an
+  // explicit Remove — unlinks the entry from the cache and moves its store
+  // node onto the sink instead: from then on the sink's owner owns the SE
+  // and decides when to free it (its id is reported on the change feed in
+  // the same call).  The serving engine installs one per shard so that the
+  // snapshot records borrowing from an SE are freed together with it, once
+  // no reader can hold them.  Null (the default) costs nothing.
+  void set_retire_sink(std::vector<RetiredElement>* sink) noexcept {
+    retire_sink_ = sink;
   }
 
  private:
@@ -315,6 +329,7 @@ class SemanticCache {
   // heap, so eviction visits only non-empty namespaces.
   std::unordered_map<std::string, VictimHeap> victims_;
   std::vector<SeId>* change_sink_ = nullptr;
+  std::vector<RetiredElement>* retire_sink_ = nullptr;
   double usage_tokens_ = 0.0;
   SeId next_id_ = 1;
   CacheCounters counters_;

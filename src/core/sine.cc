@@ -24,7 +24,7 @@ SineLookupResult Sine::Lookup(std::string_view query,
                               const SeAccessor& get_se) const {
   CHECK(index_ != nullptr)
       << "Sine::Lookup without an index: a cache built with a null index"
-         " cannot Probe or Lookup";
+         " cannot Lookup";
   SineLookupResult result;
   const auto candidates =
       index_->Search(query_embedding, options_.top_k, options_.tau_sim);

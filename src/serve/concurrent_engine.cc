@@ -104,6 +104,7 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
     shard.evictions = registry_->GetCounter(prefix + "evictions");
     WriterLock lock(shard.mu);
     shard.cache->set_change_sink(&shard.changed);
+    shard.cache->set_retire_sink(&shard.retired);
   }
 
   if (options_.housekeeping_interval_sec > 0.0) {
@@ -115,7 +116,8 @@ ConcurrentShardedEngine::~ConcurrentShardedEngine() {
   StopHousekeeping();
   // No probes may be in flight once destruction starts (usual dtor
   // contract), so each shard's final header is freed outright; its
-  // SnapshotWriter frees the chunks, records and limbo.
+  // SnapshotWriter frees the chunks, records and limbo (retired SEs
+  // included).
   for (auto& shard : shards_) {
     delete shard->snapshot.exchange(nullptr, std::memory_order_seq_cst);
   }
@@ -170,7 +172,8 @@ void ConcurrentShardedEngine::ApplyCacheDeltas(Shard& shard,
 }
 
 void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
-  shard.probe.Sync(*shard.cache, shard.changed, shard.snapshot, epoch_);
+  shard.probe.Sync(*shard.cache, shard.changed, shard.retired,
+                   shard.snapshot, epoch_);
 }
 
 SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(

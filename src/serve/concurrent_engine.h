@@ -280,6 +280,9 @@ class ConcurrentShardedEngine {
     SnapshotWriter probe GUARDED_BY(mu);
     // The cache's change feed: ids touched since the last SyncProbeState.
     std::vector<SeId> changed GUARDED_BY(mu);
+    // The cache's retire sink: SEs removed since the last SyncProbeState,
+    // which published records may still borrow from.
+    std::vector<SemanticCache::RetiredElement> retired GUARDED_BY(mu);
 
     // Per-shard registry handles (cortex_engine_shard<i>_*).  The
     // instruments are internally thread-safe; no lock needed to update.
@@ -317,7 +320,8 @@ class ConcurrentShardedEngine {
   };
 
   // The epoch-protected probe (phases 1+2); returns the LookupResult
-  // SemanticCache::Probe would over a flat index of the shard's entries.
+  // SemanticCache::Lookup would over a flat index of the shard's entries,
+  // before its purge and commit.
   // Takes no shard lock.
   SemanticCache::LookupResult LockFreeProbe(Shard& shard,
                                             std::string_view query,

@@ -136,7 +136,7 @@ SemanticCache::LookupResult SnapshotJudge(
   result.sine.ann_candidates = ranked.size();
   if (ranked.empty()) return result;
 
-  // Visibility mirrors SemanticCache::Probe's accessor: future-dated and
+  // Visibility mirrors SemanticCache::Lookup's accessor: future-dated and
   // expired entries are skipped (never removed — this path is read-only),
   // and another tenant's private entries stay invisible.  The top_k
   // truncation deliberately ran FIRST: Sine's stage 1 has no tenant
@@ -153,7 +153,8 @@ SemanticCache::LookupResult SnapshotJudge(
       const ProbeRecord& rec = *r.record;
       if (!visible(rec)) continue;
       result.sine.match = SineCandidate{rec.id, r.sim, 0.0};
-      result.hit = CacheHit{rec.id, rec.value, rec.key, r.sim, 0.0};
+      result.hit = CacheHit{rec.id, std::string(rec.value),
+                            std::string(rec.key), r.sim, 0.0};
       break;  // candidates are sorted best-first
     }
     return result;
@@ -173,7 +174,8 @@ SemanticCache::LookupResult SnapshotJudge(
     result.sine.judged.push_back({rec.id, r.sim, score});
     if (score >= opt.tau_lsm) {
       result.sine.match = SineCandidate{rec.id, r.sim, score};
-      result.hit = CacheHit{rec.id, rec.value, rec.key, r.sim, score};
+      result.hit = CacheHit{rec.id, std::string(rec.value),
+                            std::string(rec.key), r.sim, score};
       break;
     }
   }
@@ -198,6 +200,7 @@ SnapshotWriter::~SnapshotWriter() = default;
 
 void SnapshotWriter::Sync(const SemanticCache& cache,
                           std::vector<SeId>& changed,
+                          std::vector<SemanticCache::RetiredElement>& retired,
                           std::atomic<const ShardSnapshot*>& published,
                           EpochDomain& epoch) {
   // Units past their grace period go first, so this sync's adds can reuse
@@ -207,6 +210,16 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
     if (limbo_.front().row != kNoRow) slab_.Free(limbo_.front().row);
     limbo_.pop_front();
   }
+
+  // Removed SEs park beside the records that borrowed from them, so this
+  // runs before the loop below unlinks those records.  An SE that left
+  // before it was ever published has no record and goes at once.
+  for (SemanticCache::RetiredElement& element : retired) {
+    if (resident_.contains(element.key())) {
+      unlinked_.push_back(Retired{.element = std::move(element)});
+    }
+  }
+  retired.clear();
 
   // Reconcile only the ids the cache reported.  A record is stale when
   // its id vanished or its probe fingerprint changed (dedup refresh
@@ -282,8 +295,13 @@ void SnapshotWriter::Add(const SemanticElement& se) {
   // guard on a serving write's vector length.
   CHECK_EQ(se.embedding.size(), slab_.dim());
   auto record = std::make_unique<const ProbeRecord>(
-      ProbeRecord{se.id, se.key, se.value, se.tenant, se.created_at,
-                  se.expiration_time, se.embedding});
+      ProbeRecord{.id = se.id,
+                  .key = se.key,
+                  .value = se.value,
+                  .embedding = se.embedding,
+                  .tenant = se.tenant,
+                  .created_at = se.created_at,
+                  .expiration_time = se.expiration_time});
   const std::uint32_t row = slab_.Add(se.embedding);
   Put(pos, record.get(), row);
   ++chunks_.back()->size;
@@ -321,6 +339,12 @@ void SnapshotWriter::Retag(Resident& r, const SemanticElement& se) {
   Put(r.pos, record.get(), r.row);
   unlinked_.push_back(Retired{.record = std::move(r.record)});
   r.record = std::move(record);
+}
+
+std::size_t SnapshotWriter::retired_elements() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(limbo_.begin(), limbo_.end(),
+                    [](const Retired& r) { return !r.element.empty(); }));
 }
 
 SnapshotChunk& SnapshotWriter::Mutable(std::size_t c) {

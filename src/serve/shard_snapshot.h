@@ -15,7 +15,9 @@
 // the last is full) by swap-remove, so snapshot position i lives at
 // chunks[i / 256] slot i % 256.  SnapshotWriter owns the chunks and the
 // records: a write copies only the chunks it touches plus the O(n/256)
-// spine, and consecutive snapshots share every other chunk.
+// spine, and consecutive snapshots share every other chunk.  A record
+// borrows its key, value and fp32 embedding from the cache's
+// SemanticElement, so each resident entry's payload exists once per shard.
 //
 // Probing is two-phase, mirroring FlatIndex::Search's variant-stable
 // ranking (ann/flat_index.cc):
@@ -42,6 +44,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -57,12 +60,18 @@ namespace cortex::serve {
 // fingerprint — (created_at, expiration_time, tenant) — changes.
 struct ProbeRecord {
   SeId id = 0;
-  std::string key;
-  std::string value;
+  // Borrowed from the SE, which never changes them while resident.  When
+  // the cache removes the SE, its node parks in SnapshotWriter's limbo
+  // beside this record and is freed with it.
+  std::string_view key;
+  std::string_view value;
+  std::span<const float> embedding;  // fp32 original, the exact-rerank source
+  // The fingerprint, copied: the cache rewrites these fields of a resident
+  // SE in place (dedup refresh, promotion), so readers never read them
+  // from the SE.
   std::string tenant;
   double created_at = 0.0;
   double expiration_time = 0.0;
-  Vector embedding;  // fp32 original, the exact-rerank source
 };
 
 // Entries per chunk (matches VectorSlab's chunk size, a multiple of the
@@ -172,13 +181,14 @@ SemanticCache::LookupResult SnapshotJudge(
 // the engine calls it only under the shard's exclusive lock.  Readers see
 // nothing of it but what Sync exchanges into the published pointer.
 //
-// Lifetime (the limbo protocol): a record and its slab row are one
-// resident unit.  When an entry leaves, both are unlinked together and
-// parked in limbo — as are the chunks a write replaced and the header it
-// superseded — stamped with current_epoch() read AFTER the seq_cst
-// exchange (a pre-exchange stamp could read one epoch low and free state
-// a straggler reader still scans).  They are freed, and the row returned
-// to the slab, once safe_epoch() passes the stamp.
+// Lifetime (the limbo protocol): a record, its slab row and the cache's
+// SE node it borrows from are one resident unit.  When an entry leaves,
+// all three are unlinked together and parked in limbo — as are the chunks
+// a write replaced and the header it superseded — stamped with
+// current_epoch() read AFTER the seq_cst exchange (a pre-exchange stamp
+// could read one epoch low and free state a straggler reader still
+// scans).  They are freed, and the row returned to the slab, once
+// safe_epoch() passes the stamp.
 class SnapshotWriter {
  public:
   SnapshotWriter(std::size_t dim, RowFormat format);
@@ -191,10 +201,17 @@ class SnapshotWriter {
   // Reconciles the ids in `changed` (the cache's change feed since the
   // last call; duplicates allowed) against `cache` and, when an entry
   // changed or the Sine thresholds moved, publishes a new header into
-  // `published`.  Cost is O(changed) chunk copies plus the O(n/256)
-  // spine — never O(resident).  Clears `changed`.
+  // `published`.  `retired` is the cache's retire sink over the same
+  // interval: a node that a published record borrows from parks in limbo
+  // beside that record, and the rest are freed at once.  Cost is
+  // O(changed) chunk copies plus the O(n/256) spine — never O(resident).
+  // Clears `changed` and `retired`.
   void Sync(const SemanticCache& cache, std::vector<SeId>& changed,
+            std::vector<SemanticCache::RetiredElement>& retired,
             std::atomic<const ShardSnapshot*>& published, EpochDomain& epoch);
+
+  // Removed SEs parked in limbo, not yet freed.
+  std::size_t retired_elements() const noexcept;
 
  private:
   static constexpr std::uint32_t kNoRow = UINT32_MAX;
@@ -208,6 +225,7 @@ class SnapshotWriter {
     std::uint64_t epoch = 0;
     std::unique_ptr<const ProbeRecord> record{};
     std::uint32_t row = kNoRow;  // freed with its record, when it had one
+    SemanticCache::RetiredElement element{};
     std::unique_ptr<const SnapshotChunk> chunk{};
     std::unique_ptr<const ShardSnapshot> header{};
   };

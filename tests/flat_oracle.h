@@ -2,7 +2,7 @@
 // (DESIGN.md §13.4).  A shard's cache keeps no ANN index, so the
 // reference is built on demand: a Sine over a kFlat index filled from the
 // shard's entries, with the shard's live SineOptions and the visibility
-// rule SemanticCache::Probe applies.  Test-only; shared by the engine and
+// rule SemanticCache::Lookup applies.  Test-only; shared by the engine and
 // batching-pipeline parity tests.
 #pragma once
 

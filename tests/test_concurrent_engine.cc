@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -556,7 +557,12 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
         EXPECT_EQ(rec->tenant, se.tenant) << context;
         EXPECT_EQ(rec->key, se.key) << context;
         EXPECT_EQ(rec->value, se.value) << context;
-        EXPECT_EQ(rec->embedding, se.embedding) << context;
+        EXPECT_TRUE(std::ranges::equal(rec->embedding, se.embedding))
+            << context;
+        // One copy: the record borrows the SE's bytes.
+        EXPECT_EQ(rec->key.data(), se.key.data()) << context;
+        EXPECT_EQ(rec->value.data(), se.value.data()) << context;
+        EXPECT_EQ(rec->embedding.data(), se.embedding.data()) << context;
 
         const std::uint32_t row = expected.Add(se.embedding);
         const SnapshotChunk& chunk = *snap->chunks[i / kSnapshotChunkRows];

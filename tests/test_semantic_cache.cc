@@ -467,7 +467,7 @@ TEST_F(SemanticCacheTest, EvictionAlwaysRemovesTheLowestScoredEntry) {
 }
 
 // A cache built without an index (a cortexd shard's, which probes its
-// own epoch snapshot) keeps every write path but cannot probe.
+// own epoch snapshot) keeps every write path but cannot Lookup.
 class NullIndexCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -495,10 +495,8 @@ using NullIndexCacheDeathTest = NullIndexCacheTest;
 TEST_F(NullIndexCacheDeathTest, ProbeAndLookupAbort) {
   SemanticCache cache = MakeCache({});
   ASSERT_TRUE(cache.Insert(RequestFor(0), 0.0).has_value());
-  EXPECT_DEATH(cache.Probe(world_.query(0, 1), 1.0),
-               "null index cannot Probe or Lookup");
   EXPECT_DEATH(cache.Lookup(world_.query(0, 1), 1.0),
-               "null index cannot Probe or Lookup");
+               "null index cannot Lookup");
 }
 
 TEST_F(NullIndexCacheTest, InsertEvictExpireAndRestoreStillWork) {
