@@ -6,7 +6,7 @@
 // existing node's keyspace — the property live migration depends on.
 //
 // Keys are *placement keys*, not raw queries: the router derives them via
-// core/sharded_cache's PlacementAnchor (or a tenant prefix), so every
+// core/placement's PlacementAnchor (or a tenant prefix), so every
 // paraphrase of a piece of knowledge lands on the same owner and hot
 // semantic neighborhoods stay co-resident.
 //

@@ -14,7 +14,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/sharded_cache.h"
+#include "core/placement.h"
 #include "serve/concurrent_engine.h"
 #include "tenant/tenant.h"
 #include "util/check.h"

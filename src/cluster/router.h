@@ -6,7 +6,7 @@
 //
 // Placement: every LOOKUP query / INSERT key reduces to a *placement key*
 // — a "tenant:<id>|" prefix when present, else the query's IDF anchor
-// token (core/sharded_cache PlacementAnchor), else the raw text — and the
+// token (core/placement's PlacementAnchor), else the raw text — and the
 // consistent-hash ring maps that key to `replication` distinct owners.
 // Paraphrases share an anchor, so they land on the same node and the
 // cluster preserves the single-node semantic hit rate.

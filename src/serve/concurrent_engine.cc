@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/sharded_cache.h"
+#include "core/placement.h"
 #include "util/check.h"
 
 namespace cortex::serve {
@@ -94,7 +94,7 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
         MakeEviction(EvictionKind::kLcfu), per_shard);
     shards_.push_back(std::make_unique<Shard>(
         std::move(cache), options_.recalibration, kRecalibrationSeed + i,
-        embedder->dimension(), options_.probe_scan_format));
+        embedder->dimension()));
     const std::string prefix =
         "cortex_engine_shard" + std::to_string(i) + "_";
     Shard& shard = *shards_.back();
@@ -224,44 +224,30 @@ std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
   return LockFreeProbe(shard, query, clock_(), tenant, nullptr).hit;
 }
 
-std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
-    std::string_view query, telemetry::RequestTrace* trace,
-    std::string_view tenant) {
-  const std::size_t shard_idx = ShardFor(query);
-  Shard& shard = *shards_[shard_idx];
-  const double now = clock_();
-  if (trace != nullptr) trace->shard = static_cast<std::uint32_t>(shard_idx);
-
-  // Probe (scan + judger — the expensive part) never blocks on the shard
-  // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
-  // only collected when a trace wants it.
-  ProbeTiming probe_timing;
-  const double probe_t0 = telemetry::WallSeconds();
-  SemanticCache::LookupResult result = LockFreeProbe(
-      shard, query, now, tenant, trace != nullptr ? &probe_timing : nullptr);
-  const double commit_t0 = telemetry::WallSeconds();
-  probe_seconds_->Observe(commit_t0 - probe_t0);
-
-  // Commit (counters, frequency bump, judgment log) is cheap; upgrade to
-  // the exclusive lock.  The matched SE may have been evicted in between —
-  // CommitLookup tolerates that, and the hit we already copied still
-  // serves the client.
-  {
-    WriterLock lock(shard.mu);
-    shard.cache->CommitLookup(result, now);
-    // Log every judged candidate so recalibration sees scores on both
-    // sides of the threshold (same policy as CortexEngine::Lookup).
-    for (const auto& judged : result.sine.judged) {
-      if (const SemanticElement* se = shard.cache->Get(judged.id)) {
-        shard.recalibrator.LogJudgment({std::string(query), se->key,
-                                        se->value, judged.judger_score});
-      }
+void ConcurrentShardedEngine::CommitLocked(
+    Shard& shard, const SemanticCache::LookupResult& result,
+    std::string_view query, double now) {
+  // The matched SE may have been evicted since the probe — CommitLookup
+  // tolerates that, and the hit already copied still serves the client.
+  shard.cache->CommitLookup(result, now);
+  // Log every judged candidate so recalibration sees scores on both
+  // sides of the threshold (same policy as CortexEngine::Lookup).
+  for (const auto& judged : result.sine.judged) {
+    if (const SemanticElement* se = shard.cache->Get(judged.id)) {
+      shard.recalibrator.LogJudgment(
+          {std::string(query), se->key, se->value, judged.judger_score});
     }
   }
-  const double commit_end = telemetry::WallSeconds();
-  commit_seconds_->Observe(commit_end - commit_t0);
+}
 
+void ConcurrentShardedEngine::AccountLookup(
+    std::size_t shard_idx, const SemanticCache::LookupResult& result,
+    std::string_view tenant, const LookupTiming& timing,
+    telemetry::RequestTrace* trace) {
+  probe_seconds_->Observe(timing.probe_seconds);
+  commit_seconds_->Observe(timing.commit_seconds);
   lookups_->Inc();
+  Shard& shard = *shards_[shard_idx];
   if (result.hit) {
     hits_->Inc();
     shard.hits->Inc();
@@ -280,22 +266,49 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
   }
 
   if (trace != nullptr) {
-    // Probe sub-phases run back-to-back inside the epoch section;
-    // reconstruct their starts by accumulation from the probe start.
-    double t = probe_t0;
-    trace->AddSpan(telemetry::TracePhase::kEmbed, t,
-                   probe_timing.embed_seconds);
-    t += probe_timing.embed_seconds;
-    trace->AddSpan(telemetry::TracePhase::kAnnProbe, t,
-                   probe_timing.ann_seconds);
-    t += probe_timing.ann_seconds;
-    if (probe_timing.judger_seconds > 0.0) {
-      trace->AddSpan(telemetry::TracePhase::kJudger, t,
-                     probe_timing.judger_seconds);
+    trace->shard = static_cast<std::uint32_t>(shard_idx);
+    // Probe sub-phases run back-to-back; reconstruct their starts by
+    // accumulation from the probe start.
+    const ProbeTiming& p = timing.probe;
+    double t = timing.probe_start;
+    trace->AddSpan(telemetry::TracePhase::kEmbed, t, p.embed_seconds);
+    t += p.embed_seconds;
+    trace->AddSpan(telemetry::TracePhase::kAnnProbe, t, p.ann_seconds);
+    t += p.ann_seconds;
+    if (p.judger_seconds > 0.0) {
+      trace->AddSpan(telemetry::TracePhase::kJudger, t, p.judger_seconds);
     }
-    trace->AddSpan(telemetry::TracePhase::kCommit, commit_t0,
-                   commit_end - commit_t0);
+    trace->AddSpan(telemetry::TracePhase::kCommit,
+                   timing.probe_start + timing.probe_seconds,
+                   timing.commit_seconds);
   }
+}
+
+std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
+    std::string_view query, telemetry::RequestTrace* trace,
+    std::string_view tenant) {
+  const std::size_t shard_idx = ShardFor(query);
+  Shard& shard = *shards_[shard_idx];
+  const double now = clock_();
+
+  // Probe (scan + judger — the expensive part) never blocks on the shard
+  // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
+  // only collected when a trace wants it.
+  LookupTiming timing;
+  timing.probe_start = telemetry::WallSeconds();
+  SemanticCache::LookupResult result = LockFreeProbe(
+      shard, query, now, tenant, trace != nullptr ? &timing.probe : nullptr);
+  const double commit_t0 = telemetry::WallSeconds();
+  timing.probe_seconds = commit_t0 - timing.probe_start;
+
+  // Commit (frequency bump, judgment log) is cheap; upgrade to the
+  // exclusive lock.
+  {
+    WriterLock lock(shard.mu);
+    CommitLocked(shard, result, query, now);
+  }
+  timing.commit_seconds = telemetry::WallSeconds() - commit_t0;
+  AccountLookup(shard_idx, result, tenant, timing, trace);
   return result.hit;
 }
 
@@ -413,14 +426,7 @@ void ConcurrentShardedEngine::LookupBatch(
     {
       WriterLock lock(shard.mu);
       for (const std::uint32_t i : group) {
-        shard.cache->CommitLookup(results[i], now);
-        for (const auto& judged : results[i].sine.judged) {
-          if (const SemanticElement* se = shard.cache->Get(judged.id)) {
-            shard.recalibrator.LogJudgment({std::string(batch[i].query),
-                                            se->key, se->value,
-                                            judged.judger_score});
-          }
-        }
+        CommitLocked(shard, results[i], batch[i].query, now);
       }
     }
     const double share = (telemetry::WallSeconds() - commit_t0) /
@@ -428,44 +434,17 @@ void ConcurrentShardedEngine::LookupBatch(
     for (const std::uint32_t i : group) commit_share[i] = share;
   }
 
-  // ---- Per-request accounting, same shape as Lookup's.
+  // ---- Per-request accounting, the same as Lookup's over each request's
+  // share of the batch's embed, scan and commit time.
   for (std::size_t i = 0; i < nq; ++i) {
     BatchLookupRequest& r = batch[i];
-    SemanticCache::LookupResult& result = results[i];
-    probe_seconds_->Observe(embed_share + ann_share[i] + r.judger_seconds);
-    commit_seconds_->Observe(commit_share[i]);
-    lookups_->Inc();
-    Shard& shard = *shards_[request_shard[i]];
-    if (result.hit) {
-      hits_->Inc();
-      shard.hits->Inc();
-    } else {
-      misses_->Inc();
-      shard.misses->Inc();
-      if (!result.sine.judged.empty()) {
-        judger_rejects_->Inc();
-        shard.judger_rejects->Inc();
-      }
-    }
-    if (!r.tenant.empty()) {
-      tenant_registry_->OnLookup(std::string(r.tenant),
-                                 result.hit.has_value());
-    }
-    if (r.trace != nullptr) {
-      r.trace->shard = request_shard[i];
-      double t = embed_t0;
-      r.trace->AddSpan(telemetry::TracePhase::kEmbed, t, embed_share);
-      t += embed_share;
-      r.trace->AddSpan(telemetry::TracePhase::kAnnProbe, t, ann_share[i]);
-      t += ann_share[i];
-      if (r.judger_seconds > 0.0) {
-        r.trace->AddSpan(telemetry::TracePhase::kJudger, t,
-                         r.judger_seconds);
-      }
-      r.trace->AddSpan(telemetry::TracePhase::kCommit,
-                       t + r.judger_seconds, commit_share[i]);
-    }
-    r.hit = std::move(result.hit);
+    LookupTiming timing;
+    timing.probe_start = embed_t0;
+    timing.probe = {embed_share, ann_share[i], r.judger_seconds};
+    timing.probe_seconds = embed_share + ann_share[i] + r.judger_seconds;
+    timing.commit_seconds = commit_share[i];
+    AccountLookup(request_shard[i], results[i], r.tenant, timing, r.trace);
+    r.hit = std::move(results[i].hit);
   }
 }
 

@@ -48,7 +48,6 @@
 #include "core/recalibrator.h"
 #include "core/semantic_cache.h"
 #include "embedding/hashed_embedder.h"
-#include "embedding/vector_slab.h"
 #include "serve/shard_snapshot.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -64,7 +63,7 @@ namespace cortex::serve {
 struct ConcurrentEngineOptions {
   std::size_t num_shards = 4;
   // Per-shard options; capacity_tokens is the TOTAL budget, divided evenly
-  // across shards (same convention as ShardedCacheOptions).
+  // across shards.
   SemanticCacheOptions cache;
 
   // Background housekeeping cadence in engine-clock seconds; <= 0 disables
@@ -89,11 +88,6 @@ struct ConcurrentEngineOptions {
   // TenantRegistry built from these options; per-tenant cache budgets are
   // computed against each shard's capacity share.
   tenant::TenantRegistryOptions tenants;
-
-  // Scan-tier row format for the shard snapshots (DESIGN.md §13.4): kI8
-  // cuts scan bytes per vector ~4x vs fp32; the fp32-rerank contract makes
-  // the final top-k identical whatever format scans.
-  RowFormat probe_scan_format = RowFormat::kI8;
 };
 
 // Lock-free snapshot of the engine-wide counters (a thin view over the
@@ -292,11 +286,8 @@ class ConcurrentShardedEngine {
     telemetry::Counter* evictions = nullptr;
 
     Shard(std::unique_ptr<SemanticCache> c, RecalibratorOptions ropts,
-          std::uint64_t seed, std::size_t dim, RowFormat format)
-        : cache(std::move(c)),
-          recalibrator(ropts),
-          rng(seed),
-          probe(dim, format) {}
+          std::uint64_t seed, std::size_t dim)
+        : cache(std::move(c)), recalibrator(ropts), rng(seed), probe(dim) {}
   };
 
   // Waits on hk_cv_ through a std::unique_lock, which clang's analysis
@@ -318,6 +309,15 @@ class ConcurrentShardedEngine {
     double ann_seconds = 0.0;
     double judger_seconds = 0.0;
   };
+  // Wall-clock layout of one committed lookup, for its histograms and
+  // spans: embed starts at probe_start, the probe phases follow back to
+  // back, and the commit starts when the probe ends.
+  struct LookupTiming {
+    double probe_start = 0.0;
+    ProbeTiming probe;
+    double probe_seconds = 0.0;
+    double commit_seconds = 0.0;
+  };
 
   // The epoch-protected probe (phases 1+2); returns the LookupResult
   // SemanticCache::Lookup would over a flat index of the shard's entries,
@@ -328,6 +328,18 @@ class ConcurrentShardedEngine {
                                             double now,
                                             std::string_view tenant,
                                             ProbeTiming* timing);
+
+  // The commit half of Lookup and LookupBatch, one request at a time:
+  // CommitLocked bumps the matched entry and logs every judged candidate
+  // for recalibration; AccountLookup, after the lock is released, feeds
+  // the probe/commit histograms, the hit/miss/judger-reject counters
+  // (engine and shard), the tenant's lookup counter and `trace`.
+  void CommitLocked(Shard& shard, const SemanticCache::LookupResult& result,
+                    std::string_view query, double now) REQUIRES(shard.mu);
+  void AccountLookup(std::size_t shard_idx,
+                     const SemanticCache::LookupResult& result,
+                     std::string_view tenant, const LookupTiming& timing,
+                     telemetry::RequestTrace* trace);
 
   // Publishes what changed inside a shard mutation (insert / purge):
   // cache-layer counter deltas plus resident-size gauge deltas.

@@ -8,12 +8,6 @@
 
 namespace cortex::serve {
 
-double SnapshotSlack(RowFormat format) noexcept {
-  // f32 scans at the same precision as FlatIndex's float scan; the
-  // quantized formats need headroom for roundtrip error.
-  return format == RowFormat::kF32 ? 0.0 : kQuantSimSlack;
-}
-
 void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
                       ProbeScratch& scratch) {
   scratch.ranked.clear();
@@ -22,20 +16,13 @@ void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
   DCHECK_EQ(query.size(), snap.dim);
 
   scratch.sims.resize(n);
-  float q_scale = 0.0f;
-  if (snap.format == RowFormat::kI8) {
-    // One query quantization per probe; the integer dot itself is exact.
-    scratch.q8.resize(snap.dim);
-    q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
-  }
+  // One query quantization per probe; the integer dot itself is exact.
+  scratch.q8.resize(snap.dim);
+  const float q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
   float* out = scratch.sims.data();
   for (const SnapshotChunk* c : snap.chunks) {
-    if (snap.format == RowFormat::kI8) {
-      simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows.i8, c->scales,
-                      c->size, snap.dim, out);
-    } else {
-      simd::DotRows(query, c->rows.f32, c->size, out);
-    }
+    simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows, c->scales, c->size,
+                    snap.dim, out);
     out += c->size;
   }
   SnapshotRankFromSims(snap, query, scratch.sims.data(), scratch);
@@ -52,7 +39,7 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
   // wide enough that the exact rerank's true top-k is always inside it
   // (FlatIndex's two-phase argument, with extra width for the larger
   // quantized error).
-  const double floor = snap.sine.tau_sim - SnapshotSlack(snap.format);
+  const double floor = snap.sine.tau_sim - kQuantSimSlack;
   auto& keep = scratch.keep;
   keep.clear();
   for (std::size_t i = 0; i < n; ++i) {
@@ -95,16 +82,14 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
                     ProbeScratch& scratch, float* sims_out) {
   const std::size_t n = snap.size();
   if (n == 0 || nq == 0) return;
-  if (snap.format == RowFormat::kI8) {
-    // Quantize every query once per batch; the per-(query,row) score is
-    // then bitwise the sequential DotRowsI8 result.
-    scratch.q8.resize(nq * snap.dim);
-    scratch.q8_scales.resize(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      scratch.q8_scales[q] = simd::QuantizeRowI8(
-          std::span<const float>(queries + q * qstride, snap.dim),
-          scratch.q8.data() + q * snap.dim);
-    }
+  // Quantize every query once per batch; the per-(query,row) score is
+  // then bitwise the sequential DotRowsI8 result.
+  scratch.q8.resize(nq * snap.dim);
+  scratch.q8_scales.resize(nq);
+  for (std::size_t q = 0; q < nq; ++q) {
+    scratch.q8_scales[q] = simd::QuantizeRowI8(
+        std::span<const float>(queries + q * qstride, snap.dim),
+        scratch.q8.data() + q * snap.dim);
   }
   // The kernels lay scores out query-major over the rows they scan, so
   // each chunk scores into scratch and its rows are copied to their
@@ -114,12 +99,8 @@ void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
   std::size_t base = 0;
   for (const SnapshotChunk* c : snap.chunks) {
     const std::size_t m = c->size;
-    if (snap.format == RowFormat::kI8) {
-      simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
-                        snap.dim, c->rows.i8, c->scales, m, snap.dim, tmp);
-    } else {
-      simd::DotRowsMq(queries, nq, qstride, c->rows.f32, m, snap.dim, tmp);
-    }
+    simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
+                      snap.dim, c->rows, c->scales, m, snap.dim, tmp);
     for (std::size_t q = 0; q < nq; ++q) {
       std::copy_n(tmp + q * m, m, sims_out + q * n + base);
     }
@@ -193,8 +174,8 @@ constexpr std::size_t kLimboFlushThreshold = 64;
 
 }  // namespace
 
-SnapshotWriter::SnapshotWriter(std::size_t dim, RowFormat format)
-    : slab_(dim, format) {}
+SnapshotWriter::SnapshotWriter(std::size_t dim)
+    : slab_(dim, RowFormat::kI8) {}
 
 SnapshotWriter::~SnapshotWriter() = default;
 
@@ -257,7 +238,6 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
     return;
   }
   auto header = std::make_unique<ShardSnapshot>();
-  header->format = slab_.format();
   header->dim = slab_.dim();
   header->sine = live;
   header->entries = size_;
@@ -362,12 +342,8 @@ void SnapshotWriter::Put(std::uint32_t pos, const ProbeRecord* record,
   SnapshotChunk& c = Mutable(pos / kSnapshotChunkRows);
   const std::size_t k = pos % kSnapshotChunkRows;
   c.records[k] = record;
-  if (slab_.format() == RowFormat::kI8) {
-    c.rows.i8[k] = slab_.RowI8(row);
-    c.scales[k] = slab_.RowScale(row);
-  } else {
-    c.rows.f32[k] = slab_.Row(row);
-  }
+  c.rows[k] = slab_.RowI8(row);
+  c.scales[k] = slab_.RowScale(row);
 }
 
 }  // namespace cortex::serve

@@ -7,11 +7,11 @@
 // (util/epoch.h).  Per the epoch contract, BOTH sides of the pointer
 // hand-off are seq_cst: exchange on publish, load under the guard.
 //
-// A snapshot is a header (row format, frozen Sine thresholds) over an
+// A snapshot is a header (dimension, frozen Sine thresholds) over an
 // immutable spine of chunk descriptors.  Each SnapshotChunk holds up to
-// kSnapshotChunkRows entries as parallel arrays — record pointer, scan-row
-// pointer into the shard's VectorSlab, i8 scale — which is exactly the
-// layout the gather kernels take.  Chunks are kept dense (every chunk but
+// kSnapshotChunkRows entries as parallel arrays — record pointer, i8
+// scan-row pointer into the shard's VectorSlab, row scale — which is
+// exactly the layout the i8 gather kernels take.  Chunks are kept dense (every chunk but
 // the last is full) by swap-remove, so snapshot position i lives at
 // chunks[i / 256] slot i % 256.  SnapshotWriter owns the chunks and the
 // records: a write copies only the chunks it touches plus the O(n/256)
@@ -21,15 +21,15 @@
 //
 // Probing is two-phase, mirroring FlatIndex::Search's variant-stable
 // ranking (ann/flat_index.cc):
-//   1. scan — one gather-kernel pass per chunk over the quantized rows,
-//      prefilter at tau_sim minus a quantization slack, keep a pool of the
+//   1. scan — one i8 gather-kernel pass per chunk over the quantized
+//      rows, prefilter at tau_sim minus kQuantSimSlack, keep a pool of the
 //      best max(4*top_k, 32) candidates;
 //   2. rerank — rescore the pool with the scalar double-precision fp32
 //      kernel, filter/sort/truncate exactly like FlatIndex.  Because the
 //      exact rerank reads fp32 originals, the final top-k and hit
 //      decision are bit-identical to a Sine over a kFlat index of the
-//      same entries (the tests' oracle) whatever scan format or SIMD
-//      variant ran phase 1.
+//      same entries (the tests' oracle) whatever SIMD variant ran
+//      phase 1.
 //
 // Both phases and stage 2 (visibility plus the judger best-first walk,
 // SnapshotJudge) run INSIDE the epoch guard over records borrowed from
@@ -74,25 +74,17 @@ struct ProbeRecord {
   double expiration_time = 0.0;
 };
 
-// Entries per chunk (matches VectorSlab's chunk size, a multiple of the
-// f32 kernels' 4-row block, so per-chunk scans keep the same row blocks
-// a flat scan over the same order would use).
+// Entries per chunk (matches VectorSlab's chunk size).
 inline constexpr std::size_t kSnapshotChunkRows = 256;
 
 struct SnapshotChunk {
   std::uint32_t size = 0;
   const ProbeRecord* records[kSnapshotChunkRows];
-  // Scan row per entry; the member matching the snapshot's format is the
-  // active one.
-  union {
-    const float* f32[kSnapshotChunkRows];
-    const std::int8_t* i8[kSnapshotChunkRows];
-  } rows;
-  float scales[kSnapshotChunkRows];  // kI8 row scales
+  const std::int8_t* rows[kSnapshotChunkRows];  // i8 scan row per entry
+  float scales[kSnapshotChunkRows];             // its quantization scale
 };
 
 struct ShardSnapshot {
-  RowFormat format = RowFormat::kF32;
   std::size_t dim = 0;
   // Sine thresholds frozen at publish time (recalibration republishes).
   SineOptions sine;
@@ -111,12 +103,8 @@ struct ShardSnapshot {
 // Quantized-similarity slack subtracted from tau_sim when prefiltering
 // scan scores (phase 1).  i8 roundtrip error on unit vectors is ~2e-3;
 // 0.02 absorbs it with a wide margin, and the exact rerank removes every
-// false admit.  Unused (slack 0) for kF32.
+// false admit.
 inline constexpr double kQuantSimSlack = 0.02;
-
-// Prefilter slack for a given scan format (kQuantSimSlack, or 0 for the
-// exact f32 scan).
-double SnapshotSlack(RowFormat format) noexcept;
 
 // One exact-reranked survivor, sorted best-first.  `record` is BORROWED
 // from the snapshot: it is valid only while the EpochReadGuard that
@@ -133,7 +121,7 @@ struct RankedCandidate {
 struct ProbeScratch {
   std::vector<float> sims;          // one score per snapshot row
   std::vector<float> chunk_sims;    // mq scan output for one chunk
-  std::vector<std::int8_t> q8;      // quantized query/queries (kI8 scan)
+  std::vector<std::int8_t> q8;      // quantized query/queries
   std::vector<float> q8_scales;     // per-query i8 scales (mq scan)
   std::vector<std::uint32_t> keep;  // prefilter survivors (row indices)
   std::vector<RankedCandidate> ranked;  // phase-2 output, best-first
@@ -145,11 +133,11 @@ struct ProbeScratch {
 void SnapshotScanRank(const ShardSnapshot& snap,
                       std::span<const float> query, ProbeScratch& scratch);
 
-// Phase 2 from a precomputed score row (`sims[i]` scores snapshot row i,
-// in the snapshot's scan format): prefilter at tau_sim minus the format
-// slack, pool the best max(4*top_k, 32), exact-rerank on the fp32
-// originals, sort (sim desc, id asc), truncate to top_k.  Result in
-// scratch.ranked.  Same guard requirement as SnapshotScanRank.
+// Phase 2 from a precomputed score row (`sims[i]` is snapshot row i's i8
+// scan score): prefilter at tau_sim minus kQuantSimSlack, pool the best
+// max(4*top_k, 32), exact-rerank on the fp32 originals, sort (sim desc,
+// id asc), truncate to top_k.  Result in scratch.ranked.  Same guard
+// requirement as SnapshotScanRank.
 void SnapshotRankFromSims(const ShardSnapshot& snap,
                           std::span<const float> query, const float* sims,
                           ProbeScratch& scratch);
@@ -191,7 +179,7 @@ SemanticCache::LookupResult SnapshotJudge(
 // safe_epoch() passes the stamp.
 class SnapshotWriter {
  public:
-  SnapshotWriter(std::size_t dim, RowFormat format);
+  explicit SnapshotWriter(std::size_t dim);
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
   // Frees everything still parked; no reader may hold a snapshot any

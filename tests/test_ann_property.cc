@@ -10,6 +10,7 @@
 #include "ann/ivf_index.h"
 #include "ann/pq.h"
 #include "embedding/simd_kernels.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace cortex {
@@ -147,16 +148,7 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexPropertyTest,
 // Build AND search run under the forced variant, mirroring a process pinned
 // via CORTEX_SIMD.
 
-class ScopedVariant {
- public:
-  explicit ScopedVariant(simd::Variant v) { simd::ForceVariant(v); }
-  ~ScopedVariant() { simd::ForceVariant(prev_); }
-  ScopedVariant(const ScopedVariant&) = delete;
-  ScopedVariant& operator=(const ScopedVariant&) = delete;
-
- private:
-  simd::Variant prev_ = simd::ActiveVariant();
-};
+using cortex::testing::ScopedVariant;
 
 constexpr std::size_t kDim = 32;
 constexpr std::size_t kN = 200;

@@ -2,14 +2,15 @@
 //
 // The parity property here is the load-bearing one: LookupBatch must be
 // BIT-identical to sequential Lookup — same hits, same exact similarities,
-// same judger verdicts, same tenant visibility — for every batch size,
-// slab format, and SIMD variant.  Run the churn tests under
+// same judger verdicts, same tenant visibility — for every batch size and
+// SIMD variant.  Run the churn tests under
 // ThreadSanitizer via scripts/tsan.sh (CORTEX_SANITIZE=thread).
 #include "serve/batch_pipeline.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,27 +28,12 @@ namespace cortex {
 namespace {
 
 using cortex::testing::MiniWorld;
+using cortex::testing::ScopedVariant;
 using serve::BatchLookupRequest;
 using serve::BatchPipeline;
 using serve::BatchPipelineOptions;
 using serve::ConcurrentEngineOptions;
 using serve::ConcurrentShardedEngine;
-
-// Restores the previously active kernel variant on scope exit.
-class ScopedVariant {
- public:
-  explicit ScopedVariant(simd::Variant v) : prev_(simd::ActiveVariant()) {
-    forced_ = simd::ForceVariant(v);
-  }
-  ~ScopedVariant() { simd::ForceVariant(prev_); }
-  ScopedVariant(const ScopedVariant&) = delete;
-  ScopedVariant& operator=(const ScopedVariant&) = delete;
-  bool forced() const noexcept { return forced_; }
-
- private:
-  simd::Variant prev_;
-  bool forced_ = false;
-};
 
 std::uint64_t CounterValue(const telemetry::TelemetrySnapshot& snap,
                            std::string_view name) {
@@ -57,6 +43,18 @@ std::uint64_t CounterValue(const telemetry::TelemetrySnapshot& snap,
   return 0;
 }
 
+// Every counter in `snap`, by name.
+std::map<std::string, std::uint64_t> Counters(
+    const telemetry::TelemetrySnapshot& snap) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& e : snap.entries) {
+    if (e.kind == telemetry::TelemetrySnapshot::Kind::kCounter) {
+      counters.emplace(e.name, e.counter_value);
+    }
+  }
+  return counters;
+}
+
 class BatchPipelineTest : public ::testing::Test {
  protected:
   BatchPipelineTest() : world_(48, /*seed=*/47) {}
@@ -64,12 +62,11 @@ class BatchPipelineTest : public ::testing::Test {
   // Both engines in a parity pair share this clock, which the test steps
   // by hand: every lookup in a comparison round runs at the same instant
   // on both sides, exactly like LookupBatch's single per-batch `now`.
-  ConcurrentEngineOptions BaseOptions(RowFormat format) {
+  ConcurrentEngineOptions BaseOptions() {
     ConcurrentEngineOptions opts;
     opts.num_shards = 2;  // batches must span shards
     opts.cache.capacity_tokens = 1e7;
     opts.housekeeping_interval_sec = 0.0;
-    opts.probe_scan_format = format;
     opts.clock = [this] { return now_; };
     return opts;
   }
@@ -117,78 +114,94 @@ class BatchPipelineTest : public ::testing::Test {
   double now_ = 100.0;
 };
 
-// The tentpole property: for every batch size, slab format, and compiled
-// SIMD variant, LookupBatch returns results bit-identical to sequential
-// Lookup calls, and both equal the flat oracle (flat_oracle.h) — ids,
-// values, exact similarities, judger scores, and tenant visibility all
-// EXPECT_EQ, never EXPECT_NEAR.
+// The tentpole property: for every batch size and compiled SIMD variant,
+// LookupBatch returns results bit-identical to sequential Lookup calls,
+// and both equal the flat oracle (flat_oracle.h) — ids, values, exact
+// similarities, judger scores, and tenant visibility all EXPECT_EQ, never
+// EXPECT_NEAR.
 TEST_F(BatchPipelineTest, LookupBatchBitIdenticalToSequentialLookups) {
   const auto probes = ProbeStream();
   for (const auto variant : simd::SupportedVariants()) {
     ScopedVariant forced(variant);
     ASSERT_TRUE(forced.forced());
-    for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
-      for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3},
-                                           std::size_t{16}}) {
-        SCOPED_TRACE(std::string(simd::VariantName(variant)) + "/" +
-                     RowFormatName(format) + "/batch " +
-                     std::to_string(batch_size));
-        now_ = 100.0;
-        ConcurrentShardedEngine seq(&world_.embedder, world_.judger.get(),
-                                    BaseOptions(format));
-        ConcurrentShardedEngine bat(&world_.embedder, world_.judger.get(),
-                                    BaseOptions(format));
-        WarmUp(seq);
-        WarmUp(bat);
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{3},
+                                         std::size_t{16}}) {
+      SCOPED_TRACE(std::string(simd::VariantName(variant)) + "/batch " +
+                   std::to_string(batch_size));
+      now_ = 100.0;
+      ConcurrentShardedEngine seq(&world_.embedder, world_.judger.get(),
+                                  BaseOptions());
+      ConcurrentShardedEngine bat(&world_.embedder, world_.judger.get(),
+                                  BaseOptions());
+      WarmUp(seq);
+      WarmUp(bat);
 
-        for (std::size_t base = 0; base < probes.size();
-             base += batch_size) {
-          const std::size_t n = std::min(batch_size, probes.size() - base);
-          now_ += 0.25;  // both sides run this round at the same instant
+      for (std::size_t base = 0; base < probes.size(); base += batch_size) {
+        const std::size_t n = std::min(batch_size, probes.size() - base);
+        now_ += 0.25;  // both sides run this round at the same instant
 
-          std::vector<std::optional<CacheHit>> want(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            const Probe& p = probes[base + i];
-            const auto oracle = serve::ConcurrentEngineTestPeer::FlatOracle(
-                seq, p.query, now_, p.tenant);
-            want[i] = seq.Lookup(p.query, nullptr, p.tenant);
-            SCOPED_TRACE("oracle, probe " + std::to_string(base + i));
-            ASSERT_EQ(want[i].has_value(), oracle.has_value());
-            if (!oracle) continue;
-            EXPECT_EQ(want[i]->id, oracle->id);
-            EXPECT_EQ(want[i]->value, oracle->value);
-            EXPECT_EQ(want[i]->matched_key, oracle->matched_key);
-            EXPECT_EQ(want[i]->similarity, oracle->similarity);
-            EXPECT_EQ(want[i]->judger_score, oracle->judger_score);
-          }
-
-          std::vector<BatchLookupRequest> reqs(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            reqs[i].query = probes[base + i].query;
-            reqs[i].tenant = probes[base + i].tenant;
-          }
-          bat.LookupBatch(reqs);
-
-          for (std::size_t i = 0; i < n; ++i) {
-            SCOPED_TRACE("probe " + std::to_string(base + i));
-            ASSERT_EQ(reqs[i].hit.has_value(), want[i].has_value());
-            if (!want[i]) continue;
-            EXPECT_EQ(reqs[i].hit->id, want[i]->id);
-            EXPECT_EQ(reqs[i].hit->value, want[i]->value);
-            EXPECT_EQ(reqs[i].hit->matched_key, want[i]->matched_key);
-            // Exact, not approximate: both paths rerank fp32 originals
-            // with the scalar double kernel.
-            EXPECT_EQ(reqs[i].hit->similarity, want[i]->similarity);
-            EXPECT_EQ(reqs[i].hit->judger_score, want[i]->judger_score);
-          }
+        std::vector<std::optional<CacheHit>> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Probe& p = probes[base + i];
+          const auto oracle = serve::ConcurrentEngineTestPeer::FlatOracle(
+              seq, p.query, now_, p.tenant);
+          want[i] = seq.Lookup(p.query, nullptr, p.tenant);
+          SCOPED_TRACE("oracle, probe " + std::to_string(base + i));
+          ASSERT_EQ(want[i].has_value(), oracle.has_value());
+          if (!oracle) continue;
+          EXPECT_EQ(want[i]->id, oracle->id);
+          EXPECT_EQ(want[i]->value, oracle->value);
+          EXPECT_EQ(want[i]->matched_key, oracle->matched_key);
+          EXPECT_EQ(want[i]->similarity, oracle->similarity);
+          EXPECT_EQ(want[i]->judger_score, oracle->judger_score);
         }
 
-        // Commits were identical too, so the engines' counters agree.
-        const auto s = seq.Stats();
-        const auto b = bat.Stats();
-        EXPECT_EQ(s.lookups, b.lookups);
-        EXPECT_EQ(s.hits, b.hits);
+        std::vector<BatchLookupRequest> reqs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          reqs[i].query = probes[base + i].query;
+          reqs[i].tenant = probes[base + i].tenant;
+        }
+        bat.LookupBatch(reqs);
+
+        for (std::size_t i = 0; i < n; ++i) {
+          SCOPED_TRACE("probe " + std::to_string(base + i));
+          ASSERT_EQ(reqs[i].hit.has_value(), want[i].has_value());
+          if (!want[i]) continue;
+          EXPECT_EQ(reqs[i].hit->id, want[i]->id);
+          EXPECT_EQ(reqs[i].hit->value, want[i]->value);
+          EXPECT_EQ(reqs[i].hit->matched_key, want[i]->matched_key);
+          // Exact, not approximate: both paths rerank fp32 originals
+          // with the scalar double kernel.
+          EXPECT_EQ(reqs[i].hit->similarity, want[i]->similarity);
+          EXPECT_EQ(reqs[i].hit->judger_score, want[i]->judger_score);
+        }
       }
+
+      // Commits and their accounting were identical too, so the engines
+      // agree on every counter: the engine's, each shard's hit, miss and
+      // judger-reject counters, the caches' and each tenant's lookups.
+      const auto s = seq.Stats();
+      const auto b = bat.Stats();
+      EXPECT_EQ(s.lookups, b.lookups);
+      EXPECT_EQ(s.hits, b.hits);
+      const CacheCounters sc = seq.TotalCounters();
+      const CacheCounters bc = bat.TotalCounters();
+      EXPECT_EQ(sc.lookups, bc.lookups);
+      EXPECT_EQ(sc.hits, bc.hits);
+      EXPECT_EQ(sc.insertions, bc.insertions);
+      EXPECT_EQ(sc.dedup_refreshes, bc.dedup_refreshes);
+      EXPECT_EQ(sc.evictions, bc.evictions);
+      EXPECT_EQ(sc.expirations, bc.expirations);
+      const auto sm = Counters(seq.registry()->Snapshot());
+      const auto bm = Counters(bat.registry()->Snapshot());
+      for (const char* name :
+           {"cortex_engine_judger_rejects", "cortex_engine_shard0_hits",
+            "cortex_engine_shard1_misses",
+            "cortex_engine_shard1_judger_rejects", "cortex_tenant_acme_hits",
+            "cortex_tenant_globex_misses"}) {
+        EXPECT_TRUE(sm.contains(name)) << name;
+      }
+      EXPECT_EQ(sm, bm);
     }
   }
 }
@@ -197,9 +210,9 @@ TEST_F(BatchPipelineTest, LookupBatchBitIdenticalToSequentialLookups) {
 // would, and its counters account for every staged request.
 TEST_F(BatchPipelineTest, PipelineLookupMatchesDirectEngine) {
   ConcurrentShardedEngine reference(&world_.embedder, world_.judger.get(),
-                                    BaseOptions(RowFormat::kI8));
+                                    BaseOptions());
   ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
-                                 BaseOptions(RowFormat::kI8));
+                                 BaseOptions());
   WarmUp(reference);
   WarmUp(engine);
 
@@ -249,7 +262,7 @@ TEST_F(BatchPipelineTest, PipelineLookupMatchesDirectEngine) {
 // flushes it.
 TEST_F(BatchPipelineTest, SingleRequestFlushesOnWindowDeadline) {
   ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
-                                 BaseOptions(RowFormat::kI8));
+                                 BaseOptions());
   WarmUp(engine);
   BatchPipelineOptions popts;
   popts.max_batch = 64;  // never fills
@@ -270,7 +283,7 @@ TEST_F(BatchPipelineTest, SingleRequestFlushesOnWindowDeadline) {
 // max_batch <= 1 disables the pipeline: no threads, direct engine calls.
 TEST_F(BatchPipelineTest, DisabledPipelinePassesThrough) {
   ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
-                                 BaseOptions(RowFormat::kI8));
+                                 BaseOptions());
   WarmUp(engine);
   BatchPipelineOptions popts;
   popts.max_batch = 1;
@@ -287,7 +300,7 @@ TEST_F(BatchPipelineTest, DisabledPipelinePassesThrough) {
 // lookups fall back to the synchronous path), and nothing may deadlock
 // or race.
 TEST_F(BatchPipelineTest, ChurnSubmitFlushInsertAndDrain) {
-  ConcurrentEngineOptions eopts = BaseOptions(RowFormat::kI8);
+  ConcurrentEngineOptions eopts = BaseOptions();
   eopts.clock = {};  // wall clock: inserts and lookups interleave freely
   ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
                                  eopts);

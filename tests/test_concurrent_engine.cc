@@ -10,13 +10,15 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "core/sharded_cache.h"
+#include "core/placement.h"
 #include "embedding/vector_slab.h"
 #include "flat_oracle.h"
 #include "llm/tags.h"
@@ -27,6 +29,7 @@ namespace cortex {
 namespace {
 
 using cortex::testing::MiniWorld;
+using cortex::testing::ScopedVariant;
 using serve::BatchLookupRequest;
 using serve::ConcurrentEngineOptions;
 using Peer = serve::ConcurrentEngineTestPeer;
@@ -225,16 +228,16 @@ TEST_F(ConcurrentEngineTest, RecalibrationTickRunsOnEveryShard) {
 
 // ---------------------------------------------------------------------------
 // Lock-free probe (DESIGN.md §13) vs the flat oracle (flat_oracle.h).  The
-// epoch path's exact quantized scan + fp32 rerank must reproduce a kFlat
-// Sine over the shard's entries bit for bit — same hits, same ids, same
-// similarities and judger scores, same counters — whatever scan format.
+// epoch path's i8 scan + fp32 rerank must reproduce a kFlat Sine over the
+// shard's entries bit for bit — same hits, same ids, same similarities and
+// judger scores, same counters — whatever SIMD variant scans.
 
 TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
-  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
-    ConcurrentEngineOptions opts = BaseOptions();
-    opts.probe_scan_format = format;
+  for (const auto variant : simd::SupportedVariants()) {
+    ScopedVariant forced(variant);
+    ASSERT_TRUE(forced.forced());
     ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
-                                  opts);
+                                  BaseOptions());
 
     // Every fourth topic is acme-private, and lookups alternate between
     // acme and the shared pool, so tenant visibility is part of the
@@ -256,7 +259,7 @@ TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
         const auto b = epoch.Lookup(q, nullptr, tenant);
         ++lookups;
         ASSERT_EQ(a.has_value(), b.has_value())
-            << "format=" << RowFormatName(format) << " topic=" << topic
+            << "variant=" << simd::VariantName(variant) << " topic=" << topic
             << " round=" << round;
         if (a) {
           ++hits;
@@ -493,10 +496,9 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
     }
   }
 
-  ConcurrentEngineOptions Options(RowFormat format) {
+  ConcurrentEngineOptions Options() {
     ConcurrentEngineOptions opts = BaseOptions();
     opts.num_shards = 1;  // snapshot positions are then fully controlled
-    opts.probe_scan_format = format;
     opts.cache.min_ttl_sec = 5.0;
     opts.cache.max_ttl_sec = 50.0;
     opts.cache.promote_distinct_tenants = 2;
@@ -521,9 +523,8 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
 
   // The published snapshot must hold exactly the cache's entries: one
   // record per id with the same fingerprint and content, a dense spine,
-  // and scan rows holding the quantization of each fp32 embedding.
+  // and scan rows holding the i8 quantization of each fp32 embedding.
   static void ExpectSnapshotMirrorsCache(const ConcurrentShardedEngine& engine,
-                                         RowFormat format,
                                          const std::string& context) {
     Peer::InspectShard(engine, 0, [&](const SemanticCache& cache,
                                       const ShardSnapshot* snap) {
@@ -544,7 +545,7 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
                                      : n - c * kSnapshotChunkRows;
         ASSERT_EQ(snap->chunks[c]->size, want) << context << " chunk " << c;
       }
-      VectorSlab expected(snap->dim, format);
+      VectorSlab expected(snap->dim, RowFormat::kI8);
       std::unordered_set<SeId> seen;
       for (std::size_t i = 0; i < n; ++i) {
         const serve::ProbeRecord* rec = snap->record(i);
@@ -567,18 +568,10 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
         const std::uint32_t row = expected.Add(se.embedding);
         const SnapshotChunk& chunk = *snap->chunks[i / kSnapshotChunkRows];
         const std::size_t k = i % kSnapshotChunkRows;
-        if (format == RowFormat::kI8) {
-          EXPECT_EQ(
-              std::memcmp(chunk.rows.i8[k], expected.RowI8(row), snap->dim),
-              0)
-              << context << " row " << i;
-          EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
-        } else {
-          EXPECT_EQ(std::memcmp(chunk.rows.f32[k], expected.Row(row),
-                                snap->dim * sizeof(float)),
-                    0)
-              << context << " row " << i;
-        }
+        EXPECT_EQ(std::memcmp(chunk.rows[k], expected.RowI8(row), snap->dim),
+                  0)
+            << context << " row " << i;
+        EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
         expected.Free(row);
       }
     });
@@ -619,10 +612,12 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
 };
 
 TEST_F(IncrementalPublishTest, ChunkBoundarySizesAndRemovalsMirrorTheCache) {
-  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
+  for (const auto variant : simd::SupportedVariants()) {
+    ScopedVariant forced(variant);
+    ASSERT_TRUE(forced.forced());
     for (const std::size_t size : {255u, 256u, 257u, 513u}) {
       ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
-                                    Options(format));
+                                    Options());
       const auto insert = [&](std::size_t i, const std::string& value) {
         InsertRequest req;
         req.key = Key(i);
@@ -630,9 +625,9 @@ TEST_F(IncrementalPublishTest, ChunkBoundarySizesAndRemovalsMirrorTheCache) {
         ASSERT_TRUE(epoch.Insert(std::move(req)).has_value());
       };
       for (std::size_t i = 0; i < size; ++i) insert(i, Value(i));
-      const std::string tag = std::string(RowFormatName(format)) + " n=" +
-                              std::to_string(size);
-      ExpectSnapshotMirrorsCache(epoch, format, tag + " filled");
+      const std::string tag = std::string(simd::VariantName(variant)) +
+                              " n=" + std::to_string(size);
+      ExpectSnapshotMirrorsCache(epoch, tag + " filled");
       ExpectProbesMatch(epoch, tag + " filled");
 
       // An exact-key replace removes the old entry — swap-remove from
@@ -649,7 +644,7 @@ TEST_F(IncrementalPublishTest, ChunkBoundarySizesAndRemovalsMirrorTheCache) {
         const std::size_t i = std::stoul(key.substr(key.rfind('#') + 1));
         insert(i, Value(i) + " v" + std::to_string(pos));
         const std::string ctx = tag + " replace@" + std::to_string(pos);
-        ExpectSnapshotMirrorsCache(epoch, format, ctx);
+        ExpectSnapshotMirrorsCache(epoch, ctx);
         ExpectProbesMatch(epoch, ctx);
       }
     }
@@ -662,9 +657,11 @@ TEST_F(IncrementalPublishTest, RandomWriteSequencesMirrorTheCache) {
   // restores (fresh and dedup) and recalibrations that move tau.  After
   // each one the lock-free snapshot must mirror the cache and probe
   // exactly like the flat oracle.
-  for (const RowFormat format : {RowFormat::kF32, RowFormat::kI8}) {
+  for (const auto variant : simd::SupportedVariants()) {
+    ScopedVariant forced(variant);
+    ASSERT_TRUE(forced.forced());
     now_ = 1.0;
-    ConcurrentEngineOptions epoch_opts = Options(format);
+    ConcurrentEngineOptions epoch_opts = Options();
     // Room for ~60 entries, so long runs evict.
     epoch_opts.cache.capacity_tokens =
         60.0 * static_cast<double>(ApproxTokenCount(Value(1000)));
@@ -680,7 +677,7 @@ TEST_F(IncrementalPublishTest, RandomWriteSequencesMirrorTheCache) {
       std::string tenant;
     };
     std::vector<Written> written;
-    Rng rng(0x1c0de + static_cast<std::uint64_t>(format));
+    Rng rng(0x1c0df);
     std::size_t next = 0;
     std::size_t tau_moves = 0;
     for (std::size_t op = 0; op < 700; ++op) {
@@ -759,18 +756,19 @@ TEST_F(IncrementalPublishTest, RandomWriteSequencesMirrorTheCache) {
         epoch.RecalibrateAllShards();
         if (epoch.tau_lsm(0) != before) ++tau_moves;
       }
-      const std::string ctx = std::string(RowFormatName(format)) + " op " +
-                              std::to_string(op) + " (" + what + ")";
-      ExpectSnapshotMirrorsCache(epoch, format, ctx);
+      const std::string ctx = std::string(simd::VariantName(variant)) +
+                              " op " + std::to_string(op) + " (" + what + ")";
+      ExpectSnapshotMirrorsCache(epoch, ctx);
       if (::testing::Test::HasFatalFailure()) return;
       ExpectProbesMatch(epoch, ctx);
     }
     const CacheCounters c = epoch.TotalCounters();
-    EXPECT_GT(c.evictions, 0u) << RowFormatName(format);
-    EXPECT_GT(c.expirations, 0u) << RowFormatName(format);
-    EXPECT_GT(c.dedup_refreshes, 0u) << RowFormatName(format);
-    EXPECT_GT(c.promotions, 0u) << RowFormatName(format);
-    EXPECT_GT(tau_moves, 0u) << RowFormatName(format);
+    const char* name = simd::VariantName(variant);
+    EXPECT_GT(c.evictions, 0u) << name;
+    EXPECT_GT(c.expirations, 0u) << name;
+    EXPECT_GT(c.dedup_refreshes, 0u) << name;
+    EXPECT_GT(c.promotions, 0u) << name;
+    EXPECT_GT(tau_moves, 0u) << name;
   }
 }
 
@@ -840,21 +838,197 @@ TEST(ExpiryIndexTest, RemovesExactlyWhatAFullSweepWould) {
   EXPECT_GT(cache.counters().evictions, 0u);
 }
 
-TEST_F(ConcurrentEngineTest, RoutingMatchesShardedCache) {
-  // The serving tier must agree with ShardedSemanticCache on where every
-  // query lives (snapshots and sim results stay comparable).
+TEST_F(ConcurrentEngineTest, ShardForFollowsPlacementAnchor) {
+  // core/placement holds the one placement decision: the engine's shard
+  // and the cluster router's ring key both come from a query's
+  // PlacementAnchor, so queries with equal anchors share an engine shard.
   ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
                                  BaseOptions());
-  ShardedCacheOptions sopts;
-  sopts.num_shards = 4;
-  ShardedSemanticCache reference(&world_.embedder, world_.judger.get(),
-                                 sopts);
+  const Tokenizer tokenizer;
+  std::unordered_map<std::string, std::size_t> shard_of_anchor;
+  std::size_t shared_anchors = 0;
   for (std::size_t topic = 0; topic < world_.universe->size(); ++topic) {
-    for (std::size_t p = 0; p < 3; ++p) {
-      const auto& q = world_.query(topic, p);
-      EXPECT_EQ(engine.ShardFor(q), reference.ShardFor(q));
+    for (const auto& q : world_.topic(topic).paraphrases) {
+      const std::size_t shard = engine.ShardFor(q);
+      EXPECT_EQ(shard, RouteToShard(world_.embedder, tokenizer, q,
+                                    engine.num_shards()));
+      const auto [it, fresh] = shard_of_anchor.emplace(
+          PlacementAnchor(world_.embedder, tokenizer, q), shard);
+      if (fresh) continue;
+      ++shared_anchors;
+      EXPECT_EQ(shard, it->second) << q;
     }
   }
+  EXPECT_GT(shared_anchors, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The engine as the sharded cache tier of the paper's Fig. 4: semantic
+// routing, the capacity split and the cross-shard aggregates.  One
+// virtual clock drives every engine here.
+
+class ShardedCacheTest : public ::testing::Test {
+ protected:
+  ShardedCacheTest() : world_(60, /*seed=*/41) {}
+
+  ConcurrentEngineOptions Options(std::size_t shards,
+                                  double capacity = 1e6) {
+    ConcurrentEngineOptions opts;
+    opts.num_shards = shards;
+    opts.cache.capacity_tokens = capacity;
+    opts.housekeeping_interval_sec = 0.0;
+    opts.clock = [this] { return now_; };
+    return opts;
+  }
+  std::unique_ptr<ConcurrentShardedEngine> MakeEngine(std::size_t shards,
+                                                      double capacity = 1e6) {
+    return std::make_unique<ConcurrentShardedEngine>(
+        &world_.embedder, world_.judger.get(), Options(shards, capacity));
+  }
+
+  InsertRequest RequestFor(std::size_t topic, std::size_t paraphrase = 0) {
+    InsertRequest req;
+    req.key = world_.query(topic, paraphrase);
+    req.value = world_.answer(topic);
+    req.staticity = world_.topic(topic).staticity;
+    req.retrieval_latency_sec = 0.4;
+    req.retrieval_cost_dollars = 0.005;
+    req.initial_frequency = 1;
+    return req;
+  }
+
+  static std::size_t ShardSize(const ConcurrentShardedEngine& engine,
+                               std::size_t shard) {
+    std::size_t size = 0;
+    Peer::InspectShard(engine, shard,
+                       [&](const SemanticCache& cache, const ShardSnapshot*) {
+                         size = cache.size();
+                       });
+    return size;
+  }
+
+  MiniWorld world_;
+  double now_ = 0.0;
+};
+
+TEST_F(ShardedCacheTest, ParaphrasesRouteToTheSameShard) {
+  auto engine = MakeEngine(8);
+  int stable_topics = 0;
+  for (std::size_t topic = 0; topic < world_.universe->size(); ++topic) {
+    std::set<std::size_t> shards;
+    for (const auto& q : world_.topic(topic).paraphrases) {
+      shards.insert(engine->ShardFor(q));
+    }
+    if (shards.size() == 1) ++stable_topics;
+  }
+  // IDF-anchored routing keeps the overwhelming majority of topics
+  // shard-stable (an occasional template word can out-weigh the entity).
+  EXPECT_GE(stable_topics,
+            static_cast<int>(world_.universe->size() * 9 / 10));
+}
+
+TEST_F(ShardedCacheTest, RoutingIsDeterministic) {
+  // Same query, same shard: on repeat calls and on a second engine.
+  auto engine = MakeEngine(4);
+  auto twin = MakeEngine(4);
+  for (std::size_t topic = 0; topic < 10; ++topic) {
+    const auto& q = world_.query(topic, 0);
+    EXPECT_EQ(engine->ShardFor(q), engine->ShardFor(q));
+    EXPECT_EQ(engine->ShardFor(q), twin->ShardFor(q));
+  }
+}
+
+TEST_F(ShardedCacheTest, LookupFindsParaphraseAcrossTheShardedTier) {
+  auto engine = MakeEngine(4);
+  int hits = 0, attempts = 0;
+  for (std::size_t topic = 0; topic < 30; ++topic) {
+    ASSERT_TRUE(engine->Insert(RequestFor(topic, 0)).has_value());
+    ++attempts;
+    now_ += 1.0;
+    if (engine->Lookup(world_.query(topic, 3))) ++hits;
+  }
+  // Same semantic behaviour as a monolithic cache for shard-stable topics.
+  EXPECT_GE(hits, attempts * 8 / 10);
+}
+
+TEST_F(ShardedCacheTest, ShardsSplitTheCapacityBudget) {
+  auto engine = MakeEngine(4, /*capacity=*/1000.0);
+  EXPECT_DOUBLE_EQ(engine->per_shard_capacity_tokens(), 250.0);
+  for (std::size_t i = 0; i < 4; ++i) {
+    Peer::InspectShard(*engine, i,
+                       [](const SemanticCache& cache, const ShardSnapshot*) {
+                         EXPECT_DOUBLE_EQ(cache.capacity_tokens(), 250.0);
+                       });
+  }
+}
+
+TEST_F(ShardedCacheTest, LoadSpreadsAcrossShards) {
+  auto engine = MakeEngine(4);
+  for (std::size_t topic = 0; topic < world_.universe->size(); ++topic) {
+    engine->Insert(RequestFor(topic));
+  }
+  // No shard should hold everything (routing is roughly balanced).
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t size = ShardSize(*engine, i);
+    EXPECT_LT(size, world_.universe->size());
+    EXPECT_GT(size, 0u);
+    sum += size;
+  }
+  EXPECT_EQ(engine->TotalSize(), sum);
+}
+
+TEST_F(ShardedCacheTest, AggregatedCountersSumShards) {
+  auto engine = MakeEngine(2);
+  engine->Insert(RequestFor(0));
+  engine->Insert(RequestFor(1));
+  now_ = 1.0;
+  engine->Lookup(world_.query(0, 1));
+  engine->Lookup(world_.query(1, 1));
+  const auto totals = engine->TotalCounters();
+  EXPECT_EQ(totals.insertions, 2u);
+  EXPECT_EQ(totals.lookups, 2u);
+  EXPECT_GE(totals.hits, 1u);
+  EXPECT_GT(engine->TotalUsageTokens(), 0.0);
+
+  CacheCounters sum;
+  double usage = 0.0;
+  for (std::size_t i = 0; i < engine->num_shards(); ++i) {
+    Peer::InspectShard(*engine, i,
+                       [&](const SemanticCache& cache, const ShardSnapshot*) {
+                         sum.insertions += cache.counters().insertions;
+                         sum.lookups += cache.counters().lookups;
+                         sum.hits += cache.counters().hits;
+                         usage += cache.usage_tokens();
+                       });
+  }
+  EXPECT_EQ(totals.insertions, sum.insertions);
+  EXPECT_EQ(totals.lookups, sum.lookups);
+  EXPECT_EQ(totals.hits, sum.hits);
+  EXPECT_DOUBLE_EQ(engine->TotalUsageTokens(), usage);
+}
+
+TEST_F(ShardedCacheTest, ContainsKeyAndExpiryWorkThroughTheRouter) {
+  ConcurrentEngineOptions opts = Options(4);
+  opts.cache.min_ttl_sec = 10.0;
+  opts.cache.max_ttl_sec = 20.0;
+  ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(), opts);
+  engine.Insert(RequestFor(0));
+  EXPECT_TRUE(engine.ContainsKey(world_.query(0, 0)));
+  now_ = 100.0;
+  EXPECT_EQ(engine.RemoveExpired(), 1u);
+  EXPECT_FALSE(engine.ContainsKey(world_.query(0, 0)));
+}
+
+TEST_F(ShardedCacheTest, SingleShardDegeneratesToMonolith) {
+  auto engine = MakeEngine(1);
+  for (std::size_t topic = 0; topic < 20; ++topic) {
+    EXPECT_EQ(engine->ShardFor(world_.query(topic, 0)), 0u);
+    engine->Insert(RequestFor(topic));
+  }
+  EXPECT_EQ(ShardSize(*engine, 0), engine->TotalSize());
+  now_ = 1.0;
+  EXPECT_TRUE(engine->Lookup(world_.query(5, 2)).has_value());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "embedding/hashed_embedder.h"
+#include "embedding/simd_kernels.h"
 #include "llm/judger_model.h"
 #include "workload/oracle.h"
 #include "workload/topic_universe.h"
@@ -49,6 +50,24 @@ struct MiniWorld {
   std::unique_ptr<GroundTruthOracle> oracle;
   HashedEmbedder embedder;
   std::unique_ptr<JudgerModel> judger;
+};
+
+// Forces a kernel variant for one scope and restores the previously active
+// one on exit, so a failing assertion cannot leak a forced variant into
+// later tests.
+class ScopedVariant {
+ public:
+  explicit ScopedVariant(simd::Variant v) : prev_(simd::ActiveVariant()) {
+    forced_ = simd::ForceVariant(v);
+  }
+  ~ScopedVariant() { simd::ForceVariant(prev_); }
+  ScopedVariant(const ScopedVariant&) = delete;
+  ScopedVariant& operator=(const ScopedVariant&) = delete;
+  bool forced() const noexcept { return forced_; }
+
+ private:
+  simd::Variant prev_;
+  bool forced_ = false;
 };
 
 }  // namespace cortex::testing

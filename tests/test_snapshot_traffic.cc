@@ -182,7 +182,7 @@ class SnapshotLifetimeTest : public ::testing::Test {
  protected:
   SnapshotLifetimeTest()
       : world_(48, /*seed=*/53),
-        writer_(world_.embedder.dimension(), RowFormat::kI8) {}
+        writer_(world_.embedder.dimension()) {}
 
   ~SnapshotLifetimeTest() override {
     delete published_.exchange(nullptr, std::memory_order_seq_cst);

@@ -11,27 +11,13 @@
 
 #include "embedding/simd_kernels.h"
 #include "embedding/vector_slab.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace cortex {
 namespace {
 
-// Restores the previously active kernel variant on scope exit so a failing
-// assertion cannot leak a forced variant into later tests.
-class ScopedVariant {
- public:
-  explicit ScopedVariant(simd::Variant v) : prev_(simd::ActiveVariant()) {
-    forced_ = simd::ForceVariant(v);
-  }
-  ~ScopedVariant() { simd::ForceVariant(prev_); }
-  ScopedVariant(const ScopedVariant&) = delete;
-  ScopedVariant& operator=(const ScopedVariant&) = delete;
-  bool forced() const noexcept { return forced_; }
-
- private:
-  simd::Variant prev_;
-  bool forced_ = false;
-};
+using cortex::testing::ScopedVariant;
 
 TEST(VectorOps, DotProduct) {
   const Vector a = {1, 2, 3};
