@@ -13,12 +13,6 @@
 //     threads hammer read-only Peek() (the lock-free snapshot probe)
 //     against a pre-populated engine at 1..16 threads.  Nothing commits,
 //     so throughput should grow with threads up to the core count.
-//   * --pipeline — the DESIGN.md §14 batching pipeline vs unbatched
-//     lookups: N concurrent clients drive the same pre-populated engine
-//     either directly (each lookup embeds + scans alone) or through
-//     serve/BatchPipeline (cross-request batches share one embed pass
-//     and one multi-query slab scan per shard).  Reports throughput and
-//     client-observed p99 for both legs;
 //   * --insert-scaling — the write path against resident size (DESIGN.md
 //     §13.3): one shard, dim 256, i8 scan.  At 1k/4k/16k/64k resident
 //     entries it times a run of new inserts and a run of dedup refreshes
@@ -32,8 +26,7 @@
 //   --json   also write BENCH_concurrency.json (the deterministic
 //            virtual-clock table in default mode; thread-scaling rows in
 //            --real-threads mode), BENCH_concurrency_probe.json
-//            (--probe-scaling), BENCH_concurrency_pipeline.json
-//            (--pipeline), or BENCH_concurrency_insert.json
+//            (--probe-scaling), or BENCH_concurrency_insert.json
 //            (--insert-scaling) for the CI bench-diff flywheel
 #include <malloc.h>
 
@@ -43,15 +36,12 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "llm/tags.h"
-#include "serve/batch_pipeline.h"
 #include "serve/concurrent_engine.h"
 #include "util/flags.h"
 #include "util/stats.h"
@@ -299,192 +289,6 @@ int ProbeScalingMain(const Flags& flags) {
   return 0;
 }
 
-// One (mode, clients) cell of the --pipeline leg: `clients` threads each
-// run `per_thread` lookups against a pre-populated engine, either direct
-// (sequential: every lookup embeds and scans alone) or through a
-// BatchPipeline (cross-request batches).  The engine is shared across
-// cells and warmed before the first cell, so every cell measures the
-// same steady state.  Returns aggregate
-// lookups/sec and fills the client-observed latency histogram.
-double RunPipelineCell(serve::ConcurrentShardedEngine& engine,
-                       const std::vector<const std::string*>& queries,
-                       bool batched, std::size_t clients,
-                       std::size_t per_thread, std::size_t max_batch,
-                       std::uint64_t window_us, std::size_t pipe_threads,
-                       Histogram* latency) {
-  serve::BatchPipelineOptions popts;
-  popts.max_batch = batched ? max_batch : 1;  // 1 = direct engine calls
-  popts.batch_window_us = window_us;
-  popts.num_threads = pipe_threads;
-  serve::BatchPipeline pipeline(&engine, popts);
-
-  struct Baseline {
-    std::uint64_t count;
-    double sum;
-  };
-  std::map<std::string, Baseline> before;
-  if (getenv("CORTEX_BENCH_DEBUG")) {
-    for (const auto& e : engine.registry()->Snapshot().entries) {
-      if (e.kind == telemetry::TelemetrySnapshot::Kind::kHistogram)
-        before[e.name] = {e.histogram.count,
-                          e.histogram.mean() * e.histogram.count};
-    }
-  }
-
-  std::mutex merge_mu;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  for (std::size_t tid = 0; tid < clients; ++tid) {
-    pool.emplace_back([&, tid] {
-      Histogram local;
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        const std::string& query = *queries[(tid * 37 + i) % queries.size()];
-        const auto q0 = std::chrono::steady_clock::now();
-        pipeline.Lookup(query);
-        local.Add(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - q0)
-                      .count());
-      }
-      std::lock_guard<std::mutex> lk(merge_mu);
-      latency->Merge(local);
-    });
-  }
-  for (auto& t : pool) t.join();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  pipeline.Drain();
-  if (getenv("CORTEX_BENCH_DEBUG")) {
-    for (const auto& e : engine.registry()->Snapshot().entries) {
-      if (e.kind != telemetry::TelemetrySnapshot::Kind::kHistogram) continue;
-      const Baseline base = before.count(e.name) ? before[e.name]
-                                                 : Baseline{0, 0.0};
-      const std::uint64_t dc = e.histogram.count - base.count;
-      if (dc == 0) continue;
-      const double dsum =
-          e.histogram.mean() * e.histogram.count - base.sum;
-      std::fprintf(stderr, "[%s clients=%zu] %s count=%llu mean=%.1fus\n",
-                   batched ? "bat" : "seq", clients, e.name.c_str(),
-                   (unsigned long long)dc, dsum / dc * 1e6);
-    }
-  }
-  const auto total = static_cast<double>(clients * per_thread);
-  return wall > 0.0 ? total / wall : 0.0;
-}
-
-int PipelineMain(const Flags& flags) {
-  const bool csv = flags.GetBool("csv", false);
-  const auto tasks = static_cast<std::size_t>(flags.GetInt("tasks", 200));
-  const auto shards = static_cast<std::size_t>(flags.GetInt("shards", 2));
-  const auto per_thread =
-      static_cast<std::size_t>(flags.GetInt("lookups-per-thread", 400));
-  const auto max_batch =
-      static_cast<std::size_t>(flags.GetInt("max-pipeline-batch", 8));
-  const auto window_us =
-      static_cast<std::uint64_t>(flags.GetInt("batch-window-us", 200));
-  const auto pipe_threads =
-      static_cast<std::size_t>(flags.GetInt("pipeline-threads", 2));
-  // Batching targets the scan, so this leg widens the topic universe
-  // (default 12000 vs Musique's 250): several thousand resident rows per
-  // shard make the i8 scan the dominant per-lookup cost, the work the mq
-  // kernels' read-the-slab-once-per-batch amortization is meant to cut.
-  const auto topics =
-      static_cast<std::size_t>(flags.GetInt("topics", 12000));
-
-  auto profile = SearchDatasetProfile::Musique();
-  profile.num_tasks = tasks;
-  profile.universe.num_topics = topics;
-  const WorkloadBundle bundle = BuildSkewedSearchWorkload(profile);
-
-  HashedEmbedder embedder;
-  embedder.FitIdf(bundle.AllQueries());
-  JudgerModel judger(bundle.oracle.get());
-
-  // One shared engine for every cell, so no cell probes cold pages.
-  serve::ConcurrentEngineOptions opts;
-  opts.num_shards = shards;
-  opts.cache.capacity_tokens = bundle.TotalKnowledgeTokens();  // no eviction
-  opts.housekeeping_interval_sec = 0.0;
-  serve::ConcurrentShardedEngine engine(&embedder, &judger, opts);
-
-  std::vector<const std::string*> queries;
-  for (const auto& task : bundle.tasks) {
-    for (const auto& step : task.steps) queries.push_back(&step.query);
-  }
-  // Seed the WHOLE topic universe (not just the task queries) so every
-  // lookup scans the full resident set.
-  for (const auto& topic : bundle.universe->topics()) {
-    InsertRequest req;
-    req.key = topic.paraphrases.front();
-    req.value = topic.answer;
-    req.staticity = topic.staticity;
-    req.initial_frequency = 1;
-    engine.Insert(std::move(req));
-  }
-  // Warm pass: fault in the slab, settle recalibration and frequency
-  // state, so the first timed cell sees the same steady state as the
-  // last.
-  for (const std::string* q : queries) engine.Lookup(*q);
-
-  std::cout << "=== pipeline batching (DESIGN.md §14): batched vs"
-               " sequential lookups, "
-            << shards << " shards, max_batch=" << max_batch << ", window="
-            << window_us << "us, " << per_thread
-            << " lookups/client ===\n\n";
-
-  struct Row {
-    std::size_t clients;
-    double seq_tput, bat_tput, speedup, seq_p99_ms, bat_p99_ms;
-  };
-  std::vector<Row> rows;
-  TextTable table({"clients", "sequential (req/s)", "batched (req/s)",
-                   "speedup", "seq p99 (ms)", "batched p99 (ms)"});
-  for (const std::size_t c :
-       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    Histogram seq_lat, bat_lat;
-    const double seq =
-        RunPipelineCell(engine, queries, /*batched=*/false, c, per_thread,
-                        max_batch, window_us, pipe_threads, &seq_lat);
-    const double bat =
-        RunPipelineCell(engine, queries, /*batched=*/true, c, per_thread,
-                        max_batch, window_us, pipe_threads, &bat_lat);
-    const double speedup = seq > 0.0 ? bat / seq : 0.0;
-    rows.push_back({c, seq, bat, speedup, seq_lat.p99() * 1e3,
-                    bat_lat.p99() * 1e3});
-    table.AddRow({std::to_string(c), TextTable::Num(seq),
-                  TextTable::Num(bat), TextTable::Num(speedup, 2) + "x",
-                  TextTable::Num(seq_lat.p99() * 1e3, 3),
-                  TextTable::Num(bat_lat.p99() * 1e3, 3)});
-  }
-  table.Print(std::cout, csv);
-  if (flags.GetBool("json", false)) {
-    std::ofstream out("BENCH_concurrency_pipeline.json");
-    out << "{\n  \"benchmark\": \"concurrency_pipeline\",\n  \"shards\": "
-        << shards << ",\n  \"tasks\": " << tasks
-        << ",\n  \"max_batch\": " << max_batch
-        << ",\n  \"batch_window_us\": " << window_us
-        << ",\n  \"results\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      out << "    {\"clients\": " << rows[i].clients
-          << ", \"sequential_throughput_rps\": " << rows[i].seq_tput
-          << ", \"batched_throughput_rps\": " << rows[i].bat_tput
-          << ", \"batched_speedup\": " << rows[i].speedup
-          << ", \"sequential_p99_latency_ms\": " << rows[i].seq_p99_ms
-          << ", \"batched_p99_latency_ms\": " << rows[i].bat_p99_ms << "}"
-          << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cout << "wrote BENCH_concurrency_pipeline.json\n";
-  }
-  std::cout << "\nexpected shape: the batched leg serves below the"
-               " sequential one at every client count (about 0.3-0.8x on"
-               " the committed Release run); sequential throughput grows"
-               " with clients while batched throughput stays roughly flat;"
-               " at 8 clients the batched p99 is no worse than sequential's"
-               " (the flush window bounds it).\n";
-  return 0;
-}
-
 // Bytes the allocator has handed out and not yet taken back (glibc).
 double HeapInUse() {
   const struct mallinfo2 m = mallinfo2();
@@ -650,9 +454,6 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   if (flags.GetBool("insert-scaling", false)) {
     return InsertScalingMain(flags);
-  }
-  if (flags.GetBool("pipeline", false)) {
-    return PipelineMain(flags);
   }
   if (flags.GetBool("probe-scaling", false)) {
     return ProbeScalingMain(flags);

@@ -101,8 +101,6 @@ leg_bench() {
     ./bench/bench_concurrency --json --tasks=300 >/dev/null &&
     ./bench/bench_concurrency --json --probe-scaling --tasks=120 \
       --lookups-per-thread=1000 >/dev/null &&
-    ./bench/bench_concurrency --json --pipeline --tasks=200 \
-      --lookups-per-thread=250 >/dev/null &&
     ./bench/bench_concurrency --json --insert-scaling >/dev/null &&
     ./bench/bench_ann --json >/dev/null &&
     ./bench/bench_cluster --json --tasks=120 --threads=4 >/dev/null &&
@@ -110,8 +108,8 @@ leg_bench() {
       --repeats=2 >/dev/null &&
     ./bench/bench_sharding --json >/dev/null)
   local b
-  for b in vector_ops concurrency concurrency_probe concurrency_pipeline \
-           concurrency_insert ann cluster telemetry sharding; do
+  for b in vector_ops concurrency concurrency_probe concurrency_insert \
+           ann cluster telemetry sharding; do
     python3 scripts/bench_diff.py "BENCH_${b}.json" \
       "$CI_DIR/gcc-release/BENCH_${b}.json"
   done
@@ -138,13 +136,13 @@ leg_asan() {
   # the full sweep — they are the likeliest sanitizer tripwires.
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir "$CI_DIR/asan-ubsan" --output-on-failure \
-      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic|SnapshotLifetime'
+      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|SnapshotTraffic|SnapshotLifetime'
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     run_ctest "$CI_DIR/asan-ubsan"
 }
 
 leg_tsan() {
-  scripts/tsan.sh -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|BatchPipeline|SnapshotTraffic|SnapshotLifetime'
+  scripts/tsan.sh -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|SnapshotTraffic|SnapshotLifetime'
   scripts/tsan.sh
 }
 

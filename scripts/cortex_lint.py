@@ -21,11 +21,10 @@ Rules (see DESIGN.md §7):
               runtime-dispatched kernel layer (embedding/simd_kernels.h) so
               CORTEX_SIMD pinning and the scalar CI leg stay meaningful.
   gpu-choke-point
-              no direct BatchingServer use outside src/gpu/ and
-              serve/batch_pipeline.* — every judger admission from the
-              serving tier goes through the batching pipeline's single
-              dispatch point (DESIGN.md §14), so batch occupancy and queue
-              delay stay observable and arrivals stay non-decreasing.
+              no direct BatchingServer use outside src/gpu/ — the judger
+              partition model is driven by the simulator's GPU layer
+              alone; the serving tier answers lookups on its connection
+              workers and admits nothing to it (DESIGN.md §14).
               (BatchingServerOptions is plain config and may be plumbed
               anywhere.)
 
@@ -67,13 +66,9 @@ def _outside_simd_kernel_layer(path: Path) -> bool:
 
 
 def _outside_gpu_choke_point(path: Path) -> bool:
-    """True everywhere except src/gpu/ (the model's home) and
-    serve/batch_pipeline.{h,cc} (the serving tier's single dispatch
-    point)."""
+    """True everywhere except src/gpu/ (the model's home)."""
     posix = path.as_posix()
-    if "/gpu/" in posix or posix.startswith("gpu/"):
-        return False
-    return not path.name.startswith("batch_pipeline")
+    return not ("/gpu/" in posix or posix.startswith("gpu/"))
 
 
 # (rule, pattern, hint, path_predicate) — predicate None means "all files".
@@ -124,9 +119,8 @@ RULES = [
     (
         "gpu-choke-point",
         re.compile(r"\bBatchingServer\b(?!Options)"),
-        "direct BatchingServer use outside the batching pipeline: judger "
-        "admission goes through serve/batch_pipeline's single dispatch "
-        "point (DESIGN.md §14)",
+        "direct BatchingServer use outside src/gpu/: the judger partition "
+        "model belongs to the GPU layer (DESIGN.md §14)",
         _outside_gpu_choke_point,
     ),
 ]

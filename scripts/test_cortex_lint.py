@@ -61,14 +61,16 @@ class RuleFiringTest(unittest.TestCase):
         self.assertEqual(
             lint_text(src, "src/embedding/simd_kernels.cc"), [])
 
-    def test_gpu_choke_point_fires_outside_pipeline(self):
+    def test_gpu_choke_point_fires_outside_gpu(self):
         src = "BatchingServer gpu_;\ngpu_.Dispatch(now, cost);\n"
         out = lint_text(src, "src/serve/server.cc")
         self.assertEqual(len(out), 1)
         self.assertIn("[gpu-choke-point]", out[0])
-        # The sanctioned homes: the model's own layer and the pipeline.
+        # The former pipeline file has no exemption left.
+        self.assertEqual(
+            len(lint_text(src, "src/serve/batch_pipeline.cc")), 1)
+        # The one sanctioned home: the model's own layer.
         self.assertEqual(lint_text(src, "src/gpu/batching_server.cc"), [])
-        self.assertEqual(lint_text(src, "src/serve/batch_pipeline.cc"), [])
 
     def test_gpu_choke_point_ignores_options_plumbing(self):
         # BatchingServerOptions is plain config and may travel anywhere.

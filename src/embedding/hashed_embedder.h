@@ -49,9 +49,9 @@ class HashedEmbedder final : public Embedder {
   // written floats are bit-identical to an Embed() of the same text.
   void EmbedInto(std::string_view text, std::span<float> out) const;
 
-  // Batched embedding for the cross-request pipeline (DESIGN.md §14):
-  // row q lands at out + q*stride (stride >= dimension(), in elements).
-  // Each row is bit-identical to Embed(texts[q]).
+  // Batched embedding into one matrix: row q lands at out + q*stride
+  // (stride >= dimension(), in elements).  Each row is bit-identical to
+  // Embed(texts[q]).
   void EmbedBatch(std::span<const std::string_view> texts, float* out,
                   std::size_t stride) const;
 

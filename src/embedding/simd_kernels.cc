@@ -155,24 +155,11 @@ void DotRowsMqScalar(const float* queries, std::size_t nq,
   }
 }
 
-void DotRowsI8MqScalar(const std::int8_t* queries, const float* query_scales,
-                       std::size_t nq, std::size_t qstride,
-                       const std::int8_t* const* rows, const float* scales,
-                       std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumScalar(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kScalarKernels = {
     DotScalar,        L2SqScalar,       DotBatchScalar,
     DotRowsScalar,    L2SqBatchScalar,  DotBatchI8Scalar,
     DotRowsI8Scalar,  DotBatchMqScalar, L2SqBatchMqScalar,
-    DotRowsMqScalar,  DotRowsI8MqScalar,
+    DotRowsMqScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -311,8 +298,6 @@ void L2SqBatchAvx2(const float* query, const float* rows, std::size_t n,
   }
 }
 
-// Integer int8 dot: widen to i16, VPMADDWD pairs into i32 lanes.  Exact,
-// so it agrees bit-for-bit with DotI8SumScalar.
 CORTEX_TARGET_AVX2 inline std::int32_t HSumI32x8(__m256i v) {
   __m128i lo = _mm256_castsi256_si128(v);
   const __m128i hi = _mm256_extracti128_si256(v, 1);
@@ -322,17 +307,36 @@ CORTEX_TARGET_AVX2 inline std::int32_t HSumI32x8(__m256i v) {
   return _mm_cvtsi128_si32(lo);
 }
 
+// Integer int8 dot in 32-byte steps without widening either operand:
+// VPSIGNB moves the query's sign onto the row (zeroing it where q == 0),
+// so VPMADDUBSW can multiply |q| (unsigned) by the signed row and add
+// adjacent products into i16 lanes, and VPMADDWD by ones widens the pairs
+// into i32.  Entries lie in [-127, 127] (QuantizeRowI8 clamps), so a pair
+// sum is at most 2 * 127 * 127 = 32258 and never saturates: the result is
+// exact and agrees bit-for-bit with DotI8SumScalar.
 CORTEX_TARGET_AVX2 std::int32_t DotI8SumAvx2(const std::int8_t* a,
                                              const std::int8_t* b,
                                              std::size_t dim) {
+  const __m256i ones = _mm256_set1_epi16(1);
   __m256i acc = _mm256_setzero_si256();
   std::size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
+  for (; i + 32 <= dim; i += 32) {
+    const __m256i av =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    const __m256i bv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+    const __m256i pairs =
+        _mm256_maddubs_epi16(_mm256_abs_epi8(av), _mm256_sign_epi8(bv, av));
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
+  }
+  // A 16-byte remainder widens to i16 instead (dims such as 48 or 80).
+  if (i + 16 <= dim) {
     const __m256i av = _mm256_cvtepi8_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
     const __m256i bv = _mm256_cvtepi8_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
+    i += 16;
   }
   std::int32_t sum = HSumI32x8(acc);
   for (; i < dim; ++i) {
@@ -420,25 +424,11 @@ void DotRowsMqAvx2(const float* queries, std::size_t nq, std::size_t qstride,
   }
 }
 
-void DotRowsI8MqAvx2(const std::int8_t* queries, const float* query_scales,
-                     std::size_t nq, std::size_t qstride,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumAvx2(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kAvx2Kernels = {
     DotAvx2,        L2SqAvx2,       DotBatchAvx2,
     DotRowsAvx2,    L2SqBatchAvx2,  DotBatchI8Avx2,
     DotRowsI8Avx2,  DotBatchMqAvx2, L2SqBatchMqAvx2,
-    DotRowsMqAvx2,  DotRowsI8MqAvx2,
+    DotRowsMqAvx2,
 };
 
 #endif  // CORTEX_SIMD_HAVE_X86
@@ -640,25 +630,11 @@ void DotRowsMqNeon(const float* queries, std::size_t nq, std::size_t qstride,
   }
 }
 
-void DotRowsI8MqNeon(const std::int8_t* queries, const float* query_scales,
-                     std::size_t nq, std::size_t qstride,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows[i + 1], dim);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          DescaleI8(query_scales[q], scales[i],
-                    DotI8SumNeon(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kNeonKernels = {
     DotNeon,        L2SqNeon,       DotBatchNeon,
     DotRowsNeon,    L2SqBatchNeon,  DotBatchI8Neon,
     DotRowsI8Neon,  DotBatchMqNeon, L2SqBatchMqNeon,
-    DotRowsMqNeon,  DotRowsI8MqNeon,
+    DotRowsMqNeon,
 };
 
 #endif  // CORTEX_SIMD_HAVE_NEON
@@ -716,6 +692,36 @@ float QuantizeRowI8(std::span<const float> v, std::int8_t* out) noexcept {
     out[i] = static_cast<std::int8_t>(std::clamp<long>(q, -127, 127));
   }
   return amax / 127.0f;
+}
+
+void ExactDotRows(const float* query, const float* const* rows,
+                  std::size_t n, std::size_t dim, double* out) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const char* row = reinterpret_cast<const char*>(rows[i]);
+    for (std::size_t off = 0; off < dim * sizeof(float); off += 64) {
+      __builtin_prefetch(row + off);
+    }
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* const r0 = rows[i];
+    const float* const r1 = rows[i + 1];
+    const float* const r2 = rows[i + 2];
+    const float* const r3 = rows[i + 3];
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t k = 0; k < dim; ++k) {
+      const double q = static_cast<double>(query[k]);
+      a0 += q * static_cast<double>(r0[k]);
+      a1 += q * static_cast<double>(r1[k]);
+      a2 += q * static_cast<double>(r2[k]);
+      a3 += q * static_cast<double>(r3[k]);
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
+  }
+  for (; i < n; ++i) out[i] = DotScalar(query, rows[i], dim);
 }
 
 const char* VariantName(Variant v) noexcept {

@@ -58,9 +58,11 @@ struct KernelSet {
 
   // Quantized scan-tier kernels (DESIGN.md §13).  int8 rows use symmetric
   // per-row scales (row = scale * q[0..dim)); the query is pre-quantized
-  // once per probe with QuantizeRowI8.  The integer dot is exact (i32
-  // accumulation, no overflow below dim ~1.3e5), so int8 scores are
-  // bit-identical across every variant.
+  // once per probe with QuantizeRowI8.  Every entry must lie in
+  // [-127, 127], as QuantizeRowI8 guarantees: the AVX2 kernel's i16 pair
+  // sums rely on it.  The integer dot is exact (i32 accumulation, no
+  // overflow below dim ~1.3e5), so int8 scores are bit-identical across
+  // every variant.
   void (*dot_batch_i8)(const std::int8_t* query, float query_scale,
                        const std::int8_t* rows, const float* scales,
                        std::size_t n, std::size_t stride, std::size_t dim,
@@ -69,10 +71,10 @@ struct KernelSet {
                       const std::int8_t* const* rows, const float* scales,
                       std::size_t n, std::size_t dim, float* out);
 
-  // Multi-query (mq) kernels for the cross-request batching pipeline
-  // (DESIGN.md §14): score `nq` queries — query q at queries + q*qstride,
-  // qstride in elements — against the same n rows in one pass, writing
-  // out[q*n + i].  Rows iterate in the OUTER loop (same block boundaries
+  // Multi-query (mq) kernels for the batched ANN searches
+  // (FlatIndex::SearchBatch, IvfIndex::SearchBatch): score `nq` queries —
+  // query q at queries + q*qstride, qstride in elements — against the
+  // same n rows in one pass, writing out[q*n + i].  Rows iterate in the OUTER loop (same block boundaries
   // as the single-query kernels) with queries inner, so each row block is
   // read from memory once per BATCH instead of once per query.  The
   // per-(query,row) arithmetic reuses the single-query primitives
@@ -87,11 +89,6 @@ struct KernelSet {
   void (*dot_rows_mq)(const float* queries, std::size_t nq,
                       std::size_t qstride, const float* const* rows,
                       std::size_t n, std::size_t dim, float* out);
-  void (*dot_rows_i8_mq)(const std::int8_t* queries,
-                         const float* query_scales, std::size_t nq,
-                         std::size_t qstride, const std::int8_t* const* rows,
-                         const float* scales, std::size_t n, std::size_t dim,
-                         float* out);
 };
 
 // ---------------------------------------------------------------------------
@@ -102,6 +99,15 @@ struct KernelSet {
 // clamped to [-127, 127]; returns the scale (amax / 127, or 0 for an
 // all-zero row — the dot of a zero-scale row is exactly 0).
 float QuantizeRowI8(std::span<const float> v, std::int8_t* out) noexcept;
+
+// Exact rerank: out[i] = KernelsFor(Variant::kScalar).dot(query, rows[i],
+// dim) bit for bit — each row accumulates in double in index order, the
+// same operations in the same order.  Rows run four at a time as
+// independent chains, so their adds overlap instead of waiting on one
+// another, and every row is prefetched first: rerank rows are scattered
+// and usually cold.  Variant-independent, like the scalar table.
+void ExactDotRows(const float* query, const float* const* rows,
+                  std::size_t n, std::size_t dim, double* out) noexcept;
 
 // True when `v` is both compiled into this binary and runnable on this CPU.
 bool VariantSupported(Variant v) noexcept;
@@ -204,14 +210,6 @@ inline void DotRowsMq(const float* queries, std::size_t nq,
                       std::size_t qstride, const float* const* rows,
                       std::size_t n, std::size_t dim, float* out) noexcept {
   ActiveKernels().dot_rows_mq(queries, nq, qstride, rows, n, dim, out);
-}
-
-inline void DotRowsI8Mq(const std::int8_t* queries, const float* query_scales,
-                        std::size_t nq, std::size_t qstride,
-                        const std::int8_t* const* rows, const float* scales,
-                        std::size_t n, std::size_t dim, float* out) noexcept {
-  ActiveKernels().dot_rows_i8_mq(queries, query_scales, nq, qstride, rows,
-                                 scales, n, dim, out);
 }
 
 }  // namespace cortex::simd

@@ -16,14 +16,6 @@ namespace cortex::serve {
 
 namespace {
 
-// Rounds `p` up to the next 64-byte boundary (the over-allocation in the
-// batch matrices leaves room for this).
-float* AlignTo64(float* p) noexcept {
-  auto v = reinterpret_cast<std::uintptr_t>(p);
-  v = (v + 63) & ~static_cast<std::uintptr_t>(63);
-  return reinterpret_cast<float*>(v);
-}
-
 std::function<double()> WallClockSinceNow() {
   const auto start = std::chrono::steady_clock::now();
   return [start] {
@@ -61,6 +53,9 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   housekeeping_runs_ =
       registry_->GetCounter("cortex_engine_housekeeping_runs");
   recalibrations_ = registry_->GetCounter("cortex_engine_recalibrations");
+  rows_scanned_ = registry_->GetCounter("cortex_engine_rows_scanned");
+  rerank_candidates_ =
+      registry_->GetCounter("cortex_engine_rerank_candidates");
   probe_seconds_ = registry_->GetHistogram("cortex_engine_probe_seconds");
   commit_seconds_ = registry_->GetHistogram("cortex_engine_commit_seconds");
   insert_seconds_ = registry_->GetHistogram("cortex_engine_insert_seconds");
@@ -178,7 +173,7 @@ void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
 
 SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
     Shard& shard, std::string_view query, double now, std::string_view tenant,
-    ProbeTiming* timing) {
+    ProbeTiming* timing, ProbeWork* work) {
   // Embed outside the epoch section — it needs no shard state.  Timing is
   // collected only when a trace asked for it; the untimed path (Peek, and
   // every probe-scaling bench iteration) runs clock-free.
@@ -205,7 +200,9 @@ SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
       if (timed) timing->ann_seconds = telemetry::WallSeconds() - scan_t0;
       return result;
     }
-    SnapshotScanRank(*snap, query_embedding, scratch);
+    const std::size_t reranked =
+        SnapshotScanRank(*snap, query_embedding, scratch);
+    if (work != nullptr) *work = {snap->size(), reranked};
     if (timed) {
       judge_t0 = telemetry::WallSeconds();
       timing->ann_seconds = judge_t0 - scan_t0;
@@ -221,33 +218,50 @@ SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
 std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
                                                       std::string_view tenant) {
   Shard& shard = *shards_[ShardFor(query)];
-  return LockFreeProbe(shard, query, clock_(), tenant, nullptr).hit;
+  return LockFreeProbe(shard, query, clock_(), tenant, nullptr, nullptr).hit;
 }
 
-void ConcurrentShardedEngine::CommitLocked(
-    Shard& shard, const SemanticCache::LookupResult& result,
-    std::string_view query, double now) {
-  // The matched SE may have been evicted since the probe — CommitLookup
-  // tolerates that, and the hit already copied still serves the client.
-  shard.cache->CommitLookup(result, now);
-  // Log every judged candidate so recalibration sees scores on both
-  // sides of the threshold (same policy as CortexEngine::Lookup).
-  for (const auto& judged : result.sine.judged) {
-    if (const SemanticElement* se = shard.cache->Get(judged.id)) {
-      shard.recalibrator.LogJudgment(
-          {std::string(query), se->key, se->value, judged.judger_score});
+std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
+    std::string_view query, telemetry::RequestTrace* trace,
+    std::string_view tenant) {
+  const std::size_t shard_idx = ShardFor(query);
+  Shard& shard = *shards_[shard_idx];
+  const double now = clock_();
+
+  // Probe (scan + judger — the expensive part) never blocks on the shard
+  // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
+  // only collected when a trace wants it.
+  ProbeTiming timing;
+  ProbeWork work;
+  const double probe_t0 = telemetry::WallSeconds();
+  SemanticCache::LookupResult result =
+      LockFreeProbe(shard, query, now, tenant,
+                    trace != nullptr ? &timing : nullptr, &work);
+  const double commit_t0 = telemetry::WallSeconds();
+
+  // Commit (frequency bump, judgment log) is cheap; upgrade to the
+  // exclusive lock.
+  {
+    WriterLock lock(shard.mu);
+    // The matched SE may have been evicted since the probe — CommitLookup
+    // tolerates that, and the hit already copied still serves the client.
+    shard.cache->CommitLookup(result, now);
+    // Log every judged candidate so recalibration sees scores on both
+    // sides of the threshold (same policy as CortexEngine::Lookup).
+    for (const auto& judged : result.sine.judged) {
+      if (const SemanticElement* se = shard.cache->Get(judged.id)) {
+        shard.recalibrator.LogJudgment(
+            {std::string(query), se->key, se->value, judged.judger_score});
+      }
     }
   }
-}
+  const double commit_seconds = telemetry::WallSeconds() - commit_t0;
 
-void ConcurrentShardedEngine::AccountLookup(
-    std::size_t shard_idx, const SemanticCache::LookupResult& result,
-    std::string_view tenant, const LookupTiming& timing,
-    telemetry::RequestTrace* trace) {
-  probe_seconds_->Observe(timing.probe_seconds);
-  commit_seconds_->Observe(timing.commit_seconds);
+  probe_seconds_->Observe(commit_t0 - probe_t0);
+  commit_seconds_->Observe(commit_seconds);
   lookups_->Inc();
-  Shard& shard = *shards_[shard_idx];
+  rows_scanned_->Inc(work.rows_scanned);
+  rerank_candidates_->Inc(work.rerank_candidates);
   if (result.hit) {
     hits_->Inc();
     shard.hits->Inc();
@@ -269,183 +283,17 @@ void ConcurrentShardedEngine::AccountLookup(
     trace->shard = static_cast<std::uint32_t>(shard_idx);
     // Probe sub-phases run back-to-back; reconstruct their starts by
     // accumulation from the probe start.
-    const ProbeTiming& p = timing.probe;
-    double t = timing.probe_start;
-    trace->AddSpan(telemetry::TracePhase::kEmbed, t, p.embed_seconds);
-    t += p.embed_seconds;
-    trace->AddSpan(telemetry::TracePhase::kAnnProbe, t, p.ann_seconds);
-    t += p.ann_seconds;
-    if (p.judger_seconds > 0.0) {
-      trace->AddSpan(telemetry::TracePhase::kJudger, t, p.judger_seconds);
+    double t = probe_t0;
+    trace->AddSpan(telemetry::TracePhase::kEmbed, t, timing.embed_seconds);
+    t += timing.embed_seconds;
+    trace->AddSpan(telemetry::TracePhase::kAnnProbe, t, timing.ann_seconds);
+    t += timing.ann_seconds;
+    if (timing.judger_seconds > 0.0) {
+      trace->AddSpan(telemetry::TracePhase::kJudger, t, timing.judger_seconds);
     }
-    trace->AddSpan(telemetry::TracePhase::kCommit,
-                   timing.probe_start + timing.probe_seconds,
-                   timing.commit_seconds);
+    trace->AddSpan(telemetry::TracePhase::kCommit, commit_t0, commit_seconds);
   }
-}
-
-std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
-    std::string_view query, telemetry::RequestTrace* trace,
-    std::string_view tenant) {
-  const std::size_t shard_idx = ShardFor(query);
-  Shard& shard = *shards_[shard_idx];
-  const double now = clock_();
-
-  // Probe (scan + judger — the expensive part) never blocks on the shard
-  // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
-  // only collected when a trace wants it.
-  LookupTiming timing;
-  timing.probe_start = telemetry::WallSeconds();
-  SemanticCache::LookupResult result = LockFreeProbe(
-      shard, query, now, tenant, trace != nullptr ? &timing.probe : nullptr);
-  const double commit_t0 = telemetry::WallSeconds();
-  timing.probe_seconds = commit_t0 - timing.probe_start;
-
-  // Commit (frequency bump, judgment log) is cheap; upgrade to the
-  // exclusive lock.
-  {
-    WriterLock lock(shard.mu);
-    CommitLocked(shard, result, query, now);
-  }
-  timing.commit_seconds = telemetry::WallSeconds() - commit_t0;
-  AccountLookup(shard_idx, result, tenant, timing, trace);
   return result.hit;
-}
-
-void ConcurrentShardedEngine::LookupBatch(
-    std::span<BatchLookupRequest> batch) {
-  if (batch.empty()) return;
-  if (batch.size() == 1) {
-    // One element gains nothing from batching.
-    batch[0].hit = Lookup(batch[0].query, batch[0].trace, batch[0].tenant);
-    return;
-  }
-
-  const double now = clock_();
-  const std::size_t nq = batch.size();
-  const std::size_t dim = embedder_->dimension();
-  // Row stride rounded to 16 floats so every row of a 64-byte-aligned
-  // matrix starts on a cache line.
-  const std::size_t qstride = (dim + 15) & ~static_cast<std::size_t>(15);
-
-  // ---- Stage 1a: one embedding pass into the aligned query matrix.
-  thread_local std::vector<float> matrix_storage;
-  thread_local std::vector<std::string_view> texts;
-  matrix_storage.resize(nq * qstride + 16);
-  float* const matrix = AlignTo64(matrix_storage.data());
-  texts.clear();
-  for (const BatchLookupRequest& r : batch) texts.push_back(r.query);
-  const double embed_t0 = telemetry::WallSeconds();
-  embedder_->EmbedBatch(texts, matrix, qstride);
-  const double embed_share =
-      (telemetry::WallSeconds() - embed_t0) / static_cast<double>(nq);
-
-  // ---- Group request indices by shard.
-  thread_local std::vector<std::vector<std::uint32_t>> groups;
-  thread_local std::vector<std::uint32_t> request_shard;
-  groups.resize(shards_.size());
-  for (auto& g : groups) g.clear();
-  request_shard.resize(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t s = ShardFor(batch[i].query);
-    request_shard[i] = static_cast<std::uint32_t>(s);
-    groups[s].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // ---- Stages 1b + 2 under ONE epoch guard.  Per shard, the multi-query
-  // scan (slab bytes read once per batch) plus each query's exact rerank;
-  // then every request is judged in batch order over the borrowed records
-  // with the same SnapshotJudge the sequential probe runs, so verdicts and
-  // hit decisions are identical.  The judger is a pure in-process model,
-  // so holding the guard across it is cheap (as in LockFreeProbe).
-  std::vector<SemanticCache::LookupResult> results(nq);
-  std::vector<double> ann_share(nq, 0.0);
-  thread_local std::vector<const ShardSnapshot*> snaps;
-  thread_local std::vector<std::vector<RankedCandidate>> ranked;
-  thread_local std::vector<float> group_storage;
-  thread_local std::vector<float> sims;
-  thread_local ProbeScratch scratch;
-  snaps.assign(shards_.size(), nullptr);
-  ranked.resize(std::max(ranked.size(), nq));
-  {
-    EpochReadGuard guard(epoch_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& group = groups[s];
-      if (group.empty()) continue;
-      const double scan_t0 = telemetry::WallSeconds();
-      const ShardSnapshot* snap =
-          shards_[s]->snapshot.load(std::memory_order_seq_cst);
-      snaps[s] = snap;
-      if (snap != nullptr) {
-        const std::size_t gn = group.size();
-        group_storage.resize(gn * qstride + 16);
-        float* const gq = AlignTo64(group_storage.data());
-        for (std::size_t j = 0; j < gn; ++j) {
-          std::copy_n(matrix + group[j] * qstride, dim, gq + j * qstride);
-        }
-        const std::size_t n = snap->size();
-        sims.resize(gn * n);
-        SnapshotScanMq(*snap, gq, gn, qstride, scratch, sims.data());
-        for (std::size_t j = 0; j < gn; ++j) {
-          SnapshotRankFromSims(
-              *snap, std::span<const float>(gq + j * qstride, dim),
-              sims.data() + j * n, scratch);
-          ranked[group[j]].assign(scratch.ranked.begin(),
-                                  scratch.ranked.end());
-        }
-      }
-      const double scan_share = (telemetry::WallSeconds() - scan_t0) /
-                                static_cast<double>(group.size());
-      for (const std::uint32_t i : group) ann_share[i] = scan_share;
-    }
-
-    for (std::size_t i = 0; i < nq; ++i) {
-      BatchLookupRequest& r = batch[i];
-      Vector query_embedding(matrix + i * qstride, matrix + i * qstride + dim);
-      const double judge_t0 = telemetry::WallSeconds();
-      if (const ShardSnapshot* snap = snaps[request_shard[i]]) {
-        results[i] = SnapshotJudge(ranked[i], snap->sine,
-                                   std::move(query_embedding), r.query, now,
-                                   r.tenant, judger_);
-      } else {
-        results[i].query_embedding = std::move(query_embedding);
-      }
-      r.judger_seconds = telemetry::WallSeconds() - judge_t0;
-      r.judger_calls = results[i].sine.judger_calls;
-    }
-  }
-
-  // ---- Commit per shard: one exclusive section per PROBED SHARD instead
-  // of one per request, members in request order.
-  std::vector<double> commit_share(nq, 0.0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const auto& group = groups[s];
-    if (group.empty()) continue;
-    Shard& shard = *shards_[s];
-    const double commit_t0 = telemetry::WallSeconds();
-    {
-      WriterLock lock(shard.mu);
-      for (const std::uint32_t i : group) {
-        CommitLocked(shard, results[i], batch[i].query, now);
-      }
-    }
-    const double share = (telemetry::WallSeconds() - commit_t0) /
-                         static_cast<double>(group.size());
-    for (const std::uint32_t i : group) commit_share[i] = share;
-  }
-
-  // ---- Per-request accounting, the same as Lookup's over each request's
-  // share of the batch's embed, scan and commit time.
-  for (std::size_t i = 0; i < nq; ++i) {
-    BatchLookupRequest& r = batch[i];
-    LookupTiming timing;
-    timing.probe_start = embed_t0;
-    timing.probe = {embed_share, ann_share[i], r.judger_seconds};
-    timing.probe_seconds = embed_share + ann_share[i] + r.judger_seconds;
-    timing.commit_seconds = commit_share[i];
-    AccountLookup(request_shard[i], results[i], r.tenant, timing, r.trace);
-    r.hit = std::move(results[i].hit);
-  }
 }
 
 std::optional<SeId> ConcurrentShardedEngine::Insert(

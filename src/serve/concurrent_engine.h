@@ -36,7 +36,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
@@ -102,21 +101,6 @@ struct ConcurrentEngineStats {
   std::uint64_t recalibrations = 0;   // per-shard recalibration rounds run
 };
 
-// One request in a cross-request lookup batch (DESIGN.md §14).  `query`
-// and `tenant` are borrowed for the duration of the LookupBatch call;
-// the remaining fields are outputs.
-struct BatchLookupRequest {
-  std::string_view query;
-  std::string_view tenant;
-  telemetry::RequestTrace* trace = nullptr;
-
-  std::optional<CacheHit> hit;
-  // Judger-stage accounting for the batching pipeline's gpu admission:
-  // verdicts this request consumed and the wall time they took.
-  std::size_t judger_calls = 0;
-  double judger_seconds = 0.0;
-};
-
 // ---------------------------------------------------------------------------
 // Engine-snapshot blob helpers for peers that hold no engine.  The cluster
 // router filters a migration stream by ring ownership: it iterates a node's
@@ -154,18 +138,6 @@ class ConcurrentShardedEngine {
   std::optional<CacheHit> Lookup(std::string_view query,
                                  telemetry::RequestTrace* trace = nullptr,
                                  std::string_view tenant = {});
-
-  // Batched lookup (the pipeline's engine entry point, DESIGN.md §14):
-  // embeds every query in one pass into a contiguous 64-byte-aligned
-  // matrix, scans each probed shard's snapshot ONCE for all of its
-  // queries with the multi-query kernels under a single EpochReadGuard,
-  // judges stage-2 verdicts back-to-back, then commits per shard in
-  // request order.  Every request's hit/miss, similarities, verdicts,
-  // and tenant visibility are identical to calling Lookup sequentially
-  // (same snapshot, same exact-rerank, same stage-2 walk; commits do not
-  // change probe-relevant state).  A one-element batch degenerates to a
-  // Lookup call.
-  void LookupBatch(std::span<BatchLookupRequest> batch);
 
   // Read-only lookup: the same two-stage probe, but nothing commits — no
   // frequency bump, no judgment log, no stats.  It touches no shard mutex
@@ -309,37 +281,23 @@ class ConcurrentShardedEngine {
     double ann_seconds = 0.0;
     double judger_seconds = 0.0;
   };
-  // Wall-clock layout of one committed lookup, for its histograms and
-  // spans: embed starts at probe_start, the probe phases follow back to
-  // back, and the commit starts when the probe ends.
-  struct LookupTiming {
-    double probe_start = 0.0;
-    ProbeTiming probe;
-    double probe_seconds = 0.0;
-    double commit_seconds = 0.0;
+  // The work one probe did: snapshot rows it scored in the i8 scan and
+  // pool candidates it exact-reranked in fp32.
+  struct ProbeWork {
+    std::size_t rows_scanned = 0;
+    std::size_t rerank_candidates = 0;
   };
 
   // The epoch-protected probe (phases 1+2); returns the LookupResult
   // SemanticCache::Lookup would over a flat index of the shard's entries,
-  // before its purge and commit.
+  // before its purge and commit.  `timing` and `work` may be null.
   // Takes no shard lock.
   SemanticCache::LookupResult LockFreeProbe(Shard& shard,
                                             std::string_view query,
                                             double now,
                                             std::string_view tenant,
-                                            ProbeTiming* timing);
-
-  // The commit half of Lookup and LookupBatch, one request at a time:
-  // CommitLocked bumps the matched entry and logs every judged candidate
-  // for recalibration; AccountLookup, after the lock is released, feeds
-  // the probe/commit histograms, the hit/miss/judger-reject counters
-  // (engine and shard), the tenant's lookup counter and `trace`.
-  void CommitLocked(Shard& shard, const SemanticCache::LookupResult& result,
-                    std::string_view query, double now) REQUIRES(shard.mu);
-  void AccountLookup(std::size_t shard_idx,
-                     const SemanticCache::LookupResult& result,
-                     std::string_view tenant, const LookupTiming& timing,
-                     telemetry::RequestTrace* trace);
+                                            ProbeTiming* timing,
+                                            ProbeWork* work);
 
   // Publishes what changed inside a shard mutation (insert / purge):
   // cache-layer counter deltas plus resident-size gauge deltas.
@@ -374,6 +332,10 @@ class ConcurrentShardedEngine {
   telemetry::Counter* expired_removed_ = nullptr;
   telemetry::Counter* housekeeping_runs_ = nullptr;
   telemetry::Counter* recalibrations_ = nullptr;
+  // Work per committed lookup (Peek counts nothing): rows scanned and
+  // candidates reranked, summed over lookups.
+  telemetry::Counter* rows_scanned_ = nullptr;
+  telemetry::Counter* rerank_candidates_ = nullptr;
   telemetry::AtomicHistogram* probe_seconds_ = nullptr;
   telemetry::AtomicHistogram* commit_seconds_ = nullptr;
   telemetry::AtomicHistogram* insert_seconds_ = nullptr;

@@ -136,14 +136,6 @@ CortexServer::CortexServer(ConcurrentShardedEngine* engine,
     bucket_.BindTelemetry(registry_->GetGauge("cortex_ratelimit_tokens"),
                           registry_->GetCounter("cortex_ratelimit_throttled"));
   }
-  if (options_.max_pipeline_batch > 1) {
-    BatchPipelineOptions popts;
-    popts.max_batch = options_.max_pipeline_batch;
-    popts.batch_window_us = options_.batch_window_us;
-    popts.num_threads = options_.pipeline_threads;
-    popts.registry = registry_;
-    pipeline_ = std::make_unique<BatchPipeline>(engine_, popts);
-  }
 }
 
 CortexServer::~CortexServer() { Stop(); }
@@ -257,10 +249,6 @@ void CortexServer::Stop() {
     if (w.joinable()) w.join();
   }
   workers_.clear();
-  // Workers are gone, so nothing can stage new lookups; flush whatever
-  // the pipeline still holds (its threads keep serving staged batches
-  // until this returns).
-  if (pipeline_ != nullptr) pipeline_->Drain();
   // Connections still queued never reached a worker; drop them.
   std::deque<int> leftover;
   {
@@ -478,12 +466,11 @@ Response CortexServer::Execute(const Request& request,
       return BuildStats();
     case RequestType::kDumpTrace:
       return BuildTraces(request.max_traces);
-    case RequestType::kLookup: {
-      // Admission already ran (AdmitRequest precedes Execute), so staging
-      // into the pipeline cannot bypass rate or tenant quotas.
-      const auto hit = pipeline_ != nullptr
-                           ? pipeline_->Lookup(request.query, trace)
-                           : engine_->Lookup(request.query, trace);
+    case RequestType::kLookup:
+    case RequestType::kTenantLookup: {
+      // The probe runs right here on the connection worker; a LOOKUP
+      // carries no tenant, so it sees the shared pool only.
+      const auto hit = engine_->Lookup(request.query, trace, request.tenant);
       if (!hit) return MakeResponse(ResponseType::kMiss);
       Response r = MakeResponse(ResponseType::kHit);
       r.matched_key = hit->matched_key;
@@ -502,19 +489,6 @@ Response CortexServer::Execute(const Request& request,
       if (!id) return MakeResponse(ResponseType::kReject);
       Response r = MakeResponse(ResponseType::kOk);
       r.id = *id;
-      return r;
-    }
-    case RequestType::kTenantLookup: {
-      const auto hit =
-          pipeline_ != nullptr
-              ? pipeline_->Lookup(request.query, trace, request.tenant)
-              : engine_->Lookup(request.query, trace, request.tenant);
-      if (!hit) return MakeResponse(ResponseType::kMiss);
-      Response r = MakeResponse(ResponseType::kHit);
-      r.matched_key = hit->matched_key;
-      r.value = hit->value;
-      r.similarity = hit->similarity;
-      r.judger_score = hit->judger_score;
       return r;
     }
     case RequestType::kTenantInsert: {

@@ -13,7 +13,7 @@
 //     LOOKUP/INSERT rate — requests over quota are answered BUSY.
 //
 // Shutdown is graceful: Stop() closes the listener, wakes every worker,
-// lets in-flight request batches finish, and joins all threads.  Drain()
+// lets in-flight requests finish, and joins all threads.  Drain()
 // goes further for restarts during cluster rebalance: it stops accepting,
 // lets every live connection answer the requests already on the wire, and
 // only then stops — no response is ever truncated mid-frame.  cortexd
@@ -28,10 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include <memory>
-
 #include "net/rate_limiter.h"
-#include "serve/batch_pipeline.h"
 #include "serve/concurrent_engine.h"
 #include "serve/protocol.h"
 #include "telemetry/metrics.h"
@@ -59,11 +56,9 @@ struct ServerOptions {
   double max_requests_per_sec = 0.0;
   double rate_burst = 128.0;
 
-  // Cross-request batching pipeline (DESIGN.md §14).  > 1 stages
-  // LOOKUP/TLOOKUP requests into batches of up to max_pipeline_batch,
-  // flushed early once the oldest staged request has waited
-  // batch_window_us; 1 disables the pipeline (today's direct path).
-  // Admission (rate bucket + tenant quotas) always runs BEFORE staging.
+  // Ignored: the server has no cross-request batching (DESIGN.md §14);
+  // every lookup runs on its connection worker.  Declared only so existing
+  // callers that still assign them keep compiling.
   std::size_t max_pipeline_batch = 1;
   std::uint64_t batch_window_us = 200;
   std::size_t pipeline_threads = 2;
@@ -146,10 +141,6 @@ class CortexServer {
 
   ConcurrentShardedEngine* const engine_;
   const ServerOptions options_;
-  // Non-null iff max_pipeline_batch > 1.  Constructed before the worker
-  // threads and destroyed after they join; workers only call its
-  // thread-safe Lookup().
-  std::unique_ptr<BatchPipeline> pipeline_;  // cortex-analyzer: allow(guarded-by)
 
   // Listener state is written only during Start()/Stop(), strictly
   // before the worker threads exist / after they have joined, so no lock

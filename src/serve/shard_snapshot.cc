@@ -8,15 +8,17 @@
 
 namespace cortex::serve {
 
-void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
-                      ProbeScratch& scratch) {
+std::size_t SnapshotScanRank(const ShardSnapshot& snap,
+                             std::span<const float> query,
+                             ProbeScratch& scratch) {
   scratch.ranked.clear();
   const std::size_t n = snap.size();
-  if (n == 0) return;
+  if (n == 0) return 0;
   DCHECK_EQ(query.size(), snap.dim);
 
+  // Phase 1: one query quantization per probe; the integer dot itself is
+  // exact.
   scratch.sims.resize(n);
-  // One query quantization per probe; the integer dot itself is exact.
   scratch.q8.resize(snap.dim);
   const float q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
   float* out = scratch.sims.data();
@@ -25,15 +27,7 @@ void SnapshotScanRank(const ShardSnapshot& snap, std::span<const float> query,
                     snap.dim, out);
     out += c->size;
   }
-  SnapshotRankFromSims(snap, query, scratch.sims.data(), scratch);
-}
-
-void SnapshotRankFromSims(const ShardSnapshot& snap,
-                          std::span<const float> query, const float* sims,
-                          ProbeScratch& scratch) {
-  scratch.ranked.clear();
-  const std::size_t n = snap.size();
-  if (n == 0) return;
+  const float* const sims = scratch.sims.data();
 
   // Prefilter at tau_sim minus the quantization slack, then keep a pool
   // wide enough that the exact rerank's true top-k is always inside it
@@ -57,15 +51,22 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
                     keep.begin() + static_cast<std::ptrdiff_t>(pool_size),
                     keep.end(), pooled);
 
-  // Exact rerank over the fp32 originals with the scalar double kernel —
-  // the same rescoring FlatIndex::Search applies, so the ranked list is
-  // what a kFlat Sine over the same entries would produce.
-  const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
+  // Phase 2: exact rerank over the fp32 originals — ExactDotRows is bit
+  // for bit the scalar double kernel FlatIndex::Search rescores with, so
+  // the ranked list is what a kFlat Sine over the same entries would
+  // produce.
+  scratch.rerank_rows.resize(pool_size);
+  scratch.rerank_sims.resize(pool_size);
   for (std::size_t i = 0; i < pool_size; ++i) {
-    const ProbeRecord* rec = snap.record(keep[i]);
-    const double sim =
-        exact.dot(query.data(), rec->embedding.data(), query.size());
-    if (sim >= snap.sine.tau_sim) scratch.ranked.push_back({sim, rec});
+    scratch.rerank_rows[i] = snap.record(keep[i])->embedding.data();
+  }
+  simd::ExactDotRows(query.data(), scratch.rerank_rows.data(), pool_size,
+                     query.size(), scratch.rerank_sims.data());
+  for (std::size_t i = 0; i < pool_size; ++i) {
+    const double sim = scratch.rerank_sims[i];
+    if (sim >= snap.sine.tau_sim) {
+      scratch.ranked.push_back({sim, snap.record(keep[i])});
+    }
   }
   std::sort(scratch.ranked.begin(), scratch.ranked.end(),
             [](const RankedCandidate& a, const RankedCandidate& b) {
@@ -75,37 +76,7 @@ void SnapshotRankFromSims(const ShardSnapshot& snap,
   if (scratch.ranked.size() > snap.sine.top_k) {
     scratch.ranked.resize(snap.sine.top_k);
   }
-}
-
-void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
-                    std::size_t nq, std::size_t qstride,
-                    ProbeScratch& scratch, float* sims_out) {
-  const std::size_t n = snap.size();
-  if (n == 0 || nq == 0) return;
-  // Quantize every query once per batch; the per-(query,row) score is
-  // then bitwise the sequential DotRowsI8 result.
-  scratch.q8.resize(nq * snap.dim);
-  scratch.q8_scales.resize(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    scratch.q8_scales[q] = simd::QuantizeRowI8(
-        std::span<const float>(queries + q * qstride, snap.dim),
-        scratch.q8.data() + q * snap.dim);
-  }
-  // The kernels lay scores out query-major over the rows they scan, so
-  // each chunk scores into scratch and its rows are copied to their
-  // global positions.
-  scratch.chunk_sims.resize(nq * kSnapshotChunkRows);
-  float* const tmp = scratch.chunk_sims.data();
-  std::size_t base = 0;
-  for (const SnapshotChunk* c : snap.chunks) {
-    const std::size_t m = c->size;
-    simd::DotRowsI8Mq(scratch.q8.data(), scratch.q8_scales.data(), nq,
-                      snap.dim, c->rows, c->scales, m, snap.dim, tmp);
-    for (std::size_t q = 0; q < nq; ++q) {
-      std::copy_n(tmp + q * m, m, sims_out + q * n + base);
-    }
-    base += m;
-  }
+  return pool_size;
 }
 
 SemanticCache::LookupResult SnapshotJudge(

@@ -33,9 +33,8 @@
 //
 // Both phases and stage 2 (visibility plus the judger best-first walk,
 // SnapshotJudge) run INSIDE the epoch guard over records borrowed from
-// the snapshot, in the sequential probe and the batched pipeline alike,
-// and allocate nothing on the steady state: callers pass a ProbeScratch
-// whose vectors amortize to the shard's high-water mark.
+// the snapshot, and allocate nothing on the steady state: callers pass a
+// ProbeScratch whose vectors amortize to the shard's high-water mark.
 #pragma once
 
 #include <atomic>
@@ -115,42 +114,27 @@ struct RankedCandidate {
 };
 
 // Reusable scan scratch.  Probe throughput is allocation-sensitive:
-// keep one per thread (or per pipeline batch) and the vectors grow once
-// to the shard's high-water mark, making steady-state probes
-// allocation-free.
+// keep one per thread and the vectors grow once to the shard's
+// high-water mark, making steady-state probes allocation-free.
 struct ProbeScratch {
   std::vector<float> sims;          // one score per snapshot row
-  std::vector<float> chunk_sims;    // mq scan output for one chunk
-  std::vector<std::int8_t> q8;      // quantized query/queries
-  std::vector<float> q8_scales;     // per-query i8 scales (mq scan)
+  std::vector<std::int8_t> q8;      // the quantized query
   std::vector<std::uint32_t> keep;  // prefilter survivors (row indices)
+  std::vector<const float*> rerank_rows;  // the pool's fp32 embeddings
+  std::vector<double> rerank_sims;        // ... and their exact scores
   std::vector<RankedCandidate> ranked;  // phase-2 output, best-first
 };
 
-// Phases 1+2 for one query: quantized scan into scratch.sims, then
-// SnapshotRankFromSims.  MUST run inside an EpochReadGuard with `snap`
-// loaded (seq_cst) from the shard's snapshot pointer.  Takes no locks.
-void SnapshotScanRank(const ShardSnapshot& snap,
-                      std::span<const float> query, ProbeScratch& scratch);
-
-// Phase 2 from a precomputed score row (`sims[i]` is snapshot row i's i8
-// scan score): prefilter at tau_sim minus kQuantSimSlack, pool the best
-// max(4*top_k, 32), exact-rerank on the fp32 originals, sort (sim desc,
-// id asc), truncate to top_k.  Result in scratch.ranked.  Same guard
-// requirement as SnapshotScanRank.
-void SnapshotRankFromSims(const ShardSnapshot& snap,
-                          std::span<const float> query, const float* sims,
-                          ProbeScratch& scratch);
-
-// Multi-query phase 1: scores `nq` queries (row q at queries + q*qstride,
-// qstride in floats) against every snapshot row, one multi-query kernel
-// pass per chunk, writing sims_out[q * snap.size() + i].  Slab bytes are
-// read once per BATCH instead of once per query — the bandwidth win the
-// batching pipeline exists for.  Per-(query,row) scores are bitwise
-// identical to the sequential scan.  Same guard requirement as above.
-void SnapshotScanMq(const ShardSnapshot& snap, const float* queries,
-                    std::size_t nq, std::size_t qstride,
-                    ProbeScratch& scratch, float* sims_out);
+// Phases 1+2 for one query: quantized scan of every snapshot row into
+// scratch.sims, prefilter at tau_sim minus kQuantSimSlack, pool the best
+// max(4*top_k, 32), exact-rerank the pool on the fp32 originals, sort
+// (sim desc, id asc), truncate to top_k.  Result in scratch.ranked;
+// returns the pool size (candidates exact-reranked).  MUST run inside an
+// EpochReadGuard with `snap` loaded (seq_cst) from the shard's snapshot
+// pointer.  Takes no locks.
+std::size_t SnapshotScanRank(const ShardSnapshot& snap,
+                             std::span<const float> query,
+                             ProbeScratch& scratch);
 
 // Stage 2 over an exact-ranked candidate list (sorted best-first,
 // already truncated to top_k): applies visibility (created_at <= now,

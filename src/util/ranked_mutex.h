@@ -34,8 +34,6 @@ enum class LockRank : int {
   kRouterState = 6,         // ClusterRouter ring + migration-window state
   kRouterNodePool = 8,      // NodePool per-node idle-connection stacks
   kServerQueue = 10,        // CortexServer acceptor->worker conn queue
-  kPipelineStage = 14,      // BatchPipeline staging queue + flush wakeup
-  kPipelineGpu = 16,        // BatchPipeline gpu::BatchingServer admission
   kServerBucket = 20,       // CortexServer admission token bucket
   kEngineGroundTruth = 30,  // ConcurrentShardedEngine fetch_gt_
   kEngineHousekeeping = 40, // ConcurrentShardedEngine hk wakeup lock

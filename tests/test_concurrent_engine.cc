@@ -30,7 +30,6 @@ namespace {
 
 using cortex::testing::MiniWorld;
 using cortex::testing::ScopedVariant;
-using serve::BatchLookupRequest;
 using serve::ConcurrentEngineOptions;
 using Peer = serve::ConcurrentEngineTestPeer;
 using serve::ConcurrentShardedEngine;
@@ -239,9 +238,10 @@ TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
     ConcurrentShardedEngine epoch(&world_.embedder, world_.judger.get(),
                                   BaseOptions());
 
-    // Every fourth topic is acme-private, and lookups alternate between
-    // acme and the shared pool, so tenant visibility is part of the
-    // property.
+    // Every fourth topic is acme-private, and lookups rotate between acme,
+    // globex and the shared pool, so every acme-private topic is also
+    // probed by tenants that must not see it: tenant visibility is part
+    // of the property.
     const std::size_t topics = world_.universe->size();
     for (std::size_t topic = 0; topic < topics; ++topic) {
       InsertRequest req = RequestFor(topic);
@@ -254,7 +254,8 @@ TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
     for (std::size_t round = 0; round < 3; ++round) {
       for (std::size_t topic = 0; topic < topics; ++topic) {
         const auto& q = world_.query(topic, round + 1);
-        const std::string_view tenant = (topic + round) % 2 ? "acme" : "";
+        constexpr std::string_view kTenants[] = {"acme", "globex", ""};
+        const std::string_view tenant = kTenants[(topic + round) % 3];
         const auto a = Peer::FlatOracle(epoch, q, epoch.Now(), tenant);
         const auto b = epoch.Lookup(q, nullptr, tenant);
         ++lookups;
@@ -278,6 +279,86 @@ TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
     const auto cb = epoch.TotalCounters();
     EXPECT_EQ(cb.lookups, lookups);
     EXPECT_EQ(cb.hits, hits);
+  }
+}
+
+// Work counters: every committed lookup adds its shard snapshot's size
+// to cortex_engine_rows_scanned and its rerank pool to
+// cortex_engine_rerank_candidates.  The expected pool is recomputed here
+// from the published rows: the i8 scores at or above tau_sim minus
+// kQuantSimSlack, capped at max(4 * top_k, 32).  The default tau_sim
+// keeps pools under the cap; tau_sim -1 admits every row, so the cap
+// binds.
+TEST_F(ConcurrentEngineTest, WorkCountersMatchSnapshotSizesAndPools) {
+  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
+  const std::size_t topics = world_.universe->size();
+  for (const double tau_sim : {SineOptions{}.tau_sim, -1.0}) {
+    SCOPED_TRACE("tau_sim " + std::to_string(tau_sim));
+    ConcurrentEngineOptions opts = BaseOptions();
+    opts.clock = [] { return 100.0; };
+    opts.cache.sine.tau_sim = tau_sim;
+    ConcurrentShardedEngine engine(&world_.embedder, world_.judger.get(),
+                                   opts);
+    // Three phrasings per topic with distinct values: ~48 rows a shard.
+    for (std::size_t topic = 0; topic < topics; ++topic) {
+      for (std::size_t p = 0; p < 3; ++p) {
+        InsertRequest req = RequestFor(topic, p);
+        req.value += " #" + std::to_string(p);
+        ASSERT_TRUE(engine.Insert(std::move(req)).has_value());
+      }
+    }
+
+    std::uint64_t want_rows = 0;
+    std::uint64_t want_pool = 0;
+    std::uint64_t admitted_total = 0;
+    std::uint64_t lookups = 0;
+    for (std::size_t topic = 0; topic < topics; ++topic) {
+      const std::string& q = world_.query(topic, 4);
+      const Vector embedding = world_.embedder.Embed(q);
+      Peer::InspectShard(
+          engine, engine.ShardFor(q),
+          [&](const SemanticCache&, const ShardSnapshot* snap) {
+            ASSERT_NE(snap, nullptr);
+            want_rows += snap->size();
+            std::vector<std::int8_t> q8(snap->dim);
+            const float q_scale = simd::QuantizeRowI8(embedding, q8.data());
+            const double floor = snap->sine.tau_sim - serve::kQuantSimSlack;
+            std::size_t admitted = 0;
+            for (const SnapshotChunk* c : snap->chunks) {
+              std::vector<float> sims(c->size);
+              scalar.dot_rows_i8(q8.data(), q_scale, c->rows, c->scales,
+                                 c->size, snap->dim, sims.data());
+              for (const float sim : sims) {
+                if (static_cast<double>(sim) >= floor) ++admitted;
+              }
+            }
+            admitted_total += admitted;
+            want_pool += std::min<std::size_t>(
+                admitted, std::max<std::size_t>(4 * snap->sine.top_k, 32));
+          });
+      engine.Lookup(q);
+      ++lookups;
+    }
+    // Peek commits nothing, so it counts no work either.
+    engine.Peek(world_.query(0, 0));
+
+    const auto counter = [&](std::string_view name) -> std::uint64_t {
+      for (const auto& e : engine.registry()->Snapshot().entries) {
+        if (e.name == name) return e.counter_value;
+      }
+      ADD_FAILURE() << "missing counter " << name;
+      return 0;
+    };
+    EXPECT_EQ(engine.Stats().lookups, lookups);
+    EXPECT_EQ(counter("cortex_engine_rows_scanned"), want_rows);
+    EXPECT_EQ(counter("cortex_engine_rerank_candidates"), want_pool);
+    EXPECT_GT(want_rows, lookups);
+    EXPECT_GT(want_pool, 0u);
+    if (tau_sim < 0.0) {
+      EXPECT_LT(want_pool, admitted_total);  // the cap bound
+    } else {
+      EXPECT_EQ(want_pool, admitted_total);  // it did not
+    }
   }
 }
 
@@ -408,8 +489,8 @@ TEST_F(ConcurrentEngineTest,
        SequentialAndBatchedReadersRaceChunkCrossingChurn) {
   // One shard holding ~3 chunks: every replace, eviction and expiry
   // swap-removes from an arbitrary chunk and pulls the last entry across
-  // a chunk boundary, while sequential Lookup and batched LookupBatch
-  // readers scan.  Records, chunks and rows live only as long as the
+  // a chunk boundary, while sequential Lookup readers and batched readers
+  // (four read-only Peeks per round, nothing committed) scan.  Records, chunks and rows live only as long as the
   // limbo protocol keeps them, so a premature free surfaces here under
   // ASan and a missing happens-before under TSan.
   std::atomic<double> fake_now{0.0};
@@ -447,16 +528,11 @@ TEST_F(ConcurrentEngineTest,
       }
     });
     readers.emplace_back([&, tid] {
-      std::vector<std::string> queries(4);
-      std::vector<BatchLookupRequest> batch(4);
       for (std::size_t i = tid; !stop.load(std::memory_order_relaxed); ++i) {
-        for (std::size_t q = 0; q < batch.size(); ++q) {
-          queries[q] = world_.query((i * 4 + q) % topics, (i + q) % 6);
-          batch[q] = BatchLookupRequest{};
-          batch[q].query = queries[q];
+        for (std::size_t q = 0; q < 4; ++q) {
+          engine.Peek(world_.query((i * 4 + q) % topics, (i + q) % 6));
         }
-        engine.LookupBatch(batch);
-        batched.fetch_add(batch.size(), std::memory_order_relaxed);
+        batched.fetch_add(4, std::memory_order_relaxed);
       }
     });
   }
@@ -471,7 +547,7 @@ TEST_F(ConcurrentEngineTest,
   stop.store(true);
   for (auto& t : readers) t.join();
 
-  EXPECT_EQ(engine.Stats().lookups, sequential.load() + batched.load());
+  EXPECT_EQ(engine.Stats().lookups, sequential.load());
   EXPECT_GT(sequential.load(), 0u);
   EXPECT_GT(batched.load(), 0u);
   EXPECT_GT(engine.TotalCounters().evictions +

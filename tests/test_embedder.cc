@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "util/stats.h"
 
 namespace cortex {
@@ -161,6 +164,26 @@ TEST(HashedEmbedder, IdfImprovesParaphraseVsTemplateSeparation) {
     return same_topic - same_template;
   };
   EXPECT_GT(sep(fitted), sep(plain));
+}
+
+// EmbedBatch writes row q at out + q*stride, bit-identical to Embed, and
+// never touches the padding between rows.
+TEST(HashedEmbedder, EmbedBatchRowsMatchEmbed) {
+  HashedEmbedder e;
+  e.FitIdf(std::vector<std::string>{"everest height", "tokyo weather"});
+  const std::vector<std::string_view> texts = {
+      "everest height", "", "what is the tokyo weather forecast", "a"};
+  const std::size_t stride = e.dimension() + 5;
+  std::vector<float> out(texts.size() * stride, -7.0f);
+  e.EmbedBatch(texts, out.data(), stride);
+  for (std::size_t q = 0; q < texts.size(); ++q) {
+    const Vector got(out.begin() + q * stride,
+                     out.begin() + q * stride + e.dimension());
+    EXPECT_EQ(got, e.Embed(texts[q])) << q;
+    for (std::size_t k = e.dimension(); k < stride; ++k) {
+      EXPECT_EQ(out[q * stride + k], -7.0f) << q;
+    }
+  }
 }
 
 }  // namespace

@@ -558,38 +558,80 @@ TEST_F(ServerEndToEndTest, PipelineOverflowAnswersBusyInOrder) {
   EXPECT_EQ(server.stats().requests_busy, 4u);
 }
 
-TEST_F(ServerEndToEndTest, BatchingPipelineServesConcurrentLookupsOverTheWire) {
+// Concurrent LOOKUP and TLOOKUP clients are served on their connection
+// workers.  The legacy batching options are set and must change nothing:
+// every wire answer equals what a sequential Lookup on an identically
+// seeded engine returns, and STATS carries no cortex_pipeline_* key.
+TEST_F(ServerEndToEndTest, ConcurrentWireLookupsMatchSequentialEngine) {
   auto engine = MakeEngine();
+  auto reference = MakeEngine();
   ServerOptions opts;
   opts.unix_path = SocketPath("batch");
   opts.num_workers = 4;
-  opts.max_pipeline_batch = 4;  // cross-request batching on (DESIGN.md §14)
+  opts.max_pipeline_batch = 4;  // ignored
   opts.batch_window_us = 2000;
   opts.pipeline_threads = 2;
   CortexServer server(engine.get(), opts);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
-  // Seed a few topics so every batched lookup has a sequential-known answer.
+  // Topics 0-3 go to the shared pool and topic 4 is acme-private; topic 5
+  // is never inserted, so the lookups below hit, miss and see tenants.
+  constexpr std::size_t kTopics = 6;
   {
     BlockingClient seeder;
     ASSERT_TRUE(seeder.ConnectUnix(opts.unix_path, &error)) << error;
-    for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t t = 0; t < 5; ++t) {
       Request insert;
-      insert.type = RequestType::kInsert;
+      insert.type = t == 4 ? RequestType::kTenantInsert : RequestType::kInsert;
+      insert.tenant = t == 4 ? "acme" : "";
       insert.key = world_.query(t, 0);
       insert.value = world_.answer(t);
       insert.staticity = world_.topic(t).staticity;
       const auto response = seeder.Call(insert, &error);
       ASSERT_TRUE(response.has_value()) << error;
       ASSERT_EQ(response->type, ResponseType::kOk);
+
+      InsertRequest copy;
+      copy.key = insert.key;
+      copy.value = insert.value;
+      copy.staticity = insert.staticity;
+      copy.initial_frequency = 1;
+      copy.tenant = insert.tenant;
+      copy.shareable = insert.shareable;
+      ASSERT_TRUE(reference->Insert(std::move(copy)).has_value());
     }
   }
 
-  // Concurrent clients drive lookups through the batching pipeline; every
-  // answer must be what a sequential lookup would have returned.
+  // Lookup i of every client: topic, paraphrase and tenant ("" = LOOKUP).
+  const auto request_for = [&](std::size_t c, std::size_t i) {
+    Request lookup;
+    const std::size_t topic = (c + i) % kTopics;
+    lookup.query = world_.query(topic, 1 + (i % 2));
+    lookup.tenant = (c + i / 2) % 2 == 1 ? "acme" : "";
+    lookup.type = lookup.tenant.empty() ? RequestType::kLookup
+                                        : RequestType::kTenantLookup;
+    return lookup;
+  };
+  // What a sequential engine Lookup answers, encoded as the wire frame.
+  const auto sequential_answer = [&](const Request& lookup) {
+    const auto hit =
+        reference->Lookup(lookup.query, nullptr, lookup.tenant);
+    Response r;
+    r.type = hit ? ResponseType::kHit : ResponseType::kMiss;
+    if (hit) {
+      r.matched_key = hit->matched_key;
+      r.value = hit->value;
+      r.similarity = hit->similarity;
+      r.judger_score = hit->judger_score;
+    }
+    return EncodePayload(r);
+  };
+
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kPerClient = 12;
+  std::vector<std::vector<std::string>> got(
+      kClients, std::vector<std::string>(kPerClient));
   std::atomic<int> failures{0};
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -602,24 +644,29 @@ TEST_F(ServerEndToEndTest, BatchingPipelineServesConcurrentLookupsOverTheWire) {
         return;
       }
       for (std::size_t i = 0; i < kPerClient; ++i) {
-        const std::size_t topic = (c + i) % 4;
-        Request lookup;
-        lookup.type = RequestType::kLookup;
-        lookup.query = world_.query(topic, 1 + (i % 2));
-        const auto response = client.Call(lookup, &err);
-        if (!response.has_value() ||
-            response->type != ResponseType::kHit ||
-            response->value != world_.answer(topic)) {
+        const auto response = client.Call(request_for(c, i), &err);
+        if (!response.has_value()) {
           ++failures;
           return;
         }
+        got[c][i] = EncodePayload(*response);
       }
     });
   }
   for (std::thread& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
+  ASSERT_EQ(failures.load(), 0);
 
-  // The pipeline actually coalesced: STATS carries the batching digest.
+  std::size_t hits = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t i = 0; i < kPerClient; ++i) {
+      const std::string want = sequential_answer(request_for(c, i));
+      EXPECT_EQ(got[c][i], want) << "client " << c << " lookup " << i;
+      if (want.rfind("HIT", 0) == 0) ++hits;
+    }
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, kClients * kPerClient);
+
   BlockingClient client;
   ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
   Request stats;
@@ -627,14 +674,14 @@ TEST_F(ServerEndToEndTest, BatchingPipelineServesConcurrentLookupsOverTheWire) {
   const auto response = client.Call(stats, &error);
   ASSERT_TRUE(response.has_value()) << error;
   ASSERT_EQ(response->type, ResponseType::kStats);
-  double pipeline_requests = 0.0, pipeline_batches = 0.0;
+  double lookups = 0.0, rows_scanned = 0.0;
   for (const auto& [key, value] : response->stats) {
-    if (key == "cortex_pipeline_requests") pipeline_requests = std::stod(value);
-    if (key == "cortex_pipeline_batches") pipeline_batches = std::stod(value);
+    EXPECT_NE(key.rfind("cortex_pipeline_", 0), 0u) << key;
+    if (key == "cortex_engine_lookups") lookups = std::stod(value);
+    if (key == "cortex_engine_rows_scanned") rows_scanned = std::stod(value);
   }
-  EXPECT_EQ(pipeline_requests, kClients * kPerClient);
-  EXPECT_GE(pipeline_batches, 1.0);
-  EXPECT_LE(pipeline_batches, pipeline_requests);
+  EXPECT_EQ(lookups, kClients * kPerClient);
+  EXPECT_GT(rows_scanned, 0.0);
 
   server.Stop();
 }

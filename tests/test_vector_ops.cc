@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "embedding/simd_kernels.h"
@@ -279,14 +280,18 @@ TEST(QuantizeRowI8, BoundsScaleAndZeroRow) {
 }
 
 // int8 kernels accumulate the integer dot exactly, so every variant must
-// return BIT-IDENTICAL floats, not merely close ones.
+// return BIT-IDENTICAL floats, not merely close ones.  The dims cover the
+// AVX2 kernel's 32-byte steps, its 16-byte remainder (48, 83) and the
+// scalar tail.  Besides random rows, each dim scores rows and a query
+// made of +-127 entries: their adjacent-pair sums reach +-2*127*127, the
+// largest i16 value the sign+maddubs form ever produces.
 TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
   Rng rng(29);
   const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
   const auto variants = simd::SupportedVariants();
-  for (const std::size_t dim : {std::size_t{3}, std::size_t{31},
-                                std::size_t{64}, std::size_t{257},
-                                std::size_t{768}}) {
+  for (const std::size_t dim :
+       {std::size_t{3}, std::size_t{31}, std::size_t{48}, std::size_t{64},
+        std::size_t{83}, std::size_t{257}, std::size_t{768}}) {
     const std::size_t n = 23;
     const std::size_t stride = (dim + 63) / 64 * 64;  // slab i8 stride
     std::vector<std::int8_t> rows(n * stride);
@@ -296,34 +301,87 @@ TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
       for (auto& x : fp_row) x = static_cast<float>(rng.Normal());
       scales[i] = simd::QuantizeRowI8(fp_row, rows.data() + i * stride);
     }
+    // Extreme rows 0-3 against the extreme query: equal to it, its
+    // negation, all +127 and all -127.
+    std::vector<std::int8_t> extreme(dim);
+    for (std::size_t k = 0; k < dim; ++k) {
+      extreme[k] = (k / 2) % 3 == 1 ? -127 : 127;
+    }
+    for (std::size_t k = 0; k < dim; ++k) {
+      rows[k] = extreme[k];
+      rows[stride + k] = static_cast<std::int8_t>(-extreme[k]);
+      rows[2 * stride + k] = 127;
+      rows[3 * stride + k] = -127;
+    }
+    std::fill(scales.begin(), scales.begin() + 4, 1.0f / 127.0f);
+
     Vector query(dim);
     for (auto& x : query) x = static_cast<float>(rng.Normal());
-    std::vector<std::int8_t> q8(dim);
-    const float q_scale = simd::QuantizeRowI8(query, q8.data());
+    std::vector<std::int8_t> random_q8(dim);
+    const float random_scale = simd::QuantizeRowI8(query, random_q8.data());
 
     std::vector<const std::int8_t*> ptrs(n);
     for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows.data() + i * stride;
     std::reverse(ptrs.begin(), ptrs.end());
-    std::vector<float> ref_batch(n), ref_rows(n);
-    scalar.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                        stride, dim, ref_batch.data());
     std::vector<float> rev_scales(scales.rbegin(), scales.rend());
-    scalar.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
-                       dim, ref_rows.data());
-    for (const auto v : variants) {
-      const auto& ks = simd::KernelsFor(v);
-      std::vector<float> got_batch(n), got_rows(n);
-      ks.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                      stride, dim, got_batch.data());
-      ks.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
-                     dim, got_rows.data());
+    for (const auto& [q8, q_scale] :
+         {std::pair{random_q8, random_scale},
+          std::pair{extreme, 1.0f / 127.0f}}) {
+      std::vector<float> ref_batch(n), ref_rows(n);
+      scalar.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
+                          stride, dim, ref_batch.data());
+      scalar.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(),
+                         n, dim, ref_rows.data());
+      if (q8 == extreme) {
+        // The reference itself is exact: +-127*127 per element.
+        const float unit = (q_scale * scales[0]) *
+                           static_cast<float>(127 * 127 * static_cast<int>(dim));
+        EXPECT_EQ(ref_batch[0], unit) << "dim=" << dim;
+        EXPECT_EQ(ref_batch[1], -unit) << "dim=" << dim;
+      }
+      for (const auto v : variants) {
+        const auto& ks = simd::KernelsFor(v);
+        std::vector<float> got_batch(n), got_rows(n);
+        ks.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
+                        stride, dim, got_batch.data());
+        ks.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
+                       dim, got_rows.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(got_batch[i], ref_batch[i])
+              << simd::VariantName(v) << " dot_batch_i8 dim=" << dim
+              << " i=" << i;
+          EXPECT_EQ(got_rows[i], ref_rows[i])
+              << simd::VariantName(v) << " dot_rows_i8 dim=" << dim
+              << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+// The exact rerank must equal the scalar double kernel bit for bit: the
+// snapshot probe's parity with the flat oracle rests on it.  Row counts
+// cover the four-row chains and their tail.
+TEST(SimdKernels, ExactDotRowsMatchScalarDotBitForBit) {
+  Rng rng(31);
+  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{7},
+                                std::size_t{256}, std::size_t{257}}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{4}, std::size_t{11}}) {
+      std::vector<Vector> rows(n, Vector(dim));
+      for (auto& row : rows) {
+        for (auto& x : row) x = static_cast<float>(rng.Normal());
+      }
+      Vector query(dim);
+      for (auto& x : query) x = static_cast<float>(rng.Normal());
+      std::vector<const float*> ptrs(n);
+      for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows[n - 1 - i].data();
+      std::vector<double> got(n, -1.0);
+      simd::ExactDotRows(query.data(), ptrs.data(), n, dim, got.data());
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got_batch[i], ref_batch[i])
-            << simd::VariantName(v) << " dot_batch_i8 dim=" << dim
-            << " i=" << i;
-        EXPECT_EQ(got_rows[i], ref_rows[i])
-            << simd::VariantName(v) << " dot_rows_i8 dim=" << dim
-            << " i=" << i;
+        EXPECT_EQ(got[i], scalar.dot(query.data(), ptrs[i], dim))
+            << "dim=" << dim << " n=" << n << " i=" << i;
       }
     }
   }
@@ -502,7 +560,7 @@ TEST(QuantizedScanProperty, ScanPlusRerankMatchesF32TopKAcrossVariants) {
 
 // The mq contract (simd_kernels.h): every score an mq kernel writes is
 // BITWISE identical to the corresponding single-query kernel on the same
-// variant — the batching pipeline's parity guarantee rests on this, so the
+// variant — FlatIndex and IvfIndex SearchBatch rely on it, so the
 // comparisons below are EXPECT_EQ, never EXPECT_NEAR.
 
 TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
@@ -532,29 +590,6 @@ TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
     std::vector<const float*> ptrs(n);
     for (std::size_t i = 0; i < n; ++i) {
       ptrs[i] = rows.data() + (n - 1 - i) * stride;
-    }
-
-    // int8 rows + per-row scales, and per-query quantizations.
-    std::vector<std::int8_t> rows_i8(n * dim);
-    std::vector<float> row_scales(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      row_scales[i] = simd::QuantizeRowI8(
-          std::span<const float>(rows.data() + i * stride, dim),
-          rows_i8.data() + i * dim);
-    }
-    std::vector<const std::int8_t*> ptrs_i8(n);
-    std::vector<float> scales_scattered(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ptrs_i8[i] = rows_i8.data() + (n - 1 - i) * dim;
-      scales_scattered[i] = row_scales[n - 1 - i];
-    }
-    const std::size_t qstride_i8 = dim + 5;
-    std::vector<std::int8_t> queries_i8(nq * qstride_i8, 0);
-    std::vector<float> query_scales(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      query_scales[q] = simd::QuantizeRowI8(
-          std::span<const float>(queries.data() + q * qstride, dim),
-          queries_i8.data() + q * qstride_i8);
     }
 
     std::vector<float> mq(nq * n), seq(n);
@@ -596,61 +631,6 @@ TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
               << " query " << q << " row " << i;
         }
       }
-
-      ks.dot_rows_i8_mq(queries_i8.data(), query_scales.data(), nq,
-                        qstride_i8, ptrs_i8.data(), scales_scattered.data(),
-                        n, dim, mq.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        ks.dot_rows_i8(queries_i8.data() + q * qstride_i8, query_scales[q],
-                       ptrs_i8.data(), scales_scattered.data(), n, dim,
-                       seq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(mq[q * n + i], seq[i])
-              << simd::VariantName(variant) << "/dot_rows_i8_mq dim " << dim
-              << " query " << q << " row " << i;
-        }
-      }
-    }
-  }
-}
-
-// int8 mq scores must additionally be bit-identical ACROSS variants (the
-// integer dot is exact), mirroring I8KernelsBitIdenticalAcrossVariants.
-TEST(SimdKernels, I8MqKernelsBitIdenticalAcrossVariants) {
-  Rng rng(59);
-  const std::size_t dim = 192;
-  const std::size_t n = 23;
-  const std::size_t nq = 4;
-  std::vector<float> rows(n * dim), queries(nq * dim);
-  for (auto& x : rows) x = static_cast<float>(rng.Normal());
-  for (auto& x : queries) x = static_cast<float>(rng.Normal());
-
-  std::vector<std::int8_t> rows_i8(n * dim), queries_i8(nq * dim);
-  std::vector<float> row_scales(n), query_scales(nq);
-  for (std::size_t i = 0; i < n; ++i) {
-    row_scales[i] = simd::QuantizeRowI8(
-        std::span<const float>(rows.data() + i * dim, dim),
-        rows_i8.data() + i * dim);
-  }
-  for (std::size_t q = 0; q < nq; ++q) {
-    query_scales[q] = simd::QuantizeRowI8(
-        std::span<const float>(queries.data() + q * dim, dim),
-        queries_i8.data() + q * dim);
-  }
-  std::vector<const std::int8_t*> ptrs(n);
-  for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows_i8.data() + i * dim;
-
-  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
-  std::vector<float> ref(nq * n), got(nq * n);
-  scalar.dot_rows_i8_mq(queries_i8.data(), query_scales.data(), nq, dim,
-                        ptrs.data(), row_scales.data(), n, dim, ref.data());
-  for (const auto variant : simd::SupportedVariants()) {
-    const auto& ks = simd::KernelsFor(variant);
-    ks.dot_rows_i8_mq(queries_i8.data(), query_scales.data(), nq, dim,
-                      ptrs.data(), row_scales.data(), n, dim, got.data());
-    for (std::size_t k = 0; k < ref.size(); ++k) {
-      EXPECT_EQ(got[k], ref[k])
-          << simd::VariantName(variant) << " element " << k;
     }
   }
 }

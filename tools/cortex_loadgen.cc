@@ -25,9 +25,7 @@
 // is measured from the SCHEDULED arrival, not the send, so queueing delay
 // from a lagging server shows up in the tail instead of silently
 // throttling the offered load — the standard open-loop correction for
-// coordinated omission.  The end-of-run report adds the server's
-// cross-request batching digest (cortex_pipeline_* from STATS): batch
-// size distribution, full vs window flushes, and stage-wait quantiles.
+// coordinated omission.
 //
 // Multi-tenant mode: --tenants=N tags every request with a tenant id
 // ("t0".."tN-1") and speaks TLOOKUP/TINSERT instead of LOOKUP/INSERT;
@@ -480,26 +478,6 @@ int main(int argc, char** argv) {
     std::string serr;
     const auto stats = FetchStats(endpoints.front(), &serr);
     if (stats) {
-      // Cross-request batching digest: how well the server's pipeline
-      // coalesced this run's arrivals (present only when cortexd ran with
-      // --max-pipeline-batch > 1).
-      if (StatValue(*stats, "cortex_pipeline_requests") != "-") {
-        std::cout << "\npipeline batching (server):\n";
-        TextTable batching({"metric", "value"});
-        for (const char* key :
-             {"cortex_pipeline_requests", "cortex_pipeline_batches",
-              "cortex_pipeline_full_flushes",
-              "cortex_pipeline_window_flushes",
-              "cortex_pipeline_batch_size_mean",
-              "cortex_pipeline_batch_size_p50",
-              "cortex_pipeline_batch_size_p99",
-              "cortex_pipeline_batch_size_max",
-              "cortex_pipeline_stage_wait_seconds_p50",
-              "cortex_pipeline_stage_wait_seconds_p99"}) {
-          batching.AddRow({key, StatValue(*stats, key)});
-        }
-        batching.Print(std::cout, /*csv=*/false);
-      }
       std::cout << "\nserver telemetry (cortex_*):\n";
       TextTable registry({"metric", "value"});
       for (const auto& [k, v] : stats->stats) {

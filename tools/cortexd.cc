@@ -50,8 +50,6 @@ void PrintUsage() {
       "             --unix=PATH (overrides TCP)\n"
       "  serving:   --workers=4 --rate-limit=0 (req/s, 0 = unlimited)\n"
       "             --max-pending=64 --max-pipeline=64\n"
-      "             --max-pipeline-batch=1 (cross-request lookup batching;\n"
-      "             >1 enables) --batch-window-us=200 --pipeline-threads=2\n"
       "             --max-frame-mb=64 (largest accepted frame; cluster\n"
       "             RESTORE blobs need headroom) --drain-sec=5\n"
       "  telemetry: --metrics-interval=0 (sec between registry dumps, "
@@ -112,12 +110,6 @@ int main(int argc, char** argv) {
   sopts.max_pipeline =
       static_cast<std::size_t>(flags.GetInt("max-pipeline", 64));
   sopts.max_requests_per_sec = flags.GetDouble("rate-limit", 0.0);
-  sopts.max_pipeline_batch =
-      static_cast<std::size_t>(flags.GetInt("max-pipeline-batch", 1));
-  sopts.batch_window_us =
-      static_cast<std::uint64_t>(flags.GetInt("batch-window-us", 200));
-  sopts.pipeline_threads =
-      static_cast<std::size_t>(flags.GetInt("pipeline-threads", 2));
   sopts.max_frame_bytes =
       static_cast<std::size_t>(flags.GetInt("max-frame-mb", 64)) << 20;
   sopts.flight_recorder_capacity =
