@@ -14,7 +14,6 @@
 #include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/ivf_index.h"
-#include "ann/pq.h"
 #include "bench_common.h"
 #include "embedding/simd_kernels.h"
 #include "util/flags.h"
@@ -25,9 +24,13 @@ using namespace cortex::bench;
 
 namespace {
 
-std::unique_ptr<VectorIndex> Make(IndexType type, std::size_t dim) {
-  return MakeIndex(type, dim);
-}
+struct Backend {
+  IndexType type;
+  const char* name;
+};
+constexpr Backend kBackends[] = {{IndexType::kFlat, "flat"},
+                                 {IndexType::kIvf, "ivf"},
+                                 {IndexType::kHnsw, "hnsw"}};
 
 // Queries/sec over repeated sweeps of `queries` until ~`min_ms` of wall
 // time; also collects the top-5 id stream for cross-variant comparison.
@@ -86,10 +89,8 @@ int main(int argc, char** argv) {
   std::vector<AblationRow> ablation_rows;
   TextTable ann_table({"index", "recall@5 vs flat", "dist comps / query",
                        "self-hit rate"});
-  for (const IndexType type :
-       {IndexType::kFlat, IndexType::kIvf, IndexType::kHnsw,
-        IndexType::kPq}) {
-    auto idx = Make(type, embedder.dimension());
+  for (const auto& [type, name] : kBackends) {
+    auto idx = MakeIndex(type, embedder.dimension());
     for (std::size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
     int found = 0, total = 0, self_hits = 0;
     const auto comps_before = idx->distance_computations();
@@ -110,10 +111,6 @@ int main(int argc, char** argv) {
     const double comps =
         static_cast<double>(idx->distance_computations() - comps_before) /
         static_cast<double>(queries.size());
-    const char* name = type == IndexType::kFlat  ? "flat"
-                       : type == IndexType::kIvf ? "ivf"
-                       : type == IndexType::kHnsw ? "hnsw"
-                                                  : "pq";
     ablation_rows.push_back({name, static_cast<double>(found) / total, comps,
                              static_cast<double>(self_hits) /
                                  static_cast<double>(queries.size())});
@@ -150,18 +147,14 @@ int main(int argc, char** argv) {
   const auto native = simd::ActiveVariant();
   TextTable ab({"index", "scalar q/s", "native q/s", "speedup",
                 "top-k identical"});
-  for (const IndexType type :
-       {IndexType::kFlat, IndexType::kIvf, IndexType::kHnsw}) {
-    auto idx = Make(type, embedder.dimension());
+  for (const auto& [type, name] : kBackends) {
+    auto idx = MakeIndex(type, embedder.dimension());
     for (std::size_t i = 0; i < corpus.size(); ++i) idx->Add(i, corpus[i]);
     std::vector<VectorId> scalar_ids, native_ids;
     simd::ForceVariant(simd::Variant::kScalar);
     const double scalar_qps = QueriesPerSec(*idx, queries, 150.0, scalar_ids);
     simd::ForceVariant(native);
     const double native_qps = QueriesPerSec(*idx, queries, 150.0, native_ids);
-    const char* name = type == IndexType::kFlat  ? "flat"
-                       : type == IndexType::kIvf ? "ivf"
-                                                 : "hnsw";
     ab.AddRow({name, TextTable::Num(scalar_qps, 0),
                TextTable::Num(native_qps, 0),
                TextTable::Num(native_qps / scalar_qps, 2) + "x",
@@ -177,19 +170,13 @@ int main(int argc, char** argv) {
   const WorkloadBundle e2e = BuildSkewedSearchWorkload(small);
   TextTable backend({"index", "throughput (req/s)", "hit rate",
                      "mean cache check (s)"});
-  for (const IndexType type :
-       {IndexType::kFlat, IndexType::kIvf, IndexType::kHnsw,
-        IndexType::kPq}) {
+  for (const auto& [type, name] : kBackends) {
     ExperimentConfig config;
     config.system = System::kCortex;
     config.cache_ratio = 0.5;
     config.engine.index_type = type;
     config.driver = OpenLoop(3.0);
     const auto r = RunExperiment(e2e, config);
-    const char* name = type == IndexType::kFlat  ? "flat"
-                       : type == IndexType::kIvf ? "ivf"
-                       : type == IndexType::kHnsw ? "hnsw"
-                                                  : "pq";
     backend.AddRow({name, TextTable::Num(r.metrics.Throughput()),
                     TextTable::Percent(r.metrics.CacheHitRate()),
                     TextTable::Num(r.metrics.MeanCacheCheckSeconds(), 3)});

@@ -10,7 +10,6 @@
 #include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/ivf_index.h"
-#include "ann/pq.h"
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "embedding/hashed_embedder.h"
@@ -138,30 +137,6 @@ void BM_JudgerScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JudgerScore);
-
-void BM_PqSearch(benchmark::State& state) {
-  RunSearchBench(state, std::make_unique<PqIndex>(256));
-}
-BENCHMARK(BM_PqSearch)->Arg(1024)->Arg(4096);
-
-void BM_PqEncode(benchmark::State& state) {
-  Rng rng(2);
-  PqOptions opts;
-  ProductQuantizer pq(256, opts);
-  std::vector<float> data;
-  for (int i = 0; i < 512; ++i) {
-    Vector v(256);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    Normalize(v);
-    data.insert(data.end(), v.begin(), v.end());
-  }
-  pq.Train(data, 512);
-  const std::span<const float> row(data.data(), 256);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pq.Encode(row));
-  }
-}
-BENCHMARK(BM_PqEncode);
 
 void BM_SnapshotSaveLoad(benchmark::State& state) {
   const auto& bundle = SharedBundle();

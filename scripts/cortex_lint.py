@@ -20,6 +20,12 @@ Rules (see DESIGN.md §7):
               src/embedding/simd_kernels.* — raw intrinsics go through the
               runtime-dispatched kernel layer (embedding/simd_kernels.h) so
               CORTEX_SIMD pinning and the scalar CI leg stay meaningful.
+  exact-rerank
+              no KernelsFor(Variant::kScalar) outside
+              src/embedding/simd_kernels.* — an exact rescore goes through
+              simd::ExactDotRows, the one routine bit-identical to the
+              scalar double kernel (DESIGN.md §13.4), so every exact
+              similarity in the tree comes from one place.
   gpu-choke-point
               no direct BatchingServer use outside src/gpu/ — the judger
               partition model is driven by the simulator's GPU layer
@@ -114,6 +120,13 @@ RULES = [
         ),
         "raw SIMD intrinsics header outside the kernel layer: go through "
         "the dispatch wrappers in embedding/simd_kernels.h",
+        _outside_simd_kernel_layer,
+    ),
+    (
+        "exact-rerank",
+        re.compile(r"\bKernelsFor\s*\([^)]*\bVariant\s*::\s*kScalar\b"),
+        "scalar kernel table used for an exact rescore: call "
+        "simd::ExactDotRows instead (DESIGN.md §13.4)",
         _outside_simd_kernel_layer,
     ),
     (

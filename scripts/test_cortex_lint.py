@@ -61,6 +61,25 @@ class RuleFiringTest(unittest.TestCase):
         self.assertEqual(
             lint_text(src, "src/embedding/simd_kernels.cc"), [])
 
+    def test_exact_rerank_fires_outside_kernel_layer(self):
+        src = ("const auto& exact = "
+               "simd::KernelsFor(simd::Variant::kScalar);\n")
+        out = lint_text(src, "src/ann/flat_index.cc")
+        self.assertEqual(len(out), 1)
+        self.assertIn("[exact-rerank]", out[0])
+        self.assertIn("ExactDotRows", out[0])
+        # The kernel layer defines the scalar table and may name it.
+        self.assertEqual(
+            lint_text(src, "src/embedding/simd_kernels.cc"), [])
+
+    def test_exact_rerank_ignores_other_variants(self):
+        # Picking a native table (benches, dispatch) is not a rescore.
+        self.assertEqual(
+            lint_text("const auto& ks = simd::KernelsFor(v);\n"
+                      "simd::ForceVariant(simd::Variant::kScalar);\n",
+                      "src/ann/ivf_index.cc"),
+            [])
+
     def test_gpu_choke_point_fires_outside_gpu(self):
         src = "BatchingServer gpu_;\ngpu_.Dispatch(now, cost);\n"
         out = lint_text(src, "src/serve/server.cc")

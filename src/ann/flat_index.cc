@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ann/exact_rerank.h"
 #include "embedding/simd_kernels.h"
 #include "util/check.h"
 
@@ -57,75 +58,19 @@ std::vector<SearchResult> FlatIndex::Search(std::span<const float> query,
   // per-candidate norm recomputation.
   std::vector<float> sims(n);
   simd::DotBatch(query, data_.data(), n, dimension_, sims.data());
-  auto results = RankFromSims(query, sims.data(), k, min_similarity);
+  std::vector<ScanHit> hits;
+  hits.reserve(n);
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (static_cast<double>(sims[slot]) >= min_similarity) {
+      hits.push_back(
+          {slot_to_id_[slot], sims[slot], data_.data() + slot * dimension_});
+    }
+  }
   // The counter tracks scan work (one per candidate scored); the k-bounded
   // rerank is constant overhead and intentionally excluded.
   distcomp_.fetch_add(n, std::memory_order_relaxed);
-  return results;
-}
-
-std::vector<std::vector<SearchResult>> FlatIndex::SearchBatch(
-    const float* queries, std::size_t nq, std::size_t qstride, std::size_t k,
-    double min_similarity) const {
-  CHECK_GE(qstride, dimension_);
-  std::vector<std::vector<SearchResult>> out(nq);
-  if (k == 0 || slot_to_id_.empty() || nq == 0) return out;
-  const std::size_t n = slot_to_id_.size();
-  // One multi-query pass: the row block streams through cache once per
-  // batch.  Per-(query,row) scores are bitwise the sequential DotBatch
-  // scores, and RankFromSims orders by a total order, so out[q] ==
-  // Search(query q).
-  std::vector<float> sims(nq * n);
-  simd::DotBatchMq(queries, nq, qstride, data_.data(), n, dimension_,
-                   dimension_, sims.data());
-  for (std::size_t q = 0; q < nq; ++q) {
-    out[q] = RankFromSims(
-        std::span<const float>(queries + q * qstride, dimension_),
-        sims.data() + q * n, k, min_similarity);
-  }
-  distcomp_.fetch_add(nq * n, std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<SearchResult> FlatIndex::RankFromSims(
-    std::span<const float> query, const float* sims, std::size_t k,
-    double min_similarity) const {
-  const std::size_t n = slot_to_id_.size();
-  std::vector<SearchResult> results;
-  results.reserve(n);
-  for (std::size_t slot = 0; slot < n; ++slot) {
-    const double sim = static_cast<double>(sims[slot]);
-    if (sim >= min_similarity) {
-      results.push_back({slot_to_id_[slot], sim});
-    }
-  }
-  // Two-phase ranking: the float batch scores select a pool of k + slack
-  // candidates, then the pool is rescored with the scalar double-precision
-  // kernel and tie-broken by id.  The final top-k is therefore identical no
-  // matter which SIMD variant ran the scan (variants differ by ~1 float
-  // ulp, which the slack absorbs), and reported similarities are exact.
-  const auto ranked = [](const SearchResult& a, const SearchResult& b) {
-    return a.similarity != b.similarity ? a.similarity > b.similarity
-                                        : a.id < b.id;
-  };
-  const std::size_t pool =
-      std::min(results.size(), k + std::max<std::size_t>(k, 8));
-  std::partial_sort(results.begin(),
-                    results.begin() + static_cast<std::ptrdiff_t>(pool),
-                    results.end(), ranked);
-  results.resize(pool);
-  const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
-  for (auto& r : results) {
-    r.similarity = exact.dot(
-        query.data(),
-        data_.data() + id_to_slot_.at(r.id) * dimension_, dimension_);
-  }
-  std::erase_if(results, [min_similarity](const SearchResult& r) {
-    return r.similarity < min_similarity;
-  });
-  std::sort(results.begin(), results.end(), ranked);
-  results.resize(std::min(k, results.size()));
-  return results;
+  return ExactRerank(query, std::move(hits), RerankPool(k), k,
+                     min_similarity);
 }
 
 bool FlatIndex::Contains(VectorId id) const {

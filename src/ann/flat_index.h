@@ -19,9 +19,6 @@ class FlatIndex final : public VectorIndex {
   std::vector<SearchResult> Search(std::span<const float> query,
                                    std::size_t k,
                                    double min_similarity) const override;
-  std::vector<std::vector<SearchResult>> SearchBatch(
-      const float* queries, std::size_t nq, std::size_t qstride,
-      std::size_t k, double min_similarity) const override;
   bool Contains(VectorId id) const override;
   std::optional<Vector> Get(VectorId id) const override;
   std::size_t size() const override { return id_to_slot_.size(); }
@@ -31,12 +28,6 @@ class FlatIndex final : public VectorIndex {
   }
 
  private:
-  // Shared tail of Search/SearchBatch: candidate selection, two-phase
-  // exact rerank, filter/sort/truncate from one query's scan scores.
-  std::vector<SearchResult> RankFromSims(std::span<const float> query,
-                                         const float* sims, std::size_t k,
-                                         double min_similarity) const;
-
   std::size_t dimension_;
   // Contiguous storage with swap-erase removal for cache-friendly scans.
   std::vector<float> data_;            // size() * dimension_

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "ann/exact_rerank.h"
 #include "embedding/simd_kernels.h"
 #include "embedding/vector_ops.h"
 #include "util/check.h"
@@ -317,30 +318,22 @@ std::vector<SearchResult> HnswIndex::Search(std::span<const float> query,
   const Slot entry =
       GreedyDescend(query, entry_point_, max_level_, 0, comps);
   const std::size_t ef = std::max(options_.ef_search, k);
-  auto found = SearchLayer(query, entry, ef + tombstone_count(), 0, comps);
+  const auto found =
+      SearchLayer(query, entry, ef + tombstone_count(), 0, comps);
+  distcomp_.fetch_add(comps, std::memory_order_relaxed);
 
-  // Rerank the beam output with the scalar double-precision kernel and
-  // break ties by id (see FlatIndex::Search): the reported top-k does not
-  // depend on which SIMD variant ran the beam, and similarities are exact.
-  const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
-  std::vector<SearchResult> results;
-  results.reserve(found.size());
+  // Rerank the whole live beam exactly (see ann/exact_rerank.h): the
+  // reported top-k does not depend on which SIMD variant ran the beam, and
+  // similarities are exact.
+  std::vector<ScanHit> hits;
+  hits.reserve(found.size());
   for (const auto& [slot, sim] : found) {
     if (nodes_[slot].deleted) continue;
-    const double s =
-        exact.dot(query.data(), SlotVector(slot).data(), dimension_);
-    if (s < min_similarity) continue;
-    results.push_back({nodes_[slot].id, s});
+    hits.push_back(
+        {nodes_[slot].id, static_cast<float>(sim), SlotVector(slot).data()});
   }
-  distcomp_.fetch_add(comps, std::memory_order_relaxed);
-  std::sort(results.begin(), results.end(),
-            [](const SearchResult& a, const SearchResult& b) {
-              return a.similarity != b.similarity
-                         ? a.similarity > b.similarity
-                         : a.id < b.id;
-            });
-  results.resize(std::min(k, results.size()));
-  return results;
+  const std::size_t pool = hits.size();
+  return ExactRerank(query, std::move(hits), pool, k, min_similarity);
 }
 
 bool HnswIndex::Contains(VectorId id) const {

@@ -104,8 +104,7 @@ void IvfIndex::Train() {
 
 void IvfIndex::ScanList(std::span<const float> query,
                         const std::vector<ListEntry>& candidates,
-                        double min_similarity,
-                        std::vector<SearchResult>& results,
+                        double min_similarity, std::vector<ScanHit>& hits,
                         std::vector<const float*>& row_ptrs,
                         std::vector<float>& sims) const {
   const std::size_t n = candidates.size();
@@ -117,8 +116,9 @@ void IvfIndex::ScanList(std::span<const float> query,
   }
   simd::DotRows(query, row_ptrs.data(), n, sims.data());
   for (std::size_t i = 0; i < n; ++i) {
-    const double sim = static_cast<double>(sims[i]);
-    if (sim >= min_similarity) results.push_back({candidates[i].id, sim});
+    if (static_cast<double>(sims[i]) >= min_similarity) {
+      hits.push_back({candidates[i].id, sims[i], row_ptrs[i]});
+    }
   }
 }
 
@@ -128,7 +128,7 @@ std::vector<SearchResult> IvfIndex::Search(std::span<const float> query,
   CHECK_EQ(query.size(), dimension_);
   if (k == 0 || entries_.empty()) return {};
 
-  std::vector<SearchResult> results;
+  std::vector<ScanHit> hits;
   std::vector<const float*> row_ptrs;
   std::vector<float> sims;
   std::uint64_t comps = 0;
@@ -138,7 +138,7 @@ std::vector<SearchResult> IvfIndex::Search(std::span<const float> query,
     std::vector<ListEntry> all;
     all.reserve(entries_.size());
     for (const auto& [id, e] : entries_) all.push_back({id, e.row});
-    ScanList(query, all, min_similarity, results, row_ptrs, sims);
+    ScanList(query, all, min_similarity, hits, row_ptrs, sims);
     comps += all.size();
   } else {
     // Rank lists by centroid distance (one batched kernel call over the
@@ -158,136 +158,14 @@ std::vector<SearchResult> IvfIndex::Search(std::span<const float> query,
                       ranked.end());
     for (std::size_t p = 0; p < probes; ++p) {
       const auto& list = lists_[ranked[p].second];
-      ScanList(query, list, min_similarity, results, row_ptrs, sims);
+      ScanList(query, list, min_similarity, hits, row_ptrs, sims);
       comps += list.size();
     }
   }
   // comps tracks scan work only; the k-bounded rerank is excluded.
   distcomp_.fetch_add(comps, std::memory_order_relaxed);
-  return FinalizeResults(query, std::move(results), k, min_similarity);
-}
-
-std::vector<std::vector<SearchResult>> IvfIndex::SearchBatch(
-    const float* queries, std::size_t nq, std::size_t qstride, std::size_t k,
-    double min_similarity) const {
-  CHECK_GE(qstride, dimension_);
-  std::vector<std::vector<SearchResult>> out(nq);
-  if (k == 0 || entries_.empty() || nq == 0) return out;
-
-  std::vector<std::vector<SearchResult>> cand(nq);
-  std::vector<const float*> row_ptrs;
-  std::vector<float> sims;
-  std::uint64_t comps = 0;
-
-  if (!trained_) {
-    // Warm-up: one exact multi-query scan over the whole corpus.
-    std::vector<ListEntry> all;
-    all.reserve(entries_.size());
-    for (const auto& [id, e] : entries_) all.push_back({id, e.row});
-    const std::size_t n = all.size();
-    row_ptrs.resize(n);
-    for (std::size_t i = 0; i < n; ++i) row_ptrs[i] = vectors_.Row(all[i].row);
-    sims.resize(nq * n);
-    simd::DotRowsMq(queries, nq, qstride, row_ptrs.data(), n, dimension_,
-                    sims.data());
-    for (std::size_t q = 0; q < nq; ++q) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double sim = static_cast<double>(sims[q * n + i]);
-        if (sim >= min_similarity) cand[q].push_back({all[i].id, sim});
-      }
-    }
-    comps += nq * n;
-  } else {
-    // Rank centroids for every query in one multi-query pass, then invert
-    // the probe sets so each inverted list is scanned ONCE for all the
-    // queries that probe it.
-    const std::size_t nlists = options_.num_lists;
-    std::vector<float> cdists(nq * nlists);
-    simd::L2SqBatchMq(queries, nq, qstride, centroids_.data(), nlists,
-                      dimension_, dimension_, cdists.data());
-    comps += nq * nlists;
-    const std::size_t probes = std::min(options_.num_probes, nlists);
-    std::vector<std::vector<std::uint32_t>> probers(nlists);
-    std::vector<std::pair<double, std::size_t>> ranked(nlists);
-    for (std::size_t q = 0; q < nq; ++q) {
-      for (std::size_t c = 0; c < nlists; ++c) {
-        ranked[c] = {static_cast<double>(cdists[q * nlists + c]), c};
-      }
-      std::partial_sort(ranked.begin(),
-                        ranked.begin() + static_cast<std::ptrdiff_t>(probes),
-                        ranked.end());
-      for (std::size_t p = 0; p < probes; ++p) {
-        probers[ranked[p].second].push_back(static_cast<std::uint32_t>(q));
-      }
-    }
-    std::vector<float> qbuf;
-    for (std::size_t l = 0; l < nlists; ++l) {
-      if (probers[l].empty() || lists_[l].empty()) continue;
-      const auto& list = lists_[l];
-      const std::size_t pq = probers[l].size();
-      const std::size_t n = list.size();
-      qbuf.resize(pq * dimension_);
-      for (std::size_t j = 0; j < pq; ++j) {
-        std::copy_n(queries + probers[l][j] * qstride, dimension_,
-                    qbuf.begin() + static_cast<std::ptrdiff_t>(j * dimension_));
-      }
-      row_ptrs.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        row_ptrs[i] = vectors_.Row(list[i].row);
-      }
-      sims.resize(pq * n);
-      simd::DotRowsMq(qbuf.data(), pq, dimension_, row_ptrs.data(), n,
-                      dimension_, sims.data());
-      for (std::size_t j = 0; j < pq; ++j) {
-        auto& qc = cand[probers[l][j]];
-        for (std::size_t i = 0; i < n; ++i) {
-          const double sim = static_cast<double>(sims[j * n + i]);
-          if (sim >= min_similarity) qc.push_back({list[i].id, sim});
-        }
-      }
-      comps += pq * n;
-    }
-  }
-
-  // Candidate sets match the sequential probes element-for-element (only
-  // the append order differs), and FinalizeResults selects by the total
-  // order (similarity desc, id asc) — so out[q] == Search(query q).
-  for (std::size_t q = 0; q < nq; ++q) {
-    out[q] = FinalizeResults(
-        std::span<const float>(queries + q * qstride, dimension_),
-        std::move(cand[q]), k, min_similarity);
-  }
-  distcomp_.fetch_add(comps, std::memory_order_relaxed);
-  return out;
-}
-
-std::vector<SearchResult> IvfIndex::FinalizeResults(
-    std::span<const float> query, std::vector<SearchResult> results,
-    std::size_t k, double min_similarity) const {
-  // Two-phase ranking (see FlatIndex::Search): float batch scores select a
-  // pool, the scalar double-precision kernel reranks it, ties break by id —
-  // the final top-k is identical across SIMD variants.
-  const auto ranked = [](const SearchResult& a, const SearchResult& b) {
-    return a.similarity != b.similarity ? a.similarity > b.similarity
-                                        : a.id < b.id;
-  };
-  const std::size_t pool =
-      std::min(results.size(), k + std::max<std::size_t>(k, 8));
-  std::partial_sort(results.begin(),
-                    results.begin() + static_cast<std::ptrdiff_t>(pool),
-                    results.end(), ranked);
-  results.resize(pool);
-  const auto& exact = simd::KernelsFor(simd::Variant::kScalar);
-  for (auto& r : results) {
-    const auto row = vectors_.RowSpan(entries_.at(r.id).row);
-    r.similarity = exact.dot(query.data(), row.data(), dimension_);
-  }
-  std::erase_if(results, [min_similarity](const SearchResult& r) {
-    return r.similarity < min_similarity;
-  });
-  std::sort(results.begin(), results.end(), ranked);
-  results.resize(std::min(k, results.size()));
-  return results;
+  return ExactRerank(query, std::move(hits), RerankPool(k), k,
+                     min_similarity);
 }
 
 bool IvfIndex::Contains(VectorId id) const { return entries_.contains(id); }

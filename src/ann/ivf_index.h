@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ann/exact_rerank.h"
 #include "ann/kmeans.h"
 #include "ann/vector_index.h"
 #include "embedding/vector_slab.h"
@@ -43,9 +44,6 @@ class IvfIndex final : public VectorIndex {
   std::vector<SearchResult> Search(std::span<const float> query,
                                    std::size_t k,
                                    double min_similarity) const override;
-  std::vector<std::vector<SearchResult>> SearchBatch(
-      const float* queries, std::size_t nq, std::size_t qstride,
-      std::size_t k, double min_similarity) const override;
   bool Contains(VectorId id) const override;
   std::optional<Vector> Get(VectorId id) const override;
   std::size_t size() const override { return entries_.size(); }
@@ -71,18 +69,12 @@ class IvfIndex final : public VectorIndex {
   void MaybeTrain();
   void AssignToList(VectorId id, Entry& e);
   // Scores `candidates` against `query` in one batched kernel call,
-  // appending those >= min_similarity to `results`.
+  // appending those >= min_similarity to `hits`.
   void ScanList(std::span<const float> query,
                 const std::vector<ListEntry>& candidates,
-                double min_similarity, std::vector<SearchResult>& results,
+                double min_similarity, std::vector<ScanHit>& hits,
                 std::vector<const float*>& row_ptrs,
                 std::vector<float>& sims) const;
-  // Shared tail of Search/SearchBatch: two-phase exact rerank + final
-  // filter/sort/truncate over one query's candidate set.
-  std::vector<SearchResult> FinalizeResults(std::span<const float> query,
-                                            std::vector<SearchResult> results,
-                                            std::size_t k,
-                                            double min_similarity) const;
 
   std::size_t dimension_;
   IvfOptions options_;

@@ -43,25 +43,6 @@ class VectorIndex {
                                            std::size_t k,
                                            double min_similarity) const = 0;
 
-  // Multi-query search: query q lives at queries + q*qstride (qstride in
-  // floats, >= dimension()); result q is exactly Search(query q, k,
-  // min_similarity).  The base implementation loops Search; Flat and IVF
-  // override it with the multi-query kernels so index bytes are read once
-  // per batch instead of once per query — the result stays identical
-  // because both phases' pool selection orders by the total order
-  // (similarity desc, id asc) on unique ids.
-  virtual std::vector<std::vector<SearchResult>> SearchBatch(
-      const float* queries, std::size_t nq, std::size_t qstride,
-      std::size_t k, double min_similarity) const {
-    std::vector<std::vector<SearchResult>> out(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q] = Search(std::span<const float>(queries + q * qstride,
-                                             dimension()),
-                      k, min_similarity);
-    }
-    return out;
-  }
-
   virtual bool Contains(VectorId id) const = 0;
   virtual std::optional<Vector> Get(VectorId id) const = 0;
   virtual std::size_t size() const = 0;

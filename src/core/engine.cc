@@ -5,7 +5,6 @@
 #include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/ivf_index.h"
-#include "ann/pq.h"
 
 namespace cortex {
 
@@ -17,8 +16,6 @@ std::unique_ptr<VectorIndex> MakeIndex(IndexType type, std::size_t dimension) {
       return std::make_unique<IvfIndex>(dimension);
     case IndexType::kHnsw:
       return std::make_unique<HnswIndex>(dimension);
-    case IndexType::kPq:
-      return std::make_unique<PqIndex>(dimension);
   }
   return std::make_unique<FlatIndex>(dimension);
 }

@@ -15,7 +15,7 @@
 
 namespace cortex {
 
-enum class IndexType { kFlat, kIvf, kHnsw, kPq };
+enum class IndexType { kFlat, kIvf, kHnsw };
 enum class EvictionKind { kLcfu, kLru, kLfu };
 
 struct CortexEngineOptions {

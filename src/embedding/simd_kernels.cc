@@ -97,16 +97,6 @@ inline float DescaleI8(float query_scale, float row_scale,
   return (query_scale * row_scale) * static_cast<float>(sum);
 }
 
-void DotBatchI8Scalar(const std::int8_t* query, float query_scale,
-                      const std::int8_t* rows, const float* scales,
-                      std::size_t n, std::size_t stride, std::size_t dim,
-                      float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumScalar(query, rows + i * stride, dim));
-  }
-}
-
 void DotRowsI8Scalar(const std::int8_t* query, float query_scale,
                      const std::int8_t* const* rows, const float* scales,
                      std::size_t n, std::size_t dim, float* out) {
@@ -116,50 +106,9 @@ void DotRowsI8Scalar(const std::int8_t* query, float query_scale,
   }
 }
 
-// Multi-query scalar kernels: rows outer, queries inner — the same loop
-// interchange every variant applies, scoring with the single-query
-// primitive so each (query, row) score matches the sequential kernel
-// bit-for-bit.
-void DotBatchMqScalar(const float* queries, std::size_t nq,
-                      std::size_t qstride, const float* rows, std::size_t n,
-                      std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotScalar(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void L2SqBatchMqScalar(const float* queries, std::size_t nq,
-                       std::size_t qstride, const float* rows, std::size_t n,
-                       std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(L2SqScalar(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void DotRowsMqScalar(const float* queries, std::size_t nq,
-                     std::size_t qstride, const float* const* rows,
-                     std::size_t n, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotScalar(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kScalarKernels = {
-    DotScalar,        L2SqScalar,       DotBatchScalar,
-    DotRowsScalar,    L2SqBatchScalar,  DotBatchI8Scalar,
-    DotRowsI8Scalar,  DotBatchMqScalar, L2SqBatchMqScalar,
-    DotRowsMqScalar,
+    DotScalar,     L2SqScalar,      DotBatchScalar,
+    DotRowsScalar, L2SqBatchScalar, DotRowsI8Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -345,17 +294,6 @@ CORTEX_TARGET_AVX2 std::int32_t DotI8SumAvx2(const std::int8_t* a,
   return sum;
 }
 
-void DotBatchI8Avx2(const std::int8_t* query, float query_scale,
-                    const std::int8_t* rows, const float* scales,
-                    std::size_t n, std::size_t stride, std::size_t dim,
-                    float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim);
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumAvx2(query, rows + i * stride, dim));
-  }
-}
-
 void DotRowsI8Avx2(const std::int8_t* query, float query_scale,
                    const std::int8_t* const* rows, const float* scales,
                    std::size_t n, std::size_t dim, float* out) {
@@ -366,69 +304,9 @@ void DotRowsI8Avx2(const std::int8_t* query, float query_scale,
   }
 }
 
-// Multi-query AVX2: identical row-block boundaries to the single-query
-// kernels, with the query loop moved inside the block so a 4-row tile is
-// read from memory once per batch and stays L1-resident across queries.
-void DotBatchMqAvx2(const float* queries, std::size_t nq, std::size_t qstride,
-                    const float* rows, std::size_t n, std::size_t stride,
-                    std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 <= n) PrefetchRow(rows + (i + 4) * stride, 4 * stride);
-    const float* base = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Avx2(queries + q * qstride, base, base + stride, base + 2 * stride,
-               base + 3 * stride, dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotAvx2(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void L2SqBatchMqAvx2(const float* queries, std::size_t nq,
-                     std::size_t qstride, const float* rows, std::size_t n,
-                     std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchRow(rows + (i + 1) * stride, dim);
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(L2SqAvx2(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void DotRowsMqAvx2(const float* queries, std::size_t nq, std::size_t qstride,
-                   const float* const* rows, std::size_t n, std::size_t dim,
-                   float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t p = i + 4; p < std::min(i + 8, n); ++p) {
-      PrefetchRow(rows[p], dim);
-    }
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Avx2(queries + q * qstride, rows[i], rows[i + 1], rows[i + 2],
-               rows[i + 3], dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotAvx2(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kAvx2Kernels = {
-    DotAvx2,        L2SqAvx2,       DotBatchAvx2,
-    DotRowsAvx2,    L2SqBatchAvx2,  DotBatchI8Avx2,
-    DotRowsI8Avx2,  DotBatchMqAvx2, L2SqBatchMqAvx2,
-    DotRowsMqAvx2,
+    DotAvx2,     L2SqAvx2,      DotBatchAvx2,
+    DotRowsAvx2, L2SqBatchAvx2, DotRowsI8Avx2,
 };
 
 #endif  // CORTEX_SIMD_HAVE_X86
@@ -553,17 +431,6 @@ std::int32_t DotI8SumNeon(const std::int8_t* a, const std::int8_t* b,
   return sum;
 }
 
-void DotBatchI8Neon(const std::int8_t* query, float query_scale,
-                    const std::int8_t* rows, const float* scales,
-                    std::size_t n, std::size_t stride, std::size_t dim,
-                    float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchBytes(rows + (i + 1) * stride, dim);
-    out[i] = DescaleI8(query_scale, scales[i],
-                       DotI8SumNeon(query, rows + i * stride, dim));
-  }
-}
-
 void DotRowsI8Neon(const std::int8_t* query, float query_scale,
                    const std::int8_t* const* rows, const float* scales,
                    std::size_t n, std::size_t dim, float* out) {
@@ -574,67 +441,9 @@ void DotRowsI8Neon(const std::int8_t* query, float query_scale,
   }
 }
 
-// Multi-query NEON: same interchange as the x86 mq kernels.
-void DotBatchMqNeon(const float* queries, std::size_t nq, std::size_t qstride,
-                    const float* rows, std::size_t n, std::size_t stride,
-                    std::size_t dim, float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (i + 8 <= n) PrefetchRow(rows + (i + 4) * stride, 4 * stride);
-    const float* base = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Neon(queries + q * qstride, base, base + stride, base + 2 * stride,
-               base + 3 * stride, dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotNeon(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void L2SqBatchMqNeon(const float* queries, std::size_t nq,
-                     std::size_t qstride, const float* rows, std::size_t n,
-                     std::size_t stride, std::size_t dim, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) PrefetchRow(rows + (i + 1) * stride, dim);
-    const float* row = rows + i * stride;
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(L2SqNeon(queries + q * qstride, row, dim));
-    }
-  }
-}
-
-void DotRowsMqNeon(const float* queries, std::size_t nq, std::size_t qstride,
-                   const float* const* rows, std::size_t n, std::size_t dim,
-                   float* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t p = i + 4; p < std::min(i + 8, n); ++p) {
-      PrefetchRow(rows[p], dim);
-    }
-    for (std::size_t q = 0; q < nq; ++q) {
-      Dot4Neon(queries + q * qstride, rows[i], rows[i + 1], rows[i + 2],
-               rows[i + 3], dim, out + q * n + i);
-    }
-  }
-  for (; i < n; ++i) {
-    for (std::size_t q = 0; q < nq; ++q) {
-      out[q * n + i] =
-          static_cast<float>(DotNeon(queries + q * qstride, rows[i], dim));
-    }
-  }
-}
-
 constexpr KernelSet kNeonKernels = {
-    DotNeon,        L2SqNeon,       DotBatchNeon,
-    DotRowsNeon,    L2SqBatchNeon,  DotBatchI8Neon,
-    DotRowsI8Neon,  DotBatchMqNeon, L2SqBatchMqNeon,
-    DotRowsMqNeon,
+    DotNeon,     L2SqNeon,      DotBatchNeon,
+    DotRowsNeon, L2SqBatchNeon, DotRowsI8Neon,
 };
 
 #endif  // CORTEX_SIMD_HAVE_NEON

@@ -3,9 +3,12 @@
 // Every semantic-cache lookup funnels through Sine's stage-one ANN probe,
 // so per-candidate similarity cost is the hottest multiplier in the serving
 // path.  This layer provides the vectorized kernels FAISS supplies in the
-// paper's stack: single-query dot / squared-L2, plus *batched* kernels that
-// score one query against N rows per call with register blocking and
-// software prefetch.
+// paper's stack.  A KernelSet has six slots: single-query dot / squared-L2,
+// three f32 *batched* kernels that score one query against N rows per call
+// with register blocking and software prefetch (the Flat, IVF and HNSW
+// scans), and the int8 gather kernel of the snapshot scan.  The exact fp32
+// rerank every index and the snapshot probe share is ExactDotRows, which is
+// variant-independent and so lives outside the table.
 //
 // Dispatch: the best variant compiled into the binary AND supported by the
 // running CPU is resolved once on first use (AVX2+FMA on x86-64, NEON on
@@ -56,38 +59,15 @@ struct KernelSet {
   void (*l2sq_batch)(const float* query, const float* rows, std::size_t n,
                      std::size_t stride, std::size_t dim, float* out);
 
-  // Quantized scan-tier kernels (DESIGN.md §13).  int8 rows use symmetric
-  // per-row scales (row = scale * q[0..dim)); the query is pre-quantized
-  // once per probe with QuantizeRowI8.  Every entry must lie in
-  // [-127, 127], as QuantizeRowI8 guarantees: the AVX2 kernel's i16 pair
-  // sums rely on it.  The integer dot is exact (i32 accumulation, no
-  // overflow below dim ~1.3e5), so int8 scores are bit-identical across
-  // every variant.
-  void (*dot_batch_i8)(const std::int8_t* query, float query_scale,
-                       const std::int8_t* rows, const float* scales,
-                       std::size_t n, std::size_t stride, std::size_t dim,
-                       float* out);
+  // Quantized scan-tier kernel (DESIGN.md §13): out[i] = (query_scale *
+  // scales[i]) * dot(query, rows[i]), the dot taken in int32.  int8 rows use symmetric per-row scales (row =
+  // scale * q[0..dim)); the query is pre-quantized once per probe with
+  // QuantizeRowI8.  Every entry must lie in [-127, 127], as QuantizeRowI8
+  // guarantees: the AVX2 kernel's i16 pair sums rely on it.  The integer
+  // dot is exact (i32 accumulation, no overflow below dim ~1.3e5), so int8
+  // scores are bit-identical across every variant.
   void (*dot_rows_i8)(const std::int8_t* query, float query_scale,
                       const std::int8_t* const* rows, const float* scales,
-                      std::size_t n, std::size_t dim, float* out);
-
-  // Multi-query (mq) kernels for the batched ANN searches
-  // (FlatIndex::SearchBatch, IvfIndex::SearchBatch): score `nq` queries —
-  // query q at queries + q*qstride, qstride in elements — against the
-  // same n rows in one pass, writing out[q*n + i].  Rows iterate in the OUTER loop (same block boundaries
-  // as the single-query kernels) with queries inner, so each row block is
-  // read from memory once per BATCH instead of once per query.  The
-  // per-(query,row) arithmetic reuses the single-query primitives
-  // verbatim, so every score is bitwise identical to the corresponding
-  // sequential kernel on the same variant.
-  void (*dot_batch_mq)(const float* queries, std::size_t nq,
-                       std::size_t qstride, const float* rows, std::size_t n,
-                       std::size_t stride, std::size_t dim, float* out);
-  void (*l2sq_batch_mq)(const float* queries, std::size_t nq,
-                        std::size_t qstride, const float* rows, std::size_t n,
-                        std::size_t stride, std::size_t dim, float* out);
-  void (*dot_rows_mq)(const float* queries, std::size_t nq,
-                      std::size_t qstride, const float* const* rows,
                       std::size_t n, std::size_t dim, float* out);
 };
 
@@ -151,13 +131,6 @@ inline void DotBatch(std::span<const float> query, const float* rows,
   ActiveKernels().dot_batch(query.data(), rows, n, dim, dim, out);
 }
 
-// Strided flavour for padded slab storage.
-inline void DotBatchStrided(std::span<const float> query, const float* rows,
-                            std::size_t n, std::size_t stride,
-                            float* out) noexcept {
-  ActiveKernels().dot_batch(query.data(), rows, n, stride, query.size(), out);
-}
-
 // Gather flavour: row pointers, e.g. HNSW neighbour expansion.
 inline void DotRows(std::span<const float> query, const float* const* rows,
                     std::size_t n, float* out) noexcept {
@@ -170,46 +143,13 @@ inline void L2SqBatch(std::span<const float> query, const float* rows,
                              out);
 }
 
-// Quantized flavours; `query_i8`/`query_scale` come from one QuantizeRowI8
+// Quantized flavour; `query_i8`/`query_scale` come from one QuantizeRowI8
 // call per probe.
-inline void DotBatchI8(const std::int8_t* query_i8, float query_scale,
-                       const std::int8_t* rows, const float* scales,
-                       std::size_t n, std::size_t stride, std::size_t dim,
-                       float* out) noexcept {
-  ActiveKernels().dot_batch_i8(query_i8, query_scale, rows, scales, n,
-                               stride, dim, out);
-}
-
 inline void DotRowsI8(const std::int8_t* query_i8, float query_scale,
                       const std::int8_t* const* rows, const float* scales,
                       std::size_t n, std::size_t dim, float* out) noexcept {
   ActiveKernels().dot_rows_i8(query_i8, query_scale, rows, scales, n, dim,
                               out);
-}
-
-// Multi-query wrappers (see the KernelSet mq contract above): matrices,
-// not spans — query q lives at queries + q*qstride, score (q, i) lands at
-// out[q*n + i].
-inline void DotBatchMq(const float* queries, std::size_t nq,
-                       std::size_t qstride, const float* rows, std::size_t n,
-                       std::size_t stride, std::size_t dim,
-                       float* out) noexcept {
-  ActiveKernels().dot_batch_mq(queries, nq, qstride, rows, n, stride, dim,
-                               out);
-}
-
-inline void L2SqBatchMq(const float* queries, std::size_t nq,
-                        std::size_t qstride, const float* rows, std::size_t n,
-                        std::size_t stride, std::size_t dim,
-                        float* out) noexcept {
-  ActiveKernels().l2sq_batch_mq(queries, nq, qstride, rows, n, stride, dim,
-                                out);
-}
-
-inline void DotRowsMq(const float* queries, std::size_t nq,
-                      std::size_t qstride, const float* const* rows,
-                      std::size_t n, std::size_t dim, float* out) noexcept {
-  ActiveKernels().dot_rows_mq(queries, nq, qstride, rows, n, dim, out);
 }
 
 }  // namespace cortex::simd

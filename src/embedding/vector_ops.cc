@@ -8,7 +8,7 @@
 namespace cortex {
 
 // The scalar entry points are thin wrappers over the runtime-dispatched
-// kernel layer (simd_kernels.h), so every caller — embedder, kmeans, PQ,
+// kernel layer (simd_kernels.h), so every caller — embedder, kmeans,
 // indexes — picks up the SIMD variant selected at startup for free.
 
 double Dot(std::span<const float> a, std::span<const float> b) noexcept {

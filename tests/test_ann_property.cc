@@ -8,7 +8,6 @@
 #include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/ivf_index.h"
-#include "ann/pq.h"
 #include "embedding/simd_kernels.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -143,10 +142,12 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, IndexPropertyTest,
                          [](const auto& info) { return KindName(info.param); });
 
 // ---------------------------------------------------------------------------
-// Dispatch independence: every index must return the same top-k ids no
-// matter which SIMD variant is active (scalar vs native), on a fixed seed.
-// Build AND search run under the forced variant, mirroring a process pinned
-// via CORTEX_SIMD.
+// Dispatch independence: every index must return the same top-k ids and
+// the same similarities no matter which SIMD variant is active (scalar vs
+// native), on a fixed seed, and every reported similarity must be the exact
+// scalar double dot: the shared exact rerank guarantees both.  Build AND
+// search run under the forced variant, mirroring a process pinned via
+// CORTEX_SIMD.
 
 using cortex::testing::ScopedVariant;
 
@@ -157,7 +158,7 @@ constexpr std::size_t kQueries = 5;
 
 TEST(DispatchIndependence, TopKIdsIdenticalAcrossVariants) {
   const auto variants = simd::SupportedVariants();
-  if (variants.size() < 2) GTEST_SKIP() << "only the scalar kernel compiled";
+  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
 
   struct Impl {
     const char* name;
@@ -175,29 +176,50 @@ TEST(DispatchIndependence, TopKIdsIdenticalAcrossVariants) {
        }},
       {"hnsw", [] { return std::unique_ptr<VectorIndex>(
                         std::make_unique<HnswIndex>(kDim)); }},
-      {"pq", [] { return std::unique_ptr<VectorIndex>(
-                      std::make_unique<PqIndex>(kDim)); }},
   };
 
+  // Generated once, outside every forced variant: Normalize runs on the
+  // active kernels, so vectors drawn under different variants would differ
+  // in the last bit.
+  Rng rng(99);
+  std::vector<Vector> corpus, queries;
+  for (VectorId i = 0; i < kN; ++i) corpus.push_back(RandomUnit(kDim, rng));
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    queries.push_back(RandomUnit(kDim, rng));
+  }
+
   for (const auto& impl : impls) {
-    std::vector<std::vector<VectorId>> per_variant;
+    std::vector<std::vector<SearchResult>> per_variant;
     for (const auto v : variants) {
       ScopedVariant forced(v);
       auto idx = impl.make();
-      Rng rng(99);
-      for (VectorId i = 0; i < kN; ++i) idx->Add(i, RandomUnit(kDim, rng));
-      std::vector<VectorId> ids;
-      for (std::size_t q = 0; q < kQueries; ++q) {
-        for (const auto& r : idx->Search(RandomUnit(kDim, rng), kTopK, -1.0)) {
-          ids.push_back(r.id);
+      for (VectorId i = 0; i < kN; ++i) idx->Add(i, corpus[i]);
+      std::vector<SearchResult> results;
+      for (const auto& query : queries) {
+        for (const auto& r : idx->Search(query, kTopK, -1.0)) {
+          const auto stored = idx->Get(r.id);
+          ASSERT_TRUE(stored.has_value()) << impl.name << " id " << r.id;
+          EXPECT_EQ(r.similarity,
+                    scalar.dot(query.data(), stored->data(), kDim))
+              << impl.name << " under " << simd::VariantName(v) << ": id "
+              << r.id << " similarity is not the exact scalar dot";
+          results.push_back(r);
         }
       }
-      per_variant.push_back(std::move(ids));
+      per_variant.push_back(std::move(results));
     }
     for (std::size_t i = 1; i < per_variant.size(); ++i) {
-      EXPECT_EQ(per_variant[i], per_variant[0])
-          << impl.name << ": " << simd::VariantName(variants[i])
-          << " disagrees with " << simd::VariantName(variants[0]);
+      ASSERT_EQ(per_variant[i].size(), per_variant[0].size()) << impl.name;
+      for (std::size_t j = 0; j < per_variant[0].size(); ++j) {
+        EXPECT_EQ(per_variant[i][j].id, per_variant[0][j].id)
+            << impl.name << ": " << simd::VariantName(variants[i])
+            << " disagrees with " << simd::VariantName(variants[0])
+            << " at result " << j;
+        EXPECT_EQ(per_variant[i][j].similarity, per_variant[0][j].similarity)
+            << impl.name << ": " << simd::VariantName(variants[i])
+            << " disagrees with " << simd::VariantName(variants[0])
+            << " at result " << j;
+      }
     }
   }
 }

@@ -215,13 +215,12 @@ TEST_P(EngineIndexTest, HitRateComparableAcrossIndexes) {
 
 INSTANTIATE_TEST_SUITE_P(Indexes, EngineIndexTest,
                          ::testing::Values(IndexType::kFlat, IndexType::kIvf,
-                                           IndexType::kHnsw, IndexType::kPq),
+                                           IndexType::kHnsw),
                          [](const auto& info) {
                            switch (info.param) {
                              case IndexType::kFlat: return "flat";
                              case IndexType::kIvf: return "ivf";
                              case IndexType::kHnsw: return "hnsw";
-                             case IndexType::kPq: return "pq";
                            }
                            return "unknown";
                          });

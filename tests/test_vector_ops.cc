@@ -327,29 +327,23 @@ TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
     for (const auto& [q8, q_scale] :
          {std::pair{random_q8, random_scale},
           std::pair{extreme, 1.0f / 127.0f}}) {
-      std::vector<float> ref_batch(n), ref_rows(n);
-      scalar.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                          stride, dim, ref_batch.data());
+      std::vector<float> ref_rows(n);
       scalar.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(),
                          n, dim, ref_rows.data());
       if (q8 == extreme) {
-        // The reference itself is exact: +-127*127 per element.
+        // The reference itself is exact: +-127*127 per element.  The
+        // pointers are reversed, so rows 0 and 1 are the last two.
         const float unit = (q_scale * scales[0]) *
                            static_cast<float>(127 * 127 * static_cast<int>(dim));
-        EXPECT_EQ(ref_batch[0], unit) << "dim=" << dim;
-        EXPECT_EQ(ref_batch[1], -unit) << "dim=" << dim;
+        EXPECT_EQ(ref_rows[n - 1], unit) << "dim=" << dim;
+        EXPECT_EQ(ref_rows[n - 2], -unit) << "dim=" << dim;
       }
       for (const auto v : variants) {
-        const auto& ks = simd::KernelsFor(v);
-        std::vector<float> got_batch(n), got_rows(n);
-        ks.dot_batch_i8(q8.data(), q_scale, rows.data(), scales.data(), n,
-                        stride, dim, got_batch.data());
-        ks.dot_rows_i8(q8.data(), q_scale, ptrs.data(), rev_scales.data(), n,
-                       dim, got_rows.data());
+        std::vector<float> got_rows(n);
+        simd::KernelsFor(v).dot_rows_i8(q8.data(), q_scale, ptrs.data(),
+                                        rev_scales.data(), n, dim,
+                                        got_rows.data());
         for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(got_batch[i], ref_batch[i])
-              << simd::VariantName(v) << " dot_batch_i8 dim=" << dim
-              << " i=" << i;
           EXPECT_EQ(got_rows[i], ref_rows[i])
               << simd::VariantName(v) << " dot_rows_i8 dim=" << dim
               << " i=" << i;
@@ -553,83 +547,6 @@ TEST(QuantizedScanProperty, ScanPlusRerankMatchesF32TopKAcrossVariants) {
         EXPECT_EQ(got[i].sim, ref[i].sim)
             << simd::VariantName(variant) << "/" << RowFormatName(format)
             << " rank " << i;
-      }
-    }
-  }
-}
-
-// The mq contract (simd_kernels.h): every score an mq kernel writes is
-// BITWISE identical to the corresponding single-query kernel on the same
-// variant — FlatIndex and IvfIndex SearchBatch rely on it, so the
-// comparisons below are EXPECT_EQ, never EXPECT_NEAR.
-
-TEST(SimdKernels, MqKernelsBitIdenticalToSequentialPerVariant) {
-  Rng rng(53);
-  for (const std::size_t dim : {std::size_t{7}, std::size_t{96},
-                                std::size_t{257}}) {
-    const std::size_t n = 37;        // not a multiple of the 4-row block
-    const std::size_t nq = 5;        // odd, exercises queries-inner tails
-    const std::size_t stride = dim + 3;
-    const std::size_t qstride = dim + 2;
-
-    std::vector<float> rows(n * stride, -1.0f);
-    std::vector<float> queries(nq * qstride, -1.0f);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        rows[i * stride + j] = static_cast<float>(rng.Normal());
-      }
-    }
-    for (std::size_t q = 0; q < nq; ++q) {
-      for (std::size_t j = 0; j < dim; ++j) {
-        queries[q * qstride + j] = static_cast<float>(rng.Normal());
-      }
-    }
-
-    // Scattered-row views in reversed order so the gather kernels cannot
-    // shortcut to the contiguous path.
-    std::vector<const float*> ptrs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ptrs[i] = rows.data() + (n - 1 - i) * stride;
-    }
-
-    std::vector<float> mq(nq * n), seq(n);
-    for (const auto variant : simd::SupportedVariants()) {
-      const auto& ks = simd::KernelsFor(variant);
-
-      ks.dot_batch_mq(queries.data(), nq, qstride, rows.data(), n, stride,
-                      dim, mq.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        ks.dot_batch(queries.data() + q * qstride, rows.data(), n, stride,
-                     dim, seq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(mq[q * n + i], seq[i])
-              << simd::VariantName(variant) << "/dot_batch_mq dim " << dim
-              << " query " << q << " row " << i;
-        }
-      }
-
-      ks.l2sq_batch_mq(queries.data(), nq, qstride, rows.data(), n, stride,
-                       dim, mq.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        ks.l2sq_batch(queries.data() + q * qstride, rows.data(), n, stride,
-                      dim, seq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(mq[q * n + i], seq[i])
-              << simd::VariantName(variant) << "/l2sq_batch_mq dim " << dim
-              << " query " << q << " row " << i;
-        }
-      }
-
-      ks.dot_rows_mq(queries.data(), nq, qstride, ptrs.data(), n, dim,
-                     mq.data());
-      for (std::size_t q = 0; q < nq; ++q) {
-        ks.dot_rows(queries.data() + q * qstride, ptrs.data(), n, dim,
-                    seq.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(mq[q * n + i], seq[i])
-              << simd::VariantName(variant) << "/dot_rows_mq dim " << dim
-              << " query " << q << " row " << i;
-        }
       }
     }
   }

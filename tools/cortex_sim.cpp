@@ -87,7 +87,6 @@ ExperimentConfig BuildExperiment(const Config& config) {
   if (index == "flat") experiment.engine.index_type = IndexType::kFlat;
   else if (index == "ivf") experiment.engine.index_type = IndexType::kIvf;
   else if (index == "hnsw") experiment.engine.index_type = IndexType::kHnsw;
-  else if (index == "pq") experiment.engine.index_type = IndexType::kPq;
   else throw std::invalid_argument("unknown cache.index: " + index);
   experiment.engine.cache.sine.tau_sim =
       config.GetDouble("cache.tau_sim", experiment.engine.cache.sine.tau_sim);
