@@ -157,7 +157,7 @@ void BM_SnapshotSaveLoad(benchmark::State& state) {
   }
   for (auto _ : state) {
     std::stringstream stream;
-    SaveCacheSnapshot(cache, stream);
+    SaveCacheSnapshot(cache, stream, now);
     SemanticCache fresh(&embedder,
                         std::make_unique<FlatIndex>(embedder.dimension()),
                         &judger, std::make_unique<LcfuPolicy>(), opts);

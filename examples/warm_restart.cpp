@@ -61,7 +61,11 @@ Phase ServeSlice(const WorkloadBundle& bundle,
   phase.api_calls = service.total_calls();
 
   if (!snapshot_out.empty()) {
-    const auto stats = SaveCacheSnapshotFile(engine.cache(), snapshot_out);
+    // Stamp the snapshot with the simulation clock it stopped at: the next
+    // process's clock starts again from 0, and the load rebases every
+    // entry's timestamps onto it.
+    const auto stats = SaveCacheSnapshotFile(engine.cache(), snapshot_out,
+                                             phase.metrics.last_completion());
     std::cout << "  saved snapshot: " << stats.entries_written
               << " entries\n";
   }

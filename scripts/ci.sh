@@ -21,6 +21,11 @@
 #            native SIMD dispatch, so the vectorized kernels' loads and
 #            tails are sanitizer-checked, not just the scalar path)
 #   tsan     TSan full ctest (CORTEX_SANITIZE=thread, via tsan.sh)
+#   contention
+#            ClusterSmoke and test_cluster with four busy-loop processes
+#            on the cores, in the default (RelWithDebInfo) build and in
+#            Release: live migration must lose nothing under CPU
+#            contention too, not only on an idle machine
 #   lint     clang-tidy + cortex_lint + cortex_analyzer (scripts/lint.sh)
 #
 # Usage:
@@ -39,7 +44,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CI_DIR="${CORTEX_CI_DIR:-build-ci}"
-ALL_LEGS=(analyze build scalar bench clang asan tsan lint)
+ALL_LEGS=(analyze build scalar bench clang asan tsan contention lint)
 
 usage() {
   cat <<EOF
@@ -136,7 +141,7 @@ leg_asan() {
   # the full sweep — they are the likeliest sanitizer tripwires.
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir "$CI_DIR/asan-ubsan" --output-on-failure \
-      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|SnapshotTraffic|SnapshotLifetime'
+      -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|SnapshotTraffic|SnapshotLifetime|SnapshotDecoder'
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
     run_ctest "$CI_DIR/asan-ubsan"
 }
@@ -144,6 +149,32 @@ leg_asan() {
 leg_tsan() {
   scripts/tsan.sh -R 'Telemetry|ConcurrentEngine|ServerEndToEnd|Epoch|IncrementalPublish|SnapshotTraffic|SnapshotLifetime'
   scripts/tsan.sh
+}
+
+# Runs "$@" with four busy-loop processes competing for the cores.  Each
+# loop is bounded by timeout(1) and killed when the command returns.
+with_busy_loops() {
+  local pids=() i rc=0
+  for i in 1 2 3 4; do
+    timeout 1800 bash -c 'while :; do :; done' &
+    pids+=("$!")
+  done
+  "$@" || rc=$?
+  kill "${pids[@]}" 2>/dev/null || true
+  wait "${pids[@]}" 2>/dev/null || true
+  return "$rc"
+}
+
+leg_contention() {
+  cmake -B "$CI_DIR/gcc-default" -S . -DCORTEX_WERROR=ON \
+    -DCMAKE_CXX_COMPILER=g++
+  cmake --build "$CI_DIR/gcc-default" -j
+  ensure_release
+  local dir
+  for dir in "$CI_DIR/gcc-default" "$CI_DIR/gcc-release"; do
+    with_busy_loops ctest --test-dir "$dir" --output-on-failure \
+      -R '^(ClusterSmoke|ClusterTest\.)' --repeat until-fail:3
+  done
 }
 
 leg_lint() {

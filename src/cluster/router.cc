@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "core/placement.h"
-#include "serve/concurrent_engine.h"
+#include "core/snapshot.h"
 #include "tenant/tenant.h"
 #include "util/check.h"
 
@@ -641,28 +641,33 @@ Response ClusterRouter::DoMigrate(const Request& request) {
                 (blob ? blob->message : error);
       break;
     }
-    std::vector<SemanticElement> keep;
+    DecodedSnapshot snapshot;
     try {
       std::istringstream in(blob->message);
-      serve::ForEachEngineSnapshotElement(in, [&](SemanticElement se) {
-        // Tenant-owned entries migrate with their namespace, not their key.
-        const std::string pkey =
-            se.tenant.empty() ? PlacementKey(se.key)
-                              : tenant::PlacementKeyFor(se.tenant);
-        const auto owners = target_ring.OwnersFor(pkey);
-        if (std::find(owners.begin(), owners.end(), request.node_name) !=
-            owners.end()) {
-          keep.push_back(std::move(se));
-        }
-      });
+      snapshot = DecodeSnapshot(in);
     } catch (const std::exception& e) {
       failure = "MIGRATE: bad snapshot from " + source->name() + ": " +
                 e.what();
       break;
     }
+    std::vector<SemanticElement> keep;
+    for (SemanticElement& se : snapshot.elements) {
+      // Tenant-owned entries migrate with their namespace, not their key.
+      const std::string pkey = se.tenant.empty()
+                                   ? PlacementKey(se.key)
+                                   : tenant::PlacementKeyFor(se.tenant);
+      const auto owners = target_ring.OwnersFor(pkey);
+      if (std::find(owners.begin(), owners.end(), request.node_name) !=
+          owners.end()) {
+        keep.push_back(std::move(se));
+      }
+    }
     if (keep.empty()) continue;
+    // Re-pack as one section stamped with the source's clock: the joiner
+    // rebases every timestamp from that clock onto its own.
     std::ostringstream packed;
-    serve::WriteEngineSnapshot(packed, keep);
+    WriteSnapshotHeader(packed, snapshot.writer_now, 1);
+    WriteSnapshotSection(packed, snapshot.writer_now, keep);
     Request restore;
     restore.type = RequestType::kRestore;
     restore.blob = std::move(packed).str();

@@ -86,6 +86,7 @@ struct CacheCounters {
     return lookups ? static_cast<double>(hits) / static_cast<double>(lookups)
                    : 0.0;
   }
+  bool operator==(const CacheCounters&) const = default;
 };
 
 // Optional wall time spent on TTL purge + eviction inside an Insert.

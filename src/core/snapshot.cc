@@ -1,175 +1,271 @@
 #include "core/snapshot.h"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
 #include <fstream>
+#include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 namespace cortex {
 
 namespace {
 
-void WriteU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// CRC32C (Castagnoli), reflected, one table lookup per byte.
+constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+    table[i] = c;
+  }
+  return table;
 }
-void WriteU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-void WriteVector(std::ostream& out, const Vector& v) {
-  WriteU64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(float)));
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+// Extends `crc` (0 for an empty prefix) with `n` bytes.
+std::uint32_t Crc32cExtend(std::uint32_t crc, const void* data,
+                           std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = kCrc32cTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  }
+  return ~crc;
 }
 
-std::uint32_t ReadU32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-std::uint64_t ReadU64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-double ReadF64(std::istream& in) {
-  double v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return v;
-}
-std::string ReadString(std::istream& in) {
-  const auto size = ReadU64(in);
-  if (size > (1ULL << 30)) {
-    throw std::runtime_error("snapshot: implausible string length");
-  }
-  std::string s(size, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(size));
-  return s;
-}
-Vector ReadVector(std::istream& in) {
-  const auto size = ReadU64(in);
-  if (size > (1ULL << 24)) {
-    throw std::runtime_error("snapshot: implausible vector length");
-  }
-  Vector v(size);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(float)));
-  return v;
+template <typename T>
+void WritePod(std::ostream& out, T v) {
+  out.write(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-void CheckStream(const std::ios& stream, const char* what) {
-  if (!stream.good()) {
-    throw std::runtime_error(std::string("snapshot: stream failure while ") +
-                             what);
+// Writes one section to `out`, folding the writer's clock and every byte
+// into the section CRC.
+class SectionWriter {
+ public:
+  SectionWriter(std::ostream& out, double writer_now,
+                std::uint64_t entry_count)
+      : out_(out), crc_(Crc32cExtend(0, &writer_now, sizeof writer_now)) {
+    Pod(entry_count);
   }
-}
+
+  void Element(const SemanticElement& se) {
+    String(se.key);
+    String(se.value);
+    Pod<std::uint64_t>(se.embedding.size());
+    Bytes(se.embedding.data(), se.embedding.size() * sizeof(float));
+    Pod(se.staticity);
+    Pod(se.frequency);
+    Pod(se.retrieval_latency_sec);
+    Pod(se.retrieval_cost_dollars);
+    Pod(se.created_at);
+    Pod(se.last_access);
+    Pod(se.expiration_time);
+    String(se.tenant);
+    Pod<std::uint32_t>(se.shareable ? 1 : 0);
+  }
+
+  void Finish() {
+    WritePod(out_, crc_);
+    if (!out_.good()) {
+      throw std::runtime_error("snapshot: stream failure while writing");
+    }
+  }
+
+ private:
+  void Bytes(const void* data, std::size_t n) {
+    out_.write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(n));
+    crc_ = Crc32cExtend(crc_, data, n);
+  }
+  template <typename T>
+  void Pod(T v) {
+    Bytes(&v, sizeof v);
+  }
+  void String(const std::string& s) {
+    Pod<std::uint64_t>(s.size());
+    Bytes(s.data(), s.size());
+  }
+
+  std::ostream& out_;
+  std::uint32_t crc_;
+};
+
+// Bounds-checked cursor over a whole blob: every length is checked against
+// the bytes left before anything is allocated for it.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+
+  std::size_t pos() const { return pos_; }
+  std::size_t left() const { return bytes_.size() - pos_; }
+
+  template <typename T>
+  T Pod() {
+    Need(sizeof(T));
+    T v;
+    std::memcpy(&v, bytes_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return v;
+  }
+
+  std::string String() {
+    const auto n = Pod<std::uint64_t>();
+    Need(n);
+    std::string s(bytes_.substr(pos_, n));
+    pos_ += n;
+    return s;
+  }
+
+  Vector Floats() {
+    const auto n = Pod<std::uint64_t>();
+    if (n > left() / sizeof(float)) Truncated();
+    Vector v(n);
+    if (n > 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(float));
+    pos_ += n * sizeof(float);
+    return v;
+  }
+
+  SemanticElement Element() {
+    SemanticElement se;
+    se.key = String();
+    se.value = String();
+    se.embedding = Floats();
+    se.staticity = Pod<double>();
+    se.frequency = Pod<std::uint64_t>();
+    se.retrieval_latency_sec = Pod<double>();
+    se.retrieval_cost_dollars = Pod<double>();
+    se.created_at = Pod<double>();
+    se.last_access = Pod<double>();
+    se.expiration_time = Pod<double>();
+    se.tenant = String();
+    se.shareable = Pod<std::uint32_t>() != 0;
+    return se;
+  }
+
+ private:
+  void Need(std::uint64_t n) const {
+    if (n > left()) Truncated();
+  }
+  [[noreturn]] static void Truncated() {
+    throw std::runtime_error("snapshot: truncated or oversized field");
+  }
+
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
-void WriteSnapshotHeader(std::ostream& out, std::uint64_t entry_count,
-                         std::uint32_t version) {
-  if (version < kSnapshotMinReadVersion || version > kSnapshotVersion) {
-    throw std::runtime_error("snapshot: cannot write version " +
-                             std::to_string(version));
-  }
-  WriteU32(out, kSnapshotMagic);
-  WriteU32(out, version);
-  WriteU64(out, entry_count);
+void WriteSnapshotHeader(std::ostream& out, double writer_now,
+                         std::uint64_t section_count) {
+  WritePod(out, kSnapshotMagic);
+  WritePod(out, kSnapshotVersion);
+  WritePod(out, writer_now);
+  WritePod(out, section_count);
 }
 
-void WriteSnapshotElement(std::ostream& out, const SemanticElement& se,
-                          std::uint32_t version) {
-  WriteString(out, se.key);
-  WriteString(out, se.value);
-  WriteVector(out, se.embedding);
-  WriteF64(out, se.staticity);
-  WriteU64(out, se.frequency);
-  WriteF64(out, se.retrieval_latency_sec);
-  WriteF64(out, se.retrieval_cost_dollars);
-  WriteF64(out, se.created_at);
-  WriteF64(out, se.last_access);
-  WriteF64(out, se.expiration_time);
-  if (version >= 2) {
-    WriteString(out, se.tenant);
-    WriteU32(out, se.shareable ? 1 : 0);
-  }
+void WriteSnapshotSection(std::ostream& out, double writer_now,
+                          const SemanticCache& cache) {
+  SectionWriter section(out, writer_now, cache.size());
+  for (const auto& [id, se] : cache.entries()) section.Element(se);
+  section.Finish();
 }
 
-std::uint64_t ForEachSnapshotElement(
-    std::istream& in, const std::function<void(SemanticElement)>& fn) {
-  if (ReadU32(in) != kSnapshotMagic) {
+void WriteSnapshotSection(std::ostream& out, double writer_now,
+                          const std::vector<SemanticElement>& elements) {
+  SectionWriter section(out, writer_now, elements.size());
+  for (const SemanticElement& se : elements) section.Element(se);
+  section.Finish();
+}
+
+DecodedSnapshot DecodeSnapshot(std::istream& in) {
+  const std::string blob{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  if (in.bad()) throw std::runtime_error("snapshot: stream failure");
+  Reader reader(blob);
+  if (reader.Pod<std::uint32_t>() != kSnapshotMagic) {
     throw std::runtime_error("snapshot: bad magic");
   }
-  const auto version = ReadU32(in);
-  if (version < kSnapshotMinReadVersion || version > kSnapshotVersion) {
+  if (const auto version = reader.Pod<std::uint32_t>();
+      version != kSnapshotVersion) {
     throw std::runtime_error("snapshot: unsupported version " +
                              std::to_string(version));
   }
-  const auto count = ReadU64(in);
-  CheckStream(in, "reading header");
-  for (std::uint64_t i = 0; i < count; ++i) {
-    SemanticElement se;
-    se.key = ReadString(in);
-    se.value = ReadString(in);
-    se.embedding = ReadVector(in);
-    se.staticity = ReadF64(in);
-    se.frequency = ReadU64(in);
-    se.retrieval_latency_sec = ReadF64(in);
-    se.retrieval_cost_dollars = ReadF64(in);
-    se.created_at = ReadF64(in);
-    se.last_access = ReadF64(in);
-    se.expiration_time = ReadF64(in);
-    if (version >= 2) {
-      // Tenancy fields; a v1 record keeps the defaults (shared pool,
-      // shareable) set by the SemanticElement initializers.
-      se.tenant = ReadString(in);
-      se.shareable = ReadU32(in) != 0;
-    }
-    CheckStream(in, "reading entry");
-    fn(std::move(se));
+  DecodedSnapshot snapshot;
+  snapshot.writer_now = reader.Pod<double>();
+  if (!std::isfinite(snapshot.writer_now)) {
+    throw std::runtime_error("snapshot: non-finite writer clock");
   }
-  return count;
+  // Counts are not checked up front: every record and section consumes
+  // bytes, so a count larger than the blob runs out of bytes and throws.
+  const auto sections = reader.Pod<std::uint64_t>();
+  const std::uint32_t crc_seed =
+      Crc32cExtend(0, &snapshot.writer_now, sizeof snapshot.writer_now);
+  for (std::uint64_t s = 0; s < sections; ++s) {
+    const std::size_t start = reader.pos();
+    const auto count = reader.Pod<std::uint64_t>();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      snapshot.elements.push_back(reader.Element());
+    }
+    const std::uint32_t crc =
+        Crc32cExtend(crc_seed, blob.data() + start, reader.pos() - start);
+    if (reader.Pod<std::uint32_t>() != crc) {
+      throw std::runtime_error("snapshot: section checksum mismatch");
+    }
+  }
+  if (reader.left() != 0) throw std::runtime_error("snapshot: trailing bytes");
+  return snapshot;
 }
 
-SnapshotStats SaveCacheSnapshot(const SemanticCache& cache,
-                                std::ostream& out) {
+SnapshotStats RestoreSnapshot(
+    DecodedSnapshot snapshot, double reader_now,
+    const std::function<bool(SemanticElement)>& restore) {
   SnapshotStats stats;
-  WriteSnapshotHeader(out, cache.size());
-  for (const auto& [id, se] : cache.entries()) {
-    WriteSnapshotElement(out, se);
-    ++stats.entries_written;
+  const double shift = reader_now - snapshot.writer_now;
+  for (SemanticElement& se : snapshot.elements) {
+    // Age and remaining TTL survive the clock change.  The clamp covers a
+    // writer stamping its header before a concurrent insert: that entry
+    // is as new as the snapshot, not dated into the reader's future.
+    se.created_at = std::min(se.created_at + shift, reader_now);
+    se.last_access = std::min(se.last_access + shift, reader_now);
+    se.expiration_time += shift;
+    if (se.ExpiredAt(reader_now)) {
+      ++stats.entries_expired;
+    } else if (restore(std::move(se))) {
+      ++stats.entries_restored;
+    } else {
+      ++stats.entries_rejected;
+    }
   }
-  CheckStream(out, "writing");
+  return stats;
+}
+
+SnapshotStats SaveCacheSnapshot(const SemanticCache& cache, std::ostream& out,
+                                double now) {
+  WriteSnapshotHeader(out, now, 1);
+  WriteSnapshotSection(out, now, cache);
+  SnapshotStats stats;
+  stats.entries_written = cache.size();
   return stats;
 }
 
 SnapshotStats LoadCacheSnapshot(SemanticCache& cache, std::istream& in,
                                 double now) {
-  SnapshotStats stats;
-  ForEachSnapshotElement(in, [&](SemanticElement se) {
-    if (se.ExpiredAt(now)) {
-      ++stats.entries_expired;
-      return;
-    }
-    if (cache.RestoreElement(std::move(se), now)) {
-      ++stats.entries_restored;
-    } else {
-      ++stats.entries_rejected;
-    }
+  return RestoreSnapshot(DecodeSnapshot(in), now, [&](SemanticElement se) {
+    return cache.RestoreElement(std::move(se), now).has_value();
   });
-  return stats;
 }
 
 SnapshotStats SaveCacheSnapshotFile(const SemanticCache& cache,
-                                    const std::string& path) {
+                                    const std::string& path, double now) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("snapshot: cannot open " + path);
-  return SaveCacheSnapshot(cache, out);
+  return SaveCacheSnapshot(cache, out, now);
 }
 
 SnapshotStats LoadCacheSnapshotFile(SemanticCache& cache,

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <istream>
 #include <limits>
-#include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "core/placement.h"
@@ -392,112 +389,23 @@ std::size_t ConcurrentShardedEngine::RemoveExpired() {
   return removed;
 }
 
-namespace {
-
-// Engine snapshot framing: a tiny header in front of one core/snapshot
-// stream per shard.  Native endianness, same policy as core/snapshot.
-inline constexpr std::uint32_t kEngineSnapshotMagic = 0x43525853;  // "CRXS"
-inline constexpr std::uint32_t kEngineSnapshotVersion = 1;
-
-void WriteRawU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void WriteRawU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-std::uint32_t ReadRawU32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  return v;
-}
-std::uint64_t ReadRawU64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  return v;
-}
-
-}  // namespace
-
-std::uint64_t ForEachEngineSnapshotElement(
-    std::istream& in, const std::function<void(SemanticElement)>& fn) {
-  if (ReadRawU32(in) != kEngineSnapshotMagic) {
-    throw std::runtime_error("engine snapshot: bad magic");
-  }
-  if (const auto version = ReadRawU32(in);
-      version != kEngineSnapshotVersion) {
-    throw std::runtime_error("engine snapshot: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto shard_count = ReadRawU64(in);
-  if (!in.good() || shard_count > 4096) {
-    throw std::runtime_error("engine snapshot: malformed header");
-  }
-  std::uint64_t visited = 0;
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
-    visited += ForEachSnapshotElement(in, fn);
-  }
-  return visited;
-}
-
-void WriteEngineSnapshot(std::ostream& out,
-                         const std::vector<SemanticElement>& elements) {
-  WriteRawU32(out, kEngineSnapshotMagic);
-  WriteRawU32(out, kEngineSnapshotVersion);
-  WriteRawU64(out, 1);
-  WriteSnapshotHeader(out, elements.size());
-  for (const SemanticElement& se : elements) {
-    WriteSnapshotElement(out, se);
-  }
-  if (!out.good()) {
-    throw std::runtime_error("engine snapshot: stream failure while writing");
-  }
-}
-
 SnapshotStats ConcurrentShardedEngine::SaveSnapshot(std::ostream& out) const {
+  const double now = clock_();
+  WriteSnapshotHeader(out, now, shards_.size());
   SnapshotStats stats;
-  WriteRawU32(out, kEngineSnapshotMagic);
-  WriteRawU32(out, kEngineSnapshotVersion);
-  WriteRawU64(out, shards_.size());
   for (const auto& shard : shards_) {
     ReaderLock lock(shard->mu);
-    const SnapshotStats shard_stats = SaveCacheSnapshot(*shard->cache, out);
-    stats.entries_written += shard_stats.entries_written;
-  }
-  if (!out.good()) {
-    throw std::runtime_error("engine snapshot: stream failure while writing");
+    WriteSnapshotSection(out, now, *shard->cache);
+    stats.entries_written += shard->cache->size();
   }
   return stats;
 }
 
 SnapshotStats ConcurrentShardedEngine::LoadSnapshot(std::istream& in) {
-  if (ReadRawU32(in) != kEngineSnapshotMagic) {
-    throw std::runtime_error("engine snapshot: bad magic");
-  }
-  if (const auto version = ReadRawU32(in);
-      version != kEngineSnapshotVersion) {
-    throw std::runtime_error("engine snapshot: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto shard_count = ReadRawU64(in);
-  if (!in.good() || shard_count > 4096) {
-    throw std::runtime_error("engine snapshot: malformed header");
-  }
-  SnapshotStats stats;
-  const double now = clock_();
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
-    ForEachSnapshotElement(in, [&](SemanticElement se) {
-      if (se.ExpiredAt(now)) {
-        ++stats.entries_expired;
-        return;
-      }
-      if (RestoreElement(std::move(se))) {
-        ++stats.entries_restored;
-      } else {
-        ++stats.entries_rejected;
-      }
-    });
-  }
-  return stats;
+  return RestoreSnapshot(DecodeSnapshot(in), clock_(),
+                         [this](SemanticElement se) {
+                           return RestoreElement(std::move(se)).has_value();
+                         });
 }
 
 std::optional<SeId> ConcurrentShardedEngine::RestoreElement(

@@ -101,24 +101,6 @@ struct ConcurrentEngineStats {
   std::uint64_t recalibrations = 0;   // per-shard recalibration rounds run
 };
 
-// ---------------------------------------------------------------------------
-// Engine-snapshot blob helpers for peers that hold no engine.  The cluster
-// router filters a migration stream by ring ownership: it iterates a node's
-// SNAPSHOT blob element by element, keeps what the joining node should own,
-// and re-packs the survivors as a single-shard engine snapshot — which any
-// node's LoadSnapshot re-routes by key, so shard layouts never have to
-// match across the wire.
-
-// Invokes `fn` for every element of an engine snapshot stream.  Returns
-// elements visited; throws std::runtime_error on malformed input.
-std::uint64_t ForEachEngineSnapshotElement(
-    std::istream& in, const std::function<void(SemanticElement)>& fn);
-
-// Writes `elements` as a one-shard engine snapshot readable by
-// LoadSnapshot on an engine of any shard count.
-void WriteEngineSnapshot(std::ostream& out,
-                         const std::vector<SemanticElement>& elements);
-
 class ConcurrentShardedEngine {
  public:
   // embedder/judger are borrowed and must outlive the engine.  The
@@ -163,18 +145,22 @@ class ConcurrentShardedEngine {
   // this on its own cadence).  Returns entries removed.
   std::size_t RemoveExpired();
 
-  // Multi-shard snapshot (cluster migration, warm restarts).  The format is
-  // a small engine header followed by one bounded core/snapshot stream per
-  // shard, written shard-by-shard under each shard's shared lock — the
-  // engine keeps serving while a snapshot streams out, and the result is
-  // per-shard-consistent (the same guarantee every cross-shard aggregate
-  // gives).  Throws std::runtime_error on stream failure.
+  // Multi-shard snapshot (cluster migration, warm restarts) in the
+  // core/snapshot format: one header stamped with the engine clock, then
+  // one section per shard, written shard-by-shard under each shard's
+  // shared lock — the engine keeps serving while a snapshot streams out,
+  // and the result is per-shard-consistent (the same guarantee every
+  // cross-shard aggregate gives).  Throws std::runtime_error on stream
+  // failure.
   SnapshotStats SaveSnapshot(std::ostream& out) const;
 
   // Restores a snapshot written by any engine, whatever its shard count:
   // every element is re-routed by ShardFor(key) here, so a 4-shard node can
-  // load a 2-shard peer's state.  Entries dedup/expire under the usual
-  // RestoreElement rules.  Throws std::runtime_error on malformed input.
+  // load a 2-shard peer's state.  Timestamps are rebased from the
+  // writer's clock onto this engine's, so entries keep their ages and
+  // remaining TTLs; they dedup/expire under the usual RestoreElement
+  // rules.  The whole blob is decoded and validated first: malformed input
+  // throws std::runtime_error with the engine unchanged.
   SnapshotStats LoadSnapshot(std::istream& in);
 
   // Re-admits one fully-populated SE into its owning shard, preserving

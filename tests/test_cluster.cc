@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -44,6 +46,19 @@ class ClusterTest : public ::testing::Test {
 
   ClusterTest() : world_(48, /*seed=*/47) {}
 
+  // Each node's engine clock counts from its own origin, as a real node's
+  // counts from its start.  Source nodes read about kSourceClock seconds,
+  // skewed from one another; migration tests pick the joiner's reading.
+  static constexpr double kSourceClock = 1000.0;
+
+  std::function<double()> ClockAt(double offset) const {
+    return [origin = origin_, offset] {
+      return offset + std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - origin)
+                          .count();
+    };
+  }
+
   std::string SocketPath(const std::string& tag) {
     return ::testing::TempDir() + "cluster-" + tag + "-" +
            std::to_string(::getpid()) + ".sock";
@@ -53,7 +68,7 @@ class ClusterTest : public ::testing::Test {
   // persistent connections: size each node's worker pool to cover every
   // router worker plus the migration stream plus direct test probes
   // (DESIGN.md §10 sizing rule).
-  Node* StartNode(const std::string& name) {
+  Node* StartNode(const std::string& name, double clock_offset) {
     auto node = std::make_unique<Node>();
     node->name = name;
     node->socket = SocketPath(name);
@@ -61,6 +76,7 @@ class ClusterTest : public ::testing::Test {
     eopts.num_shards = 2;
     eopts.cache.capacity_tokens = 1e6;
     eopts.housekeeping_interval_sec = 0.0;
+    eopts.clock = ClockAt(clock_offset);
     node->engine = std::make_unique<serve::ConcurrentShardedEngine>(
         &world_.embedder, world_.judger.get(), eopts);
     serve::ServerOptions sopts;
@@ -96,7 +112,8 @@ class ClusterTest : public ::testing::Test {
     auto router = std::make_unique<cluster::ClusterRouter>(ropts);
     std::string error;
     for (int i = 0; i < 3; ++i) {
-      Node* node = StartNode("node" + std::to_string(i));
+      Node* node =
+          StartNode("node" + std::to_string(i), kSourceClock + 150.0 * i);
       if (node == nullptr) return nullptr;
       if (!router->AddNode(node->name, "unix:" + node->socket, &error)) {
         ADD_FAILURE() << error;
@@ -148,6 +165,13 @@ class ClusterTest : public ::testing::Test {
     return router.registry()->GetCounter(name)->Value();
   }
 
+  // Exact-key lookups over the whole warmed universe from three client
+  // threads while `joiner_clock` joins live, then checks that no request
+  // was dropped or falsely missed and that the joiner owns its share.
+  void RunLiveMigration(double joiner_clock);
+
+  const std::chrono::steady_clock::time_point origin_ =
+      std::chrono::steady_clock::now();
   MiniWorld world_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::string router_socket_;
@@ -293,7 +317,7 @@ TEST_F(ClusterTest, LookupFailsOverToReplicaWhenPrimaryDies) {
   }
 }
 
-TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
+void ClusterTest::RunLiveMigration(double joiner_clock) {
   auto router = StartCluster(/*replication=*/1);
   ASSERT_NE(router, nullptr);
   BlockingClient client;
@@ -329,8 +353,8 @@ TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
     });
   }
 
-  // node3 joins live.
-  Node* joiner = StartNode("node3");
+  // node3 starts now, on its own clock, and joins live.
+  Node* joiner = StartNode("node3", joiner_clock);
   ASSERT_NE(joiner, nullptr);
   Request migrate;
   migrate.type = RequestType::kMigrate;
@@ -372,6 +396,18 @@ TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
   }
   EXPECT_GT(owned_by_joiner, 0u);
   EXPECT_EQ(moved, owned_by_joiner);
+}
+
+// The joiner's clock reads 1 000 s less than the sources': restored
+// entries must not be dated into its future.
+TEST_F(ClusterTest, LiveMigrationMovesStateWithoutDroppingRequests) {
+  RunLiveMigration(kSourceClock - 1000.0);
+}
+
+// The joiner's clock reads 5 000 s more, past most TTLs: restored entries
+// must keep their remaining lifetime, not expire on arrival.
+TEST_F(ClusterTest, LiveMigrationToOlderJoinerKeepsEveryEntry) {
+  RunLiveMigration(kSourceClock + 5000.0);
 }
 
 TEST_F(ClusterTest, MigrationToUnreachableNodeAbortsCleanly) {

@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -442,6 +443,104 @@ TEST_F(ConcurrentEngineTest, RestoreReembedsScaledAndNonFiniteEmbeddings) {
     }
     EXPECT_GT(hits, 0u);
   }
+}
+
+// Each engine's clock counts from its own origin.  A snapshot carries the
+// writer's clock, so a restore on an engine whose clock reads 1 000 s
+// behind or ahead serves every entry at once with its age and remaining
+// TTL intact, and drops nothing as expired.
+TEST_F(ConcurrentEngineTest, RestoreAcrossSkewedClocksKeepsAgesAndTtls) {
+  constexpr double kSourceNow = 2000.0;
+  constexpr std::size_t kTopics = 16;
+  ConcurrentEngineOptions source_opts = BaseOptions();
+  source_opts.cache.min_ttl_sec = 600.0;
+  source_opts.cache.max_ttl_sec = 3600.0;
+  source_opts.clock = [] { return kSourceNow; };
+  ConcurrentShardedEngine source(&world_.embedder, world_.judger.get(),
+                                 source_opts);
+  for (std::size_t topic = 0; topic < kTopics; ++topic) {
+    ASSERT_TRUE(source.Insert(RequestFor(topic)).has_value());
+  }
+  std::stringstream saved;
+  source.SaveSnapshot(saved);
+  const std::string blob = saved.str();
+  std::unordered_map<std::string, double> ttl_at_source;
+  for (const SemanticElement& se : DecodeSnapshot(saved).elements) {
+    ttl_at_source[se.key] = se.TtlRemaining(kSourceNow);
+  }
+
+  for (const double skew : {-1000.0, 1000.0}) {
+    ConcurrentEngineOptions opts = source_opts;
+    const double reader_now = kSourceNow + skew;
+    opts.clock = [reader_now] { return reader_now; };
+    ConcurrentShardedEngine target(&world_.embedder, world_.judger.get(),
+                                   opts);
+    std::stringstream in(blob);
+    const SnapshotStats loaded = target.LoadSnapshot(in);
+    EXPECT_EQ(loaded.entries_restored, kTopics) << "skew " << skew;
+    EXPECT_EQ(loaded.entries_expired, 0u) << "skew " << skew;
+
+    std::size_t hits = 0;
+    for (std::size_t topic = 0; topic < kTopics; ++topic) {
+      const std::string& key = world_.query(topic, 0);
+      const bool want = source.Peek(key).has_value();
+      EXPECT_EQ(target.Peek(key).has_value(), want)
+          << "skew " << skew << " topic " << topic;
+      hits += want ? 1 : 0;
+    }
+    EXPECT_GT(hits, kTopics / 2);
+
+    std::stringstream again;
+    target.SaveSnapshot(again);
+    const DecodedSnapshot restored = DecodeSnapshot(again);
+    EXPECT_EQ(restored.writer_now, reader_now);
+    ASSERT_EQ(restored.elements.size(), kTopics);
+    for (const SemanticElement& se : restored.elements) {
+      EXPECT_NEAR(se.TtlRemaining(reader_now), ttl_at_source.at(se.key), 1e-6)
+          << "skew " << skew << " key " << se.key;
+      EXPECT_EQ(se.created_at, reader_now);
+    }
+  }
+}
+
+// RESTORE applies a blob received over the wire: a truncated, bit-flipped
+// or old-version blob throws before any state changes.
+TEST_F(ConcurrentEngineTest, CorruptSnapshotLeavesEngineUnchanged) {
+  ConcurrentShardedEngine source(&world_.embedder, world_.judger.get(),
+                                 BaseOptions());
+  for (std::size_t topic = 0; topic < 12; ++topic) {
+    ASSERT_TRUE(source.Insert(RequestFor(topic)).has_value());
+  }
+  std::stringstream saved;
+  source.SaveSnapshot(saved);
+  const std::string blob = saved.str();
+
+  std::string flipped = blob;
+  flipped[flipped.size() / 2] ^= 0x10;
+  // The writer's clock sits in the header, outside the sections, but each
+  // section's CRC covers it.
+  std::string clock_flipped = blob;
+  clock_flipped[2 * sizeof(std::uint32_t)] ^= 0x01;
+  std::string version2 = blob;
+  const std::uint32_t old_version = 2;
+  std::memcpy(version2.data() + sizeof(kSnapshotMagic), &old_version,
+              sizeof old_version);
+
+  ConcurrentShardedEngine target(&world_.embedder, world_.judger.get(),
+                                 BaseOptions());
+  ASSERT_TRUE(target.Insert(RequestFor(40)).has_value());
+  const std::size_t size_before = target.TotalSize();
+  const CacheCounters counters_before = target.TotalCounters();
+  for (const std::string& bad :
+       {blob.substr(0, blob.size() / 2), blob.substr(0, blob.size() - 1),
+        flipped, clock_flipped, version2, blob + "x"}) {
+    std::stringstream in(bad);
+    EXPECT_THROW(target.LoadSnapshot(in), std::runtime_error);
+    EXPECT_EQ(target.TotalSize(), size_before);
+    EXPECT_TRUE(target.TotalCounters() == counters_before);
+  }
+  std::stringstream good(blob);
+  EXPECT_EQ(target.LoadSnapshot(good).entries_restored, 12u);
 }
 
 TEST_F(ConcurrentEngineTest, LookupsRaceChurnUnderLockFreeProbe) {

@@ -1,15 +1,20 @@
-// Randomized robustness tests: feed the text-facing components adversarial
-// and random input and check they never crash, never violate their
-// invariants, and stay deterministic.
+// Randomized robustness tests: feed the text-facing components and the
+// snapshot decoder adversarial and random input and check they never
+// crash, never violate their invariants, and stay deterministic.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "ann/flat_index.h"
 #include "core/exact_cache.h"
 #include "core/semantic_cache.h"
+#include "core/snapshot.h"
 #include "embedding/hashed_embedder.h"
 #include "llm/tags.h"
+#include "serve/concurrent_engine.h"
 #include "test_helpers.h"
 #include "util/config.h"
 #include "util/rng.h"
@@ -227,6 +232,170 @@ TEST(Fuzz, DeterministicAcrossIdenticalRuns) {
     return hits;
   };
   EXPECT_EQ(run(), run());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot decoder: RESTORE applies a blob received over the wire, so every
+// corrupt blob must throw before the engine changes.
+
+std::string SnapshotBlob(double writer_now,
+                         const std::vector<std::string>& sections,
+                         std::uint64_t declared_sections) {
+  std::ostringstream out;
+  WriteSnapshotHeader(out, writer_now, declared_sections);
+  for (const std::string& section : sections) out << section;
+  return std::move(out).str();
+}
+
+// Offsets of every u64 count and length field of a well-formed blob, found
+// by walking the layout documented in core/snapshot.h.
+std::vector<std::size_t> LengthFieldOffsets(const std::string& blob) {
+  const auto u64_at = [&](std::size_t p) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, blob.data() + p, sizeof v);
+    return v;
+  };
+  std::vector<std::size_t> offsets;
+  std::size_t p = 16;  // magic, version, writer_now
+  const std::uint64_t sections = u64_at(p);
+  offsets.push_back(p);
+  p += 8;
+  for (std::uint64_t s = 0; s < sections; ++s) {
+    const std::uint64_t count = u64_at(p);
+    offsets.push_back(p);
+    p += 8;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      // key, value, embedding (then seven 8-byte fields), tenant.
+      for (int field = 0; field < 4; ++field) {
+        const std::uint64_t n = u64_at(p);
+        offsets.push_back(p);
+        p += 8 + (field == 2 ? n * sizeof(float) + 7 * 8 : n);
+      }
+      p += 4;  // shareable
+    }
+    p += 4;  // section CRC
+  }
+  return offsets;
+}
+
+// One random edit of `blob`: bit flips, a truncation, an inflated length
+// field, a splice of whole (or cut) sections under a right or wrong
+// declared count, or a duplicated byte range.
+std::string MutateSnapshot(Rng& rng, const std::string& blob,
+                           const std::vector<std::string>& sections,
+                           double writer_now) {
+  std::string out = blob;
+  switch (rng.NextBelow(5)) {
+    case 0: {
+      for (std::uint64_t flips = 1 + rng.NextBelow(4); flips > 0; --flips) {
+        out[rng.NextBelow(out.size())] ^=
+            static_cast<char>(1u << rng.NextBelow(8));
+      }
+      break;
+    }
+    case 1:
+      out.resize(rng.NextBelow(out.size()));
+      break;
+    case 2: {
+      const auto offsets = LengthFieldOffsets(blob);
+      const std::size_t p = offsets[rng.NextBelow(offsets.size())];
+      static constexpr std::uint64_t kHuge[] = {
+          ~std::uint64_t{0}, ~std::uint64_t{0} / sizeof(float) + 1,
+          std::uint64_t{1} << 30, std::uint64_t{1} << 24};
+      std::uint64_t v = 0;
+      std::memcpy(&v, out.data() + p, sizeof v);
+      v = rng.Bernoulli(0.5) ? kHuge[rng.NextBelow(std::size(kHuge))]
+                             : v + 1 + rng.NextBelow(64);
+      std::memcpy(out.data() + p, &v, sizeof v);
+      break;
+    }
+    case 3: {
+      std::vector<std::string> picked;
+      for (std::uint64_t n = rng.NextBelow(sections.size() + 2); n > 0; --n) {
+        picked.push_back(sections[rng.NextBelow(sections.size())]);
+      }
+      std::uint64_t declared = picked.size();
+      if (rng.Bernoulli(0.3)) declared = declared + rng.NextBelow(3) - 1;
+      out = SnapshotBlob(writer_now, picked, declared);
+      if (rng.Bernoulli(0.3)) {
+        out.resize(24 + rng.NextBelow(out.size() - 23));
+        out += sections[rng.NextBelow(sections.size())];
+      }
+      break;
+    }
+    default: {
+      const std::size_t from = rng.NextBelow(out.size());
+      const std::size_t length = 1 + rng.NextBelow(64);
+      out.insert(rng.NextBelow(out.size() + 1), blob.substr(from, length));
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(Fuzz, SnapshotDecoderLoadsOrThrowsWithEngineUnchanged) {
+  cortex::testing::MiniWorld world(40, 0xF032);
+  serve::ConcurrentEngineOptions opts;
+  opts.num_shards = 2;
+  opts.cache.capacity_tokens = 1e6;
+  opts.housekeeping_interval_sec = 0.0;
+  opts.clock = [] { return 100.0; };
+  serve::ConcurrentShardedEngine source(&world.embedder, world.judger.get(),
+                                        opts);
+  for (std::size_t topic = 0; topic < 12; ++topic) {
+    InsertRequest req;
+    req.key = world.query(topic, 0);
+    req.value = world.answer(topic);
+    req.staticity = world.topic(topic).staticity;
+    if (topic % 3 == 0) req.tenant = "acme";
+    req.shareable = topic % 2 == 0;
+    ASSERT_TRUE(source.Insert(std::move(req)).has_value());
+  }
+  std::stringstream saved;
+  source.SaveSnapshot(saved);
+  const DecodedSnapshot decoded = DecodeSnapshot(saved);
+
+  // Three sections of four entries plus an empty one: a well-formed blob
+  // with known section boundaries for the splicer.
+  std::vector<std::string> sections;
+  for (std::size_t first = 0; first <= decoded.elements.size(); first += 4) {
+    const std::vector<SemanticElement> part(
+        decoded.elements.begin() + static_cast<std::ptrdiff_t>(first),
+        decoded.elements.begin() +
+            static_cast<std::ptrdiff_t>(
+                std::min(first + 4, decoded.elements.size())));
+    std::ostringstream out;
+    WriteSnapshotSection(out, decoded.writer_now, part);
+    sections.push_back(std::move(out).str());
+  }
+  const std::string blob =
+      SnapshotBlob(decoded.writer_now, sections, sections.size());
+
+  opts.clock = [] { return 500.0; };
+  serve::ConcurrentShardedEngine target(&world.embedder, world.judger.get(),
+                                        opts);
+  Rng rng(0xF033);
+  std::size_t loaded = 0, rejected = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const std::string mutated =
+        MutateSnapshot(rng, blob, sections, decoded.writer_now);
+    const std::size_t size_before = target.TotalSize();
+    const CacheCounters counters_before = target.TotalCounters();
+    std::stringstream in(mutated);
+    try {
+      target.LoadSnapshot(in);
+      ++loaded;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      ASSERT_EQ(target.TotalSize(), size_before) << "trial " << trial;
+      ASSERT_TRUE(target.TotalCounters() == counters_before)
+          << "trial " << trial;
+    }
+  }
+  // Both outcomes were exercised: splices of whole sections load, and
+  // most byte-level damage is caught.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, loaded);
 }
 
 }  // namespace

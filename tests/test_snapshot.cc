@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "ann/flat_index.h"
@@ -51,7 +52,7 @@ TEST_F(SnapshotTest, RoundTripRestoresEverything) {
   cache->Lookup(world_.query(3, 4), 6.0);
 
   std::stringstream stream;
-  const auto saved = SaveCacheSnapshot(*cache, stream);
+  const auto saved = SaveCacheSnapshot(*cache, stream, /*now=*/6.0);
   EXPECT_EQ(saved.entries_written, 10u);
 
   auto fresh = MakeCache();
@@ -73,13 +74,15 @@ TEST_F(SnapshotTest, RoundTripRestoresEverything) {
 }
 
 TEST_F(SnapshotTest, ExpiredEntriesDroppedAtLoad) {
+  // Entries past their TTL in the writer's clock but not yet purged are
+  // written, and dropped at load whatever the reader's clock reads.
   auto cache = MakeCache(1e6, /*min_ttl=*/10.0, /*max_ttl=*/20.0);
   FillTopics(*cache, 5, /*now=*/0.0);
   std::stringstream stream;
-  SaveCacheSnapshot(*cache, stream);
+  SaveCacheSnapshot(*cache, stream, /*now=*/1000.0);
 
   auto fresh = MakeCache();
-  const auto loaded = LoadCacheSnapshot(*fresh, stream, /*now=*/1000.0);
+  const auto loaded = LoadCacheSnapshot(*fresh, stream, /*now=*/0.0);
   EXPECT_EQ(loaded.entries_restored, 0u);
   EXPECT_EQ(loaded.entries_expired, 5u);
   EXPECT_EQ(fresh->size(), 0u);
@@ -89,7 +92,7 @@ TEST_F(SnapshotTest, LoadIntoSmallerCacheRespectsCapacity) {
   auto cache = MakeCache();
   FillTopics(*cache, 12);
   std::stringstream stream;
-  SaveCacheSnapshot(*cache, stream);
+  SaveCacheSnapshot(*cache, stream, 0.0);
 
   // Room for roughly three answers.
   auto tiny = MakeCache(3.2 * 70.0);
@@ -102,7 +105,7 @@ TEST_F(SnapshotTest, LoadMergesWithExistingContents) {
   auto a = MakeCache();
   FillTopics(*a, 4);
   std::stringstream stream;
-  SaveCacheSnapshot(*a, stream);
+  SaveCacheSnapshot(*a, stream, 0.0);
 
   auto b = MakeCache();
   FillTopics(*b, 8);  // topics 0-7 already resident, values identical 0-3
@@ -122,56 +125,115 @@ TEST_F(SnapshotTest, TruncatedStreamThrows) {
   auto cache = MakeCache();
   FillTopics(*cache, 6);
   std::stringstream stream;
-  SaveCacheSnapshot(*cache, stream);
+  SaveCacheSnapshot(*cache, stream, 0.0);
   const std::string full = stream.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   auto fresh = MakeCache();
   EXPECT_THROW(LoadCacheSnapshot(*fresh, cut, 0.0), std::runtime_error);
+  // The whole blob is validated before anything is restored.
+  EXPECT_EQ(fresh->size(), 0u);
+}
+
+TEST_F(SnapshotTest, FlippedBitFailsTheSectionChecksum) {
+  auto cache = MakeCache();
+  FillTopics(*cache, 6);
+  std::stringstream stream;
+  SaveCacheSnapshot(*cache, stream, 0.0);
+  std::string blob = stream.str();
+  // One bit of the last record's shareable flag: every length still
+  // parses, so only the CRC can catch it.
+  blob[blob.size() - 8] ^= 0x02;
+  std::stringstream corrupt(blob);
+  auto fresh = MakeCache();
+  try {
+    LoadCacheSnapshot(*fresh, corrupt, 0.0);
+    FAIL() << "a corrupt section loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh->size(), 0u);
+}
+
+TEST_F(SnapshotTest, OversizedLengthThrowsBeforeAllocating) {
+  // A 40-byte blob whose first key claims 1 GiB: rejected against the
+  // bytes left, not allocated and then found short.
+  std::stringstream stream;
+  WriteSnapshotHeader(stream, 0.0, 1);
+  const std::uint64_t entries = 1;
+  const std::uint64_t key_length = std::uint64_t{1} << 30;
+  stream.write(reinterpret_cast<const char*>(&entries), sizeof entries);
+  stream.write(reinterpret_cast<const char*>(&key_length), sizeof key_length);
+  auto fresh = MakeCache();
+  EXPECT_THROW(LoadCacheSnapshot(*fresh, stream, 0.0), std::runtime_error);
+  EXPECT_EQ(fresh->size(), 0u);
+}
+
+TEST_F(SnapshotTest, OldVersionBlobIsRejected) {
+  // Version 2 blobs carry no writer clock; restoring one would date its
+  // entries in a foreign clock.  They fail before any state changes.
+  std::stringstream stream;
+  const std::uint32_t header[2] = {kSnapshotMagic, 2};
+  const std::uint64_t entries = 0;
+  stream.write(reinterpret_cast<const char*>(header), sizeof header);
+  stream.write(reinterpret_cast<const char*>(&entries), sizeof entries);
+  auto fresh = MakeCache();
+  try {
+    LoadCacheSnapshot(*fresh, stream, 0.0);
+    FAIL() << "a version 2 blob loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(fresh->size(), 0u);
+}
+
+TEST_F(SnapshotTest, WarmRestartAtAnotherClockKeepsEachEntrysAge) {
+  // The writer ran its clock to 200; a restarted process starts from 0
+  // (or any other reading).  Each entry keeps its age, its idle time and
+  // its remaining TTL, measured from the reader's now.
+  auto cache = MakeCache(1e6, /*min_ttl=*/1000.0, /*max_ttl=*/2000.0);
+  FillTopics(*cache, 4, /*now=*/100.0);
+  ASSERT_TRUE(cache->Lookup(world_.query(1, 2), 150.0).hit.has_value());
+  std::map<std::string, SemanticElement> before;
+  for (const auto& [id, se] : cache->entries()) before.emplace(se.key, se);
+  constexpr double kWriterNow = 200.0;
+  std::stringstream stream;
+  SaveCacheSnapshot(*cache, stream, kWriterNow);
+  const std::string blob = stream.str();
+
+  for (const double reader_now : {0.0, 5000.0}) {
+    std::stringstream in(blob);
+    auto fresh = MakeCache(1e6, /*min_ttl=*/1000.0, /*max_ttl=*/2000.0);
+    const auto loaded = LoadCacheSnapshot(*fresh, in, reader_now);
+    EXPECT_EQ(loaded.entries_restored, 4u) << "reader_now " << reader_now;
+    EXPECT_EQ(loaded.entries_expired, 0u) << "reader_now " << reader_now;
+    for (const auto& [id, se] : fresh->entries()) {
+      const SemanticElement& old = before.at(se.key);
+      EXPECT_DOUBLE_EQ(reader_now - se.created_at, kWriterNow - old.created_at);
+      EXPECT_DOUBLE_EQ(reader_now - se.last_access,
+                       kWriterNow - old.last_access);
+      EXPECT_DOUBLE_EQ(se.TtlRemaining(reader_now),
+                       old.TtlRemaining(kWriterNow));
+    }
+    // Restored entries serve at once: none is dated into the future.
+    EXPECT_TRUE(
+        fresh->Lookup(world_.query(2, 3), reader_now).hit.has_value())
+        << "reader_now " << reader_now;
+  }
 }
 
 TEST_F(SnapshotTest, FileRoundTrip) {
   auto cache = MakeCache();
   FillTopics(*cache, 6);
   const std::string path = ::testing::TempDir() + "/cortex_snapshot.bin";
-  SaveCacheSnapshotFile(*cache, path);
+  SaveCacheSnapshotFile(*cache, path, 0.0);
   auto fresh = MakeCache();
   const auto loaded = LoadCacheSnapshotFile(*fresh, path, 0.0);
   EXPECT_EQ(loaded.entries_restored, 6u);
   EXPECT_TRUE(fresh->Lookup(world_.query(2, 3), 1.0).hit.has_value());
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Version compatibility (DESIGN.md §12): v1 blobs predate tenancy; they
-// must load as shared-pool entries on a tenant-aware node.
-
-TEST_F(SnapshotTest, V1BlobLoadsIntoSharedPool) {
-  // A v1 writer cannot express tenancy: even if the in-memory SE carries
-  // a tenant, the v1 layout drops it on the wire and the reader restores
-  // the pre-tenant defaults (shared pool, shareable).
-  SemanticElement se;
-  se.key = world_.query(0, 0);
-  se.value = world_.answer(0);
-  se.tenant = "dropped-by-v1-layout";
-  se.shareable = false;
-  se.staticity = world_.topic(0).staticity;
-  se.frequency = 2;
-  se.expiration_time = 1e9;
-  std::stringstream stream;
-  WriteSnapshotHeader(stream, 1, /*version=*/1);
-  WriteSnapshotElement(stream, se, /*version=*/1);
-
-  auto cache = MakeCache();
-  const auto loaded = LoadCacheSnapshot(*cache, stream, 0.0);
-  EXPECT_EQ(loaded.entries_restored, 1u);
-  ASSERT_EQ(cache->size(), 1u);
-  for (const auto& [id, restored] : cache->entries()) {
-    EXPECT_EQ(restored.tenant, "");
-    EXPECT_TRUE(restored.shareable);
-  }
-  // Shared-pool entries answer every tenant's lookups.
-  EXPECT_TRUE(cache->Lookup(world_.query(0, 1), 1.0, "any").hit.has_value());
-  EXPECT_TRUE(cache->Lookup(world_.query(0, 2), 2.0).hit.has_value());
 }
 
 TEST_F(SnapshotTest, V2RoundTripPreservesTenantAndShareable) {
@@ -185,7 +247,7 @@ TEST_F(SnapshotTest, V2RoundTripPreservesTenantAndShareable) {
   ASSERT_TRUE(cache->Insert(std::move(req), 0.0).has_value());
 
   std::stringstream stream;
-  SaveCacheSnapshot(*cache, stream);
+  SaveCacheSnapshot(*cache, stream, 0.0);
 
   auto fresh = MakeCache();
   const auto loaded = LoadCacheSnapshot(*fresh, stream, 0.0);
@@ -200,38 +262,6 @@ TEST_F(SnapshotTest, V2RoundTripPreservesTenantAndShareable) {
   EXPECT_FALSE(fresh->ContainsKey(world_.query(0, 0)));
   EXPECT_TRUE(fresh->Lookup(world_.query(0, 1), 1.0, "acme").hit.has_value());
   EXPECT_FALSE(fresh->Lookup(world_.query(0, 2), 2.0, "other").hit.has_value());
-}
-
-TEST_F(SnapshotTest, MixedVersionStreamsConcatenate) {
-  // The cluster migration path: a v1 node's SNAPSHOT blob followed by a
-  // v2 node's blob on one stream, RESTOREd sequentially on the target.
-  SemanticElement old_se;
-  old_se.key = world_.query(1, 0);
-  old_se.value = world_.answer(1);
-  old_se.staticity = world_.topic(1).staticity;
-  old_se.expiration_time = 1e9;
-  std::stringstream stream;
-  WriteSnapshotHeader(stream, 1, /*version=*/1);
-  WriteSnapshotElement(stream, old_se, /*version=*/1);
-
-  auto modern = MakeCache();
-  InsertRequest req;
-  req.key = world_.query(2, 0);
-  req.value = world_.answer(2);
-  req.staticity = world_.topic(2).staticity;
-  req.tenant = "acme";
-  ASSERT_TRUE(modern->Insert(std::move(req), 0.0).has_value());
-  SaveCacheSnapshot(*modern, stream);
-
-  auto target = MakeCache();
-  EXPECT_EQ(LoadCacheSnapshot(*target, stream, 0.0).entries_restored, 1u);
-  EXPECT_EQ(LoadCacheSnapshot(*target, stream, 0.0).entries_restored, 1u);
-  EXPECT_EQ(target->size(), 2u);
-  // The v1 entry landed in the shared pool; the v2 entry kept its tenant.
-  EXPECT_TRUE(target->Lookup(world_.query(1, 1), 1.0, "other").hit.has_value());
-  EXPECT_TRUE(target->ContainsKey(world_.query(2, 0), "acme"));
-  EXPECT_FALSE(
-      target->Lookup(world_.query(2, 1), 2.0, "other").hit.has_value());
 }
 
 TEST_F(SnapshotTest, RestoreElementRecomputesMissingEmbedding) {

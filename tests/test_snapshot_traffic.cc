@@ -159,14 +159,15 @@ TEST_F(SnapshotTrafficTest, SnapshotIsPerShardConsistentUnderChurn) {
     const SnapshotStats saved = engine.SaveSnapshot(buffer);
     EXPECT_GE(saved.entries_written, 16u) << "round " << round;
     // Each element in the stream parses back intact.
-    std::uint64_t seen = 0;
     buffer.seekg(0);
-    EXPECT_NO_THROW(seen = serve::ForEachEngineSnapshotElement(
-                        buffer, [](SemanticElement se) {
-                          EXPECT_FALSE(se.key.empty());
-                          EXPECT_FALSE(se.value.empty());
-                        }));
-    EXPECT_EQ(seen, saved.entries_written) << "round " << round;
+    DecodedSnapshot decoded;
+    EXPECT_NO_THROW(decoded = DecodeSnapshot(buffer));
+    for (const SemanticElement& se : decoded.elements) {
+      EXPECT_FALSE(se.key.empty());
+      EXPECT_FALSE(se.value.empty());
+    }
+    EXPECT_EQ(decoded.elements.size(), saved.entries_written)
+        << "round " << round;
   }
   stop.store(true, std::memory_order_relaxed);
   churner.join();
