@@ -19,7 +19,12 @@
 // A second table covers the quantized scan tier (DESIGN.md §13): the same
 // batched dot at f32 / i8 row encodings with slab-style padded
 // strides, reporting bytes streamed per scored vector — the number the
-// int8 path exists to shrink.
+// int8 path exists to shrink.  A third, `columns`, times the snapshot
+// scan's column kernel: the same i8 rows stored dimension-major in
+// 32-row blocks, scored by a query with 20 nonzero codes (what the hashed
+// embedder produces) and by one with every code nonzero, against the
+// row-major gather kernel on the same rows and query.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -125,6 +130,90 @@ double MeasureQuantNsPerVector(const simd::KernelSet& kernels,
   return elapsed_ns / (static_cast<double>(iters) * static_cast<double>(n));
 }
 
+struct ColumnMeasurement {
+  const char* variant;
+  std::size_t dim;
+  std::size_t nonzeros;
+  double ns_per_vector;
+  double code_bytes_per_vector;
+  double speedup_vs_gather;
+};
+
+// Runs `scan` for at least min_ms after a warm-up call; ns per scan.
+template <typename Scan>
+double TimeScan(const Scan& scan, double min_ms) {
+  scan();
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t iters = 0;
+  double elapsed_ns = 0.0;
+  do {
+    scan();
+    ++iters;
+    elapsed_ns = std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  } while (elapsed_ns < min_ms * 1e6);
+  return elapsed_ns / static_cast<double>(iters);
+}
+
+// Times the column kernel and the gather kernel over the same n rows for
+// one (variant, dim, query) cell.  Both timed scans include the per-probe
+// query work the engine does: quantization, and for the column kernel
+// listing the nonzero codes in pairs.
+ColumnMeasurement MeasureColumns(simd::Variant variant,
+                                 const std::vector<float>& query,
+                                 const VectorSlab& slab, std::size_t n,
+                                 double min_ms, double& checksum) {
+  constexpr std::size_t kRows = simd::kI8BlockRows;
+  const simd::KernelSet& kernels = simd::KernelsFor(variant);
+  const std::size_t dim = query.size();
+  const std::size_t blocks = (n + kRows - 1) / kRows;
+  // Dimension-major blocks in one buffer, 32-byte aligned like a
+  // snapshot chunk's code block.
+  std::vector<std::int8_t> storage(blocks * kRows * dim + 31);
+  std::int8_t* codes =
+      storage.data() +
+      (-reinterpret_cast<std::uintptr_t>(storage.data()) & 31);
+  std::vector<float> scales(blocks * kRows);
+  std::vector<const std::int8_t*> rows(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    rows[i] = slab.RowI8(i);
+    scales[i] = slab.RowScale(i);
+    for (std::size_t d = 0; d < dim; ++d) {
+      codes[((i / kRows) * dim + d) * kRows + i % kRows] = rows[i][d];
+    }
+  }
+
+  std::vector<float> out(blocks * kRows);
+  std::vector<std::int8_t> q8(dim);
+  std::vector<std::uint32_t> cols;
+  std::vector<std::int16_t> weights;
+  const auto columns = [&] {
+    const float qscale = simd::QuantizeRowI8(query, q8.data());
+    const std::size_t pairs = simd::NonzeroPairsI8(q8, cols, weights);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::int8_t* block = codes + b * kRows * dim;
+      kernels.dot_cols_i8(cols.data(), weights.data(), pairs, block,
+                          b + 1 < blocks ? block + kRows * dim : nullptr,
+                          qscale, scales.data() + b * kRows,
+                          out.data() + b * kRows);
+    }
+    checksum += static_cast<double>(out[n - 1]);
+  };
+  const auto gather = [&] {
+    const float qscale = simd::QuantizeRowI8(query, q8.data());
+    kernels.dot_rows_i8(q8.data(), qscale, rows.data(), scales.data(), n, dim,
+                        out.data());
+    checksum += static_cast<double>(out[n - 1]);
+  };
+  const double col_ns = TimeScan(columns, min_ms) / static_cast<double>(n);
+  const double gather_ns = TimeScan(gather, min_ms) / static_cast<double>(n);
+  const auto nonzeros = static_cast<std::size_t>(
+      std::count_if(q8.begin(), q8.end(), [](std::int8_t c) { return c; }));
+  return {simd::VariantName(variant), dim, nonzeros, col_ns,
+          static_cast<double>(cols.size()), gather_ns / col_ns};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -210,6 +299,48 @@ int main(int argc, char** argv) {
   qtable.Print(std::cout, csv);
   std::cout << "(checksum " << checksum << ")\n";
 
+  std::cout << "\n=== i8 column kernel (dimension-major 32-row blocks, " << n
+            << " rows/call) ===\n\n";
+  std::vector<ColumnMeasurement> columns;
+  TextTable ctable({"dim", "variant", "nonzero codes", "ns/vector",
+                    "code B/vector", "vs gather"});
+  for (const std::size_t dim : {std::size_t{64}, std::size_t{256},
+                                std::size_t{768}, std::size_t{1536}}) {
+    VectorSlab slab(dim, RowFormat::kI8);
+    Rng row_rng(29);
+    std::vector<float> row(dim);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (auto& x : row) x = static_cast<float>(row_rng.Normal());
+      slab.Add(row);
+    }
+    for (const std::size_t nonzeros : {std::size_t{20}, dim}) {
+      // Entries of magnitude 0.5..1.5 never quantize to 0, so the query
+      // has exactly `nonzeros` nonzero codes, at distinct dimensions (the
+      // step 7 is coprime with every dim here).
+      Rng rng(17);
+      std::vector<float> query(dim, 0.0f);
+      const auto start = static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(dim) - 1));
+      for (std::size_t k = 0; k < nonzeros; ++k) {
+        const double mag = rng.Uniform(0.5, 1.5);
+        query[(start + 7 * k) % dim] =
+            static_cast<float>(rng.NextDouble() < 0.5 ? -mag : mag);
+      }
+      for (const auto v : variants) {
+        const ColumnMeasurement m =
+            MeasureColumns(v, query, slab, n, min_ms, checksum);
+        columns.push_back(m);
+        ctable.AddRow({TextTable::Num(static_cast<double>(dim), 0), m.variant,
+                       TextTable::Num(static_cast<double>(m.nonzeros), 0),
+                       TextTable::Num(m.ns_per_vector, 2),
+                       TextTable::Num(m.code_bytes_per_vector, 0),
+                       TextTable::Num(m.speedup_vs_gather, 2) + "x"});
+      }
+    }
+  }
+  ctable.Print(std::cout, csv);
+  std::cout << "(checksum " << checksum << ")\n";
+
   if (json) {
     std::ofstream out("BENCH_vector_ops.json");
     out << "{\n  \"benchmark\": \"vector_ops\",\n  \"build_type\": \""
@@ -234,6 +365,16 @@ int main(int argc, char** argv) {
           << ", \"gb_per_sec\": " << m.gb_per_sec
           << ", \"speedup_vs_f32\": " << m.speedup_vs_f32 << "}"
           << (i + 1 < quant.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"columns\": [\n";
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      const auto& m = columns[i];
+      out << "    {\"variant\": \"" << m.variant << "\", \"dim\": " << m.dim
+          << ", \"nonzeros\": " << m.nonzeros
+          << ", \"ns_per_vector\": " << m.ns_per_vector
+          << ", \"code_bytes_per_vector\": " << m.code_bytes_per_vector
+          << ", \"speedup_vs_gather\": " << m.speedup_vs_gather << "}"
+          << (i + 1 < columns.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::cout << "wrote BENCH_vector_ops.json\n";

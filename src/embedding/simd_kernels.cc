@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 
 #include "util/check.h"
@@ -16,6 +17,23 @@
 #if defined(__aarch64__)
 #define CORTEX_SIMD_HAVE_NEON 1
 #include <arm_neon.h>
+#endif
+
+// The scalar int8 kernels are reference rows in bench_vector_ops, so their
+// code must not depend on the build type.  GCC 12 auto-vectorizes integer
+// reductions at -O3 but not at -O2, so the scalar i8 gather read 2.7-5.5x
+// faster than scalar fp32 in Release but 1.0-2.4x in RelWithDebInfo.
+// These pin the loops to scalar code in every build.
+#if defined(__clang__)
+#define CORTEX_SCALAR_CODEGEN
+#define CORTEX_NO_VECTORIZE_LOOP \
+  _Pragma("clang loop vectorize(disable) interleave(disable)")
+#elif defined(__GNUC__)
+#define CORTEX_SCALAR_CODEGEN __attribute__((optimize("no-tree-vectorize")))
+#define CORTEX_NO_VECTORIZE_LOOP
+#else
+#define CORTEX_SCALAR_CODEGEN
+#define CORTEX_NO_VECTORIZE_LOOP
 #endif
 
 namespace cortex::simd {
@@ -81,9 +99,10 @@ void L2SqBatchScalar(const float* query, const float* rows, std::size_t n,
 
 // Exact i32 dot of two int8 rows.  q, r in [-127, 127], so each product
 // fits 14 bits and the sum stays far below 2^31 for any realistic dim.
-inline std::int32_t DotI8SumScalar(const std::int8_t* a, const std::int8_t* b,
-                                   std::size_t dim) noexcept {
+CORTEX_SCALAR_CODEGEN inline std::int32_t DotI8SumScalar(
+    const std::int8_t* a, const std::int8_t* b, std::size_t dim) noexcept {
   std::int32_t acc = 0;
+  CORTEX_NO_VECTORIZE_LOOP
   for (std::size_t i = 0; i < dim; ++i) {
     acc += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
   }
@@ -97,18 +116,37 @@ inline float DescaleI8(float query_scale, float row_scale,
   return (query_scale * row_scale) * static_cast<float>(sum);
 }
 
-void DotRowsI8Scalar(const std::int8_t* query, float query_scale,
-                     const std::int8_t* const* rows, const float* scales,
-                     std::size_t n, std::size_t dim, float* out) {
+CORTEX_SCALAR_CODEGEN void DotRowsI8Scalar(
+    const std::int8_t* query, float query_scale,
+    const std::int8_t* const* rows, const float* scales, std::size_t n,
+    std::size_t dim, float* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] =
         DescaleI8(query_scale, scales[i], DotI8SumScalar(query, rows[i], dim));
   }
 }
 
+// Integer addition is exact and associative, so summing column by column
+// gives the gather kernel's i32 sums exactly.
+CORTEX_SCALAR_CODEGEN void DotColsI8Scalar(
+    const std::uint32_t* cols, const std::int16_t* weights, std::size_t pairs,
+    const std::int8_t* codes, const std::int8_t* /*next*/, float query_scale,
+    const float* scales, float* out) {
+  std::int32_t acc[kI8BlockRows] = {};
+  for (std::size_t i = 0; i < 2 * pairs; ++i) {
+    const std::int8_t* col = codes + std::size_t{cols[i]} * kI8BlockRows;
+    const std::int32_t w = weights[i];
+    CORTEX_NO_VECTORIZE_LOOP
+    for (std::size_t r = 0; r < kI8BlockRows; ++r) acc[r] += w * col[r];
+  }
+  for (std::size_t r = 0; r < kI8BlockRows; ++r) {
+    out[r] = DescaleI8(query_scale, scales[r], acc[r]);
+  }
+}
+
 constexpr KernelSet kScalarKernels = {
-    DotScalar,     L2SqScalar,      DotBatchScalar,
-    DotRowsScalar, L2SqBatchScalar, DotRowsI8Scalar,
+    DotScalar,       L2SqScalar,      DotBatchScalar, DotRowsScalar,
+    L2SqBatchScalar, DotRowsI8Scalar, DotColsI8Scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -304,9 +342,69 @@ void DotRowsI8Avx2(const std::int8_t* query, float query_scale,
   }
 }
 
+// Column kernel: per pair of query dimensions, the two 32-byte columns are
+// interleaved byte-wise (row r's pair of codes side by side), widened to
+// i16, and one VPMADDWD against the broadcast weight pair adds
+// code_a * w_a + code_b * w_b into each row's i32 lane.  A product is at
+// most 127 * 127, so the pair sum fits i32 trivially and the result is
+// the exact integer dot.  Accumulator k holds rows 8k .. 8k + 7 in order.
+CORTEX_TARGET_AVX2 void DotColsI8Avx2(const std::uint32_t* cols,
+                                      const std::int16_t* weights,
+                                      std::size_t pairs,
+                                      const std::int8_t* codes,
+                                      const std::int8_t* next,
+                                      float query_scale, const float* scales,
+                                      float* out) {
+  static_assert(kI8BlockRows == 32, "four accumulators of eight rows");
+  __m256i acc0 = _mm256_setzero_si256();
+  __m256i acc1 = _mm256_setzero_si256();
+  __m256i acc2 = _mm256_setzero_si256();
+  __m256i acc3 = _mm256_setzero_si256();
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const std::size_t off_a = std::size_t{cols[2 * p]} * kI8BlockRows;
+    const std::size_t off_b = std::size_t{cols[2 * p + 1]} * kI8BlockRows;
+    if (next != nullptr) {
+      __builtin_prefetch(next + off_a);
+      __builtin_prefetch(next + off_b);
+    }
+    std::int32_t pair_bits;
+    std::memcpy(&pair_bits, weights + 2 * p, sizeof(pair_bits));
+    const __m256i w = _mm256_set1_epi32(pair_bits);
+    const std::int8_t* a = codes + off_a;
+    const std::int8_t* b = codes + off_b;
+    const __m128i a_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
+    const __m128i b_lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
+    const __m128i a_hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + 16));
+    const __m128i b_hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 16));
+    acc0 = _mm256_add_epi32(
+        acc0, _mm256_madd_epi16(
+                  _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(a_lo, b_lo)), w));
+    acc1 = _mm256_add_epi32(
+        acc1, _mm256_madd_epi16(
+                  _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(a_lo, b_lo)), w));
+    acc2 = _mm256_add_epi32(
+        acc2, _mm256_madd_epi16(
+                  _mm256_cvtepi8_epi16(_mm_unpacklo_epi8(a_hi, b_hi)), w));
+    acc3 = _mm256_add_epi32(
+        acc3, _mm256_madd_epi16(
+                  _mm256_cvtepi8_epi16(_mm_unpackhi_epi8(a_hi, b_hi)), w));
+  }
+  // DescaleI8, eight rows at a time: the same two float multiplies in the
+  // same order, and i32 -> float rounds to nearest like static_cast.
+  const __m256 qs = _mm256_set1_ps(query_scale);
+  const __m256i sums[4] = {acc0, acc1, acc2, acc3};
+  for (std::size_t k = 0; k < 4; ++k) {
+    const __m256 scale = _mm256_mul_ps(qs, _mm256_loadu_ps(scales + 8 * k));
+    _mm256_storeu_ps(out + 8 * k,
+                     _mm256_mul_ps(scale, _mm256_cvtepi32_ps(sums[k])));
+  }
+}
+
 constexpr KernelSet kAvx2Kernels = {
-    DotAvx2,     L2SqAvx2,      DotBatchAvx2,
-    DotRowsAvx2, L2SqBatchAvx2, DotRowsI8Avx2,
+    DotAvx2,       L2SqAvx2,      DotBatchAvx2,  DotRowsAvx2,
+    L2SqBatchAvx2, DotRowsI8Avx2, DotColsI8Avx2,
 };
 
 #endif  // CORTEX_SIMD_HAVE_X86
@@ -441,9 +539,12 @@ void DotRowsI8Neon(const std::int8_t* query, float query_scale,
   }
 }
 
+// The column kernel has no NEON body: no aarch64 toolchain is at hand to
+// test one, so NEON shares the scalar kernel (exact, so still
+// bit-identical).
 constexpr KernelSet kNeonKernels = {
-    DotNeon,     L2SqNeon,      DotBatchNeon,
-    DotRowsNeon, L2SqBatchNeon, DotRowsI8Neon,
+    DotNeon,       L2SqNeon,      DotBatchNeon,    DotRowsNeon,
+    L2SqBatchNeon, DotRowsI8Neon, DotColsI8Scalar,
 };
 
 #endif  // CORTEX_SIMD_HAVE_NEON
@@ -501,6 +602,24 @@ float QuantizeRowI8(std::span<const float> v, std::int8_t* out) noexcept {
     out[i] = static_cast<std::int8_t>(std::clamp<long>(q, -127, 127));
   }
   return amax / 127.0f;
+}
+
+std::size_t NonzeroPairsI8(std::span<const std::int8_t> q8,
+                           std::vector<std::uint32_t>& cols,
+                           std::vector<std::int16_t>& weights) {
+  cols.clear();
+  weights.clear();
+  for (std::size_t d = 0; d < q8.size(); ++d) {
+    if (q8[d] != 0) {
+      cols.push_back(static_cast<std::uint32_t>(d));
+      weights.push_back(q8[d]);
+    }
+  }
+  if (cols.size() % 2 != 0) {
+    cols.push_back(cols.back());
+    weights.push_back(0);
+  }
+  return cols.size() / 2;
 }
 
 void ExactDotRows(const float* query, const float* const* rows,

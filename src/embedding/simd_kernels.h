@@ -3,10 +3,12 @@
 // Every semantic-cache lookup funnels through Sine's stage-one ANN probe,
 // so per-candidate similarity cost is the hottest multiplier in the serving
 // path.  This layer provides the vectorized kernels FAISS supplies in the
-// paper's stack.  A KernelSet has six slots: single-query dot / squared-L2,
-// three f32 *batched* kernels that score one query against N rows per call
-// with register blocking and software prefetch (the Flat, IVF and HNSW
-// scans), and the int8 gather kernel of the snapshot scan.  The exact fp32
+// paper's stack.  A KernelSet has seven slots: single-query dot /
+// squared-L2, three f32 *batched* kernels that score one query against N
+// rows per call with register blocking and software prefetch (the Flat,
+// IVF and HNSW scans), the int8 gather kernel over row pointers, and the
+// int8 column kernel of the snapshot scan, which reads a dimension-major
+// block only at the query's nonzero codes.  The exact fp32
 // rerank every index and the snapshot probe share is ExactDotRows, which is
 // variant-independent and so lives outside the table.
 //
@@ -42,6 +44,11 @@ enum class Variant : std::uint8_t {
 
 const char* VariantName(Variant v) noexcept;
 
+// Rows in one dimension-major int8 block (the dot_cols_i8 operand): code d
+// of row r sits at codes[d * kI8BlockRows + r], so one column is 32
+// contiguous bytes, a single AVX2 load.
+inline constexpr std::size_t kI8BlockRows = 32;
+
 // Raw kernel table.  `stride` is the float distance between consecutive
 // rows (>= dim; slab rows are padded for alignment); every kernel reads
 // exactly `dim` floats per row — padding is never touched.
@@ -69,6 +76,19 @@ struct KernelSet {
   void (*dot_rows_i8)(const std::int8_t* query, float query_scale,
                       const std::int8_t* const* rows, const float* scales,
                       std::size_t n, std::size_t dim, float* out);
+  // The same scores over one dimension-major block of kI8BlockRows rows,
+  // reading only the query's nonzero codes.  The query arrives as `pairs`
+  // pairs of (dimension, code): cols[2p], cols[2p+1] index columns and
+  // weights[2p], weights[2p+1] are the query codes there; an odd nonzero
+  // count is padded with a zero weight.  out[r] for every r in
+  // [0, kI8BlockRows) equals dot_rows_i8's score of row r bit for bit: a
+  // zero query code adds nothing to the exact i32 sum.  `next`, when not
+  // null, is the block scanned after this one; its query columns are
+  // prefetched.
+  void (*dot_cols_i8)(const std::uint32_t* cols, const std::int16_t* weights,
+                      std::size_t pairs, const std::int8_t* codes,
+                      const std::int8_t* next, float query_scale,
+                      const float* scales, float* out);
 };
 
 // ---------------------------------------------------------------------------
@@ -79,6 +99,13 @@ struct KernelSet {
 // clamped to [-127, 127]; returns the scale (amax / 127, or 0 for an
 // all-zero row — the dot of a zero-scale row is exactly 0).
 float QuantizeRowI8(std::span<const float> v, std::int8_t* out) noexcept;
+
+// The dot_cols_i8 operands of a quantized query: the dimensions of its
+// nonzero codes in `cols` and the codes in `weights`, padded to an even
+// count with a zero weight.  Returns the pair count.
+std::size_t NonzeroPairsI8(std::span<const std::int8_t> q8,
+                           std::vector<std::uint32_t>& cols,
+                           std::vector<std::int16_t>& weights);
 
 // Exact rerank: out[i] = KernelsFor(Variant::kScalar).dot(query, rows[i],
 // dim) bit for bit — each row accumulates in double in index order, the
@@ -150,6 +177,15 @@ inline void DotRowsI8(const std::int8_t* query_i8, float query_scale,
                       std::size_t n, std::size_t dim, float* out) noexcept {
   ActiveKernels().dot_rows_i8(query_i8, query_scale, rows, scales, n, dim,
                               out);
+}
+
+// Column flavour over one dimension-major block (see KernelSet).
+inline void DotColsI8(const std::uint32_t* cols, const std::int16_t* weights,
+                      std::size_t pairs, const std::int8_t* codes,
+                      const std::int8_t* next, float query_scale,
+                      const float* scales, float* out) noexcept {
+  ActiveKernels().dot_cols_i8(cols, weights, pairs, codes, next, query_scale,
+                              scales, out);
 }
 
 }  // namespace cortex::simd

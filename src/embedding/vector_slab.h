@@ -8,10 +8,7 @@
 //
 // Row slots are stable for the life of the entry: chunks never move once
 // allocated, so row pointers stay valid across Add/Free of other rows
-// (required by HNSW, whose graph stores slots, and by the serving tier's
-// epoch-protected concurrent readers — mutation happens under the
-// engine's write lock, and freed slots are only reused after an epoch
-// grace period, see DESIGN.md §13).
+// (required by HNSW, whose graph stores slots).
 //
 // Row storage format (DESIGN.md §13): callers always Add/Overwrite fp32
 // spans; the slab encodes per its RowFormat —

@@ -51,6 +51,7 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
       registry_->GetCounter("cortex_engine_housekeeping_runs");
   recalibrations_ = registry_->GetCounter("cortex_engine_recalibrations");
   rows_scanned_ = registry_->GetCounter("cortex_engine_rows_scanned");
+  scan_code_bytes_ = registry_->GetCounter("cortex_engine_scan_code_bytes");
   rerank_candidates_ =
       registry_->GetCounter("cortex_engine_rerank_candidates");
   probe_seconds_ = registry_->GetHistogram("cortex_engine_probe_seconds");
@@ -170,7 +171,7 @@ void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
 
 SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
     Shard& shard, std::string_view query, double now, std::string_view tenant,
-    ProbeTiming* timing, ProbeWork* work) {
+    ProbeTiming* timing, ScanWork* work) {
   // Embed outside the epoch section — it needs no shard state.  Timing is
   // collected only when a trace asked for it; the untimed path (Peek, and
   // every probe-scaling bench iteration) runs clock-free.
@@ -197,9 +198,8 @@ SemanticCache::LookupResult ConcurrentShardedEngine::LockFreeProbe(
       if (timed) timing->ann_seconds = telemetry::WallSeconds() - scan_t0;
       return result;
     }
-    const std::size_t reranked =
-        SnapshotScanRank(*snap, query_embedding, scratch);
-    if (work != nullptr) *work = {snap->size(), reranked};
+    const ScanWork scanned = SnapshotScanRank(*snap, query_embedding, scratch);
+    if (work != nullptr) *work = scanned;
     if (timed) {
       judge_t0 = telemetry::WallSeconds();
       timing->ann_seconds = judge_t0 - scan_t0;
@@ -229,7 +229,7 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
   // mutex: it reads the epoch-protected snapshot.  Sub-phase timing is
   // only collected when a trace wants it.
   ProbeTiming timing;
-  ProbeWork work;
+  ScanWork work;
   const double probe_t0 = telemetry::WallSeconds();
   SemanticCache::LookupResult result =
       LockFreeProbe(shard, query, now, tenant,
@@ -258,6 +258,7 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
   commit_seconds_->Observe(commit_seconds);
   lookups_->Inc();
   rows_scanned_->Inc(work.rows_scanned);
+  scan_code_bytes_->Inc(work.code_bytes);
   rerank_candidates_->Inc(work.rerank_candidates);
   if (result.hit) {
     hits_->Inc();
@@ -492,7 +493,7 @@ void ConcurrentShardedEngine::HousekeepingLoop() {
       RecalibrateAllShards();
     }
     // Advance the reclamation epoch; each shard's limbo (headers, chunks,
-    // records, rows) drains on its next write.
+    // records) drains on its next write.
     epoch_.Flush();
     lk.lock();
   }

@@ -3,8 +3,8 @@
 // parallel clients instead of the single-threaded virtual-clock sim:
 //
 //   * a lock-free lookup probe (DESIGN.md §13): each shard publishes an
-//     immutable ShardSnapshot — a spine of chunks of quantized scan rows
-//     plus probe-relevant record copies — through a seq_cst atomic
+//     immutable ShardSnapshot — a spine of chunks of dimension-major i8
+//     codes plus probe-relevant record copies — through a seq_cst atomic
 //     pointer; readers pin it with an EpochReadGuard and never touch the
 //     shard mutex for the expensive part (scan + judger).  The snapshot is
 //     the shard's only searchable store: its SemanticCache keeps no ANN
@@ -228,7 +228,7 @@ class ConcurrentShardedEngine {
     // requires seq_cst on both sides).  nullptr until the first publish
     // (readers treat that as an empty shard).
     std::atomic<const ShardSnapshot*> snapshot{nullptr};
-    // Scan slab, chunk spine and records behind `snapshot`.
+    // Chunk spine and records behind `snapshot`.
     SnapshotWriter probe GUARDED_BY(mu);
     // The cache's change feed: ids touched since the last SyncProbeState.
     std::vector<SeId> changed GUARDED_BY(mu);
@@ -267,13 +267,6 @@ class ConcurrentShardedEngine {
     double ann_seconds = 0.0;
     double judger_seconds = 0.0;
   };
-  // The work one probe did: snapshot rows it scored in the i8 scan and
-  // pool candidates it exact-reranked in fp32.
-  struct ProbeWork {
-    std::size_t rows_scanned = 0;
-    std::size_t rerank_candidates = 0;
-  };
-
   // The epoch-protected probe (phases 1+2); returns the LookupResult
   // SemanticCache::Lookup would over a flat index of the shard's entries,
   // before its purge and commit.  `timing` and `work` may be null.
@@ -283,7 +276,7 @@ class ConcurrentShardedEngine {
                                             double now,
                                             std::string_view tenant,
                                             ProbeTiming* timing,
-                                            ProbeWork* work);
+                                            ScanWork* work);
 
   // Publishes what changed inside a shard mutation (insert / purge):
   // cache-layer counter deltas plus resident-size gauge deltas.
@@ -298,7 +291,7 @@ class ConcurrentShardedEngine {
   const std::function<double()> clock_;
 
   // Grace-period tracker for the shards' limbo (snapshot headers, chunks,
-  // records, rows).  Declared before shards_ so it outlives them.
+  // records).  Declared before shards_ so it outlives them.
   EpochDomain epoch_;
 
   std::unique_ptr<telemetry::MetricRegistry> registry_owned_;
@@ -318,9 +311,10 @@ class ConcurrentShardedEngine {
   telemetry::Counter* expired_removed_ = nullptr;
   telemetry::Counter* housekeeping_runs_ = nullptr;
   telemetry::Counter* recalibrations_ = nullptr;
-  // Work per committed lookup (Peek counts nothing): rows scanned and
-  // candidates reranked, summed over lookups.
+  // Work per committed lookup (Peek counts nothing): rows scanned, i8
+  // code bytes the scan read and candidates reranked, summed over lookups.
   telemetry::Counter* rows_scanned_ = nullptr;
+  telemetry::Counter* scan_code_bytes_ = nullptr;
   telemetry::Counter* rerank_candidates_ = nullptr;
   telemetry::AtomicHistogram* probe_seconds_ = nullptr;
   telemetry::AtomicHistogram* commit_seconds_ = nullptr;

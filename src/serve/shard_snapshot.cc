@@ -2,30 +2,60 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
-#include "embedding/simd_kernels.h"
 #include "util/check.h"
 
 namespace cortex::serve {
 
-std::size_t SnapshotScanRank(const ShardSnapshot& snap,
-                             std::span<const float> query,
-                             ProbeScratch& scratch) {
+namespace {
+
+// The first 32-byte boundary in a block allocated with 31 spare bytes.
+std::int8_t* Align32(std::int8_t* p) noexcept {
+  return p + (-reinterpret_cast<std::uintptr_t>(p) & 31);
+}
+
+}  // namespace
+
+SnapshotChunk::SnapshotChunk(std::size_t dim)
+    : dim_(dim),
+      storage_(new std::int8_t[dim * kSnapshotChunkRows + 31]()),
+      codes_(Align32(storage_.get())) {}
+
+SnapshotChunk::SnapshotChunk(const SnapshotChunk& other)
+    : size(other.size),
+      dim_(other.dim_),
+      storage_(new std::int8_t[dim_ * kSnapshotChunkRows + 31]),
+      codes_(Align32(storage_.get())) {
+  std::copy(std::begin(other.records), std::end(other.records), records);
+  std::copy(std::begin(other.scales), std::end(other.scales), scales);
+  std::copy(other.codes_, other.codes_ + dim_ * kSnapshotChunkRows, codes_);
+}
+
+ScanWork SnapshotScanRank(const ShardSnapshot& snap,
+                          std::span<const float> query,
+                          ProbeScratch& scratch) {
   scratch.ranked.clear();
   const std::size_t n = snap.size();
-  if (n == 0) return 0;
+  if (n == 0) return {};
   DCHECK_EQ(query.size(), snap.dim);
 
-  // Phase 1: one query quantization per probe; the integer dot itself is
-  // exact.
-  scratch.sims.resize(n);
+  // Phase 1: one query quantization per probe, listed as its nonzero
+  // codes in pairs; the integer dot itself is exact.  Every chunk scores
+  // all its slots, so score i is still snapshot position i.
   scratch.q8.resize(snap.dim);
   const float q_scale = simd::QuantizeRowI8(query, scratch.q8.data());
-  float* out = scratch.sims.data();
-  for (const SnapshotChunk* c : snap.chunks) {
-    simd::DotRowsI8(scratch.q8.data(), q_scale, c->rows, c->scales, c->size,
-                    snap.dim, out);
-    out += c->size;
+  const std::size_t pairs =
+      simd::NonzeroPairsI8(scratch.q8, scratch.cols, scratch.weights);
+  const std::size_t chunks = snap.chunks.size();
+  scratch.sims.resize(chunks * kSnapshotChunkRows);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const SnapshotChunk& chunk = *snap.chunks[c];
+    const std::int8_t* next =
+        c + 1 < chunks ? snap.chunks[c + 1]->codes() : nullptr;
+    simd::DotColsI8(scratch.cols.data(), scratch.weights.data(), pairs,
+                    chunk.codes(), next, q_scale, chunk.scales,
+                    scratch.sims.data() + c * kSnapshotChunkRows);
   }
   const float* const sims = scratch.sims.data();
 
@@ -76,7 +106,9 @@ std::size_t SnapshotScanRank(const ShardSnapshot& snap,
   if (scratch.ranked.size() > snap.sine.top_k) {
     scratch.ranked.resize(snap.sine.top_k);
   }
-  return pool_size;
+  return {.rows_scanned = n,
+          .code_bytes = chunks * 2 * pairs * kSnapshotChunkRows,
+          .rerank_candidates = pool_size};
 }
 
 SemanticCache::LookupResult SnapshotJudge(
@@ -145,8 +177,7 @@ constexpr std::size_t kLimboFlushThreshold = 64;
 
 }  // namespace
 
-SnapshotWriter::SnapshotWriter(std::size_t dim)
-    : slab_(dim, RowFormat::kI8) {}
+SnapshotWriter::SnapshotWriter(std::size_t dim) : dim_(dim), row_(dim) {}
 
 SnapshotWriter::~SnapshotWriter() = default;
 
@@ -155,11 +186,10 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
                           std::vector<SemanticCache::RetiredElement>& retired,
                           std::atomic<const ShardSnapshot*>& published,
                           EpochDomain& epoch) {
-  // Units past their grace period go first, so this sync's adds can reuse
-  // their rows.  Limbo epochs are non-decreasing: draining is a prefix pop.
+  // Units past their grace period go first.  Limbo epochs are
+  // non-decreasing: draining is a prefix pop.
   const std::uint64_t safe = epoch.safe_epoch();
   while (!limbo_.empty() && limbo_.front().epoch <= safe) {
-    if (limbo_.front().row != kNoRow) slab_.Free(limbo_.front().row);
     limbo_.pop_front();
   }
 
@@ -176,7 +206,7 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
   // Reconcile only the ids the cache reported.  A record is stale when
   // its id vanished or its probe fingerprint changed (dedup refresh
   // renews the TTL, promotion retags the tenant); key, value and
-  // embedding are immutable per id, so a stale record keeps its row.
+  // embedding are immutable per id, so a stale record keeps its codes.
   bool dirty = false;
   for (const SeId id : changed) {
     const SemanticElement* se = cache.Get(id);
@@ -209,11 +239,14 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
     return;
   }
   auto header = std::make_unique<ShardSnapshot>();
-  header->dim = slab_.dim();
+  header->dim = dim_;
   header->sine = live;
   header->entries = size_;
-  header->chunks.reserve(chunks_.size());
-  for (const auto& c : chunks_) header->chunks.push_back(c.get());
+  // One branch-free pass: at 64k entries a shard the spine is 2 048
+  // pointers, and a push_back loop over it showed in insert latency.
+  header->chunks.resize(chunks_.size());
+  std::transform(chunks_.begin(), chunks_.end(), header->chunks.begin(),
+                 [](const auto& c) { return c.get(); });
   const ShardSnapshot* old =
       published.exchange(header.release(), std::memory_order_seq_cst);
   if (old != nullptr) {
@@ -239,12 +272,12 @@ void SnapshotWriter::Sync(const SemanticCache& cache,
 void SnapshotWriter::Add(const SemanticElement& se) {
   const auto pos = static_cast<std::uint32_t>(size_);
   if (pos % kSnapshotChunkRows == 0) {
-    chunks_.push_back(std::make_unique<SnapshotChunk>());
+    chunks_.push_back(std::make_unique<SnapshotChunk>(dim_));
     fresh_.push_back(1);
   }
-  // The slab is the shard's only index, so this is the one release-mode
-  // guard on a serving write's vector length.
-  CHECK_EQ(se.embedding.size(), slab_.dim());
+  // The snapshot is the shard's only index, so this is the one
+  // release-mode guard on a serving write's vector length.
+  CHECK_EQ(se.embedding.size(), dim_);
   auto record = std::make_unique<const ProbeRecord>(
       ProbeRecord{.id = se.id,
                   .key = se.key,
@@ -253,11 +286,16 @@ void SnapshotWriter::Add(const SemanticElement& se) {
                   .tenant = se.tenant,
                   .created_at = se.created_at,
                   .expiration_time = se.expiration_time});
-  const std::uint32_t row = slab_.Add(se.embedding);
-  Put(pos, record.get(), row);
-  ++chunks_.back()->size;
+  SnapshotChunk& c = Mutable(pos / kSnapshotChunkRows);
+  const std::size_t k = pos % kSnapshotChunkRows;
+  c.scales[k] = simd::QuantizeRowI8(se.embedding, row_.data());
+  for (std::size_t d = 0; d < dim_; ++d) {
+    c.codes()[d * kSnapshotChunkRows + k] = row_[d];
+  }
+  c.records[k] = record.get();
+  ++c.size;
   ++size_;
-  resident_.emplace(se.id, Resident{std::move(record), row, pos});
+  resident_.emplace(se.id, Resident{std::move(record), pos});
 }
 
 void SnapshotWriter::Remove(std::unordered_map<SeId, Resident>::iterator it) {
@@ -266,18 +304,24 @@ void SnapshotWriter::Remove(std::unordered_map<SeId, Resident>::iterator it) {
   Resident& r = it->second;
   const auto last = static_cast<std::uint32_t>(size_ - 1);
   if (r.pos != last) {
-    const ProbeRecord* moved =
-        chunks_[last / kSnapshotChunkRows]->records[last % kSnapshotChunkRows];
-    Resident& m = resident_.at(moved->id);
-    Put(r.pos, moved, m.row);
-    m.pos = r.pos;
+    SnapshotChunk& dst = Mutable(r.pos / kSnapshotChunkRows);
+    const SnapshotChunk& src = *chunks_[last / kSnapshotChunkRows];
+    const std::size_t k = r.pos % kSnapshotChunkRows;
+    const std::size_t from = last % kSnapshotChunkRows;
+    for (std::size_t d = 0; d < dim_; ++d) {
+      dst.codes()[d * kSnapshotChunkRows + k] =
+          src.codes()[d * kSnapshotChunkRows + from];
+    }
+    dst.scales[k] = src.scales[from];
+    dst.records[k] = src.records[from];
+    resident_.at(dst.records[k]->id).pos = r.pos;
   }
   if (--Mutable(chunks_.size() - 1).size == 0) {
     chunks_.pop_back();  // a fresh copy: its published original is parked
     fresh_.pop_back();
   }
   --size_;
-  unlinked_.push_back(Retired{.record = std::move(r.record), .row = r.row});
+  unlinked_.push_back(Retired{.record = std::move(r.record)});
   resident_.erase(it);
 }
 
@@ -287,7 +331,8 @@ void SnapshotWriter::Retag(Resident& r, const SemanticElement& se) {
   copy.expiration_time = se.expiration_time;
   copy.tenant = se.tenant;
   auto record = std::make_unique<const ProbeRecord>(std::move(copy));
-  Put(r.pos, record.get(), r.row);
+  Mutable(r.pos / kSnapshotChunkRows).records[r.pos % kSnapshotChunkRows] =
+      record.get();
   unlinked_.push_back(Retired{.record = std::move(r.record)});
   r.record = std::move(record);
 }
@@ -306,15 +351,6 @@ SnapshotChunk& SnapshotWriter::Mutable(std::size_t c) {
     fresh_[c] = 1;
   }
   return *chunks_[c];
-}
-
-void SnapshotWriter::Put(std::uint32_t pos, const ProbeRecord* record,
-                         std::uint32_t row) {
-  SnapshotChunk& c = Mutable(pos / kSnapshotChunkRows);
-  const std::size_t k = pos % kSnapshotChunkRows;
-  c.records[k] = record;
-  c.rows[k] = slab_.RowI8(row);
-  c.scales[k] = slab_.RowScale(row);
 }
 
 }  // namespace cortex::serve

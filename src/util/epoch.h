@@ -96,7 +96,7 @@ class EpochDomain {
   }
   // Items retired at epoch <= safe_epoch() are past their grace period:
   // no reader can still hold a reference.  For callers that keep their
-  // own limbo lists (e.g. slab row reuse) instead of Retire callbacks.
+  // own limbo lists (e.g. SnapshotWriter's) instead of Retire callbacks.
   std::uint64_t safe_epoch() const noexcept {
     const std::uint64_t e = current_epoch();
     return e >= 2 ? e - 2 : 0;

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/placement.h"
-#include "embedding/vector_slab.h"
+#include "embedding/simd_kernels.h"
 #include "flat_oracle.h"
 #include "llm/tags.h"
 #include "test_helpers.h"
@@ -284,12 +284,16 @@ TEST_F(ConcurrentEngineTest, LockFreeProbeMatchesLockedPathExactly) {
 }
 
 // Work counters: every committed lookup adds its shard snapshot's size
-// to cortex_engine_rows_scanned and its rerank pool to
-// cortex_engine_rerank_candidates.  The expected pool is recomputed here
-// from the published rows: the i8 scores at or above tau_sim minus
-// kQuantSimSlack, capped at max(4 * top_k, 32).  The default tau_sim
-// keeps pools under the cap; tau_sim -1 admits every row, so the cap
-// binds.
+// to cortex_engine_rows_scanned, the i8 code bytes its column scan read
+// to cortex_engine_scan_code_bytes, and its rerank pool to
+// cortex_engine_rerank_candidates.  The expected values are recomputed
+// here without the snapshot's codes: the pool from the row-major gather
+// kernel over each record's own embedding, requantized — the i8 scores
+// at or above tau_sim minus kQuantSimSlack, capped at
+// max(4 * top_k, 32) — and the bytes as chunks x the query's nonzero
+// codes, padded to an even count, x kSnapshotChunkRows.  The default
+// tau_sim keeps pools under the cap; tau_sim -1 admits every row, so the
+// cap binds.
 TEST_F(ConcurrentEngineTest, WorkCountersMatchSnapshotSizesAndPools) {
   const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
   const std::size_t topics = world_.universe->size();
@@ -310,8 +314,10 @@ TEST_F(ConcurrentEngineTest, WorkCountersMatchSnapshotSizesAndPools) {
     }
 
     std::uint64_t want_rows = 0;
+    std::uint64_t want_code_bytes = 0;
     std::uint64_t want_pool = 0;
     std::uint64_t admitted_total = 0;
+    std::uint64_t dense_bytes = 0;
     std::uint64_t lookups = 0;
     for (std::size_t topic = 0; topic < topics; ++topic) {
       const std::string& q = world_.query(topic, 4);
@@ -320,22 +326,33 @@ TEST_F(ConcurrentEngineTest, WorkCountersMatchSnapshotSizesAndPools) {
           engine, engine.ShardFor(q),
           [&](const SemanticCache&, const ShardSnapshot* snap) {
             ASSERT_NE(snap, nullptr);
-            want_rows += snap->size();
+            const std::size_t n = snap->size();
+            want_rows += n;
             std::vector<std::int8_t> q8(snap->dim);
+            std::vector<std::int8_t> r8(snap->dim);
             const float q_scale = simd::QuantizeRowI8(embedding, q8.data());
             const double floor = snap->sine.tau_sim - serve::kQuantSimSlack;
             std::size_t admitted = 0;
-            for (const SnapshotChunk* c : snap->chunks) {
-              std::vector<float> sims(c->size);
-              scalar.dot_rows_i8(q8.data(), q_scale, c->rows, c->scales,
-                                 c->size, snap->dim, sims.data());
-              for (const float sim : sims) {
-                if (static_cast<double>(sim) >= floor) ++admitted;
-              }
+            for (std::size_t i = 0; i < n; ++i) {
+              const float r_scale =
+                  simd::QuantizeRowI8(snap->record(i)->embedding, r8.data());
+              const std::int8_t* row = r8.data();
+              float sim = 0.0f;
+              scalar.dot_rows_i8(q8.data(), q_scale, &row, &r_scale, 1,
+                                 snap->dim, &sim);
+              if (static_cast<double>(sim) >= floor) ++admitted;
             }
             admitted_total += admitted;
             want_pool += std::min<std::size_t>(
                 admitted, std::max<std::size_t>(4 * snap->sine.top_k, 32));
+            const auto nonzero = static_cast<std::size_t>(
+                std::count_if(q8.begin(), q8.end(),
+                              [](std::int8_t c) { return c != 0; }));
+            const std::size_t chunks =
+                (n + kSnapshotChunkRows - 1) / kSnapshotChunkRows;
+            want_code_bytes +=
+                chunks * (nonzero + nonzero % 2) * kSnapshotChunkRows;
+            dense_bytes += n * snap->dim;
           });
       engine.Lookup(q);
       ++lookups;
@@ -352,8 +369,12 @@ TEST_F(ConcurrentEngineTest, WorkCountersMatchSnapshotSizesAndPools) {
     };
     EXPECT_EQ(engine.Stats().lookups, lookups);
     EXPECT_EQ(counter("cortex_engine_rows_scanned"), want_rows);
+    EXPECT_EQ(counter("cortex_engine_scan_code_bytes"), want_code_bytes);
     EXPECT_EQ(counter("cortex_engine_rerank_candidates"), want_pool);
     EXPECT_GT(want_rows, lookups);
+    EXPECT_GT(want_code_bytes, 0u);
+    // The scan reads the query's nonzero columns, not whole rows.
+    EXPECT_LT(want_code_bytes, dense_bytes);
     EXPECT_GT(want_pool, 0u);
     if (tau_sim < 0.0) {
       EXPECT_LT(want_pool, admitted_total);  // the cap bound
@@ -586,12 +607,13 @@ TEST_F(ConcurrentEngineTest, LookupsRaceChurnUnderLockFreeProbe) {
 
 TEST_F(ConcurrentEngineTest,
        SequentialAndBatchedReadersRaceChunkCrossingChurn) {
-  // One shard holding ~3 chunks: every replace, eviction and expiry
+  // One shard holding ~20 chunks: every replace, eviction and expiry
   // swap-removes from an arbitrary chunk and pulls the last entry across
   // a chunk boundary, while sequential Lookup readers and batched readers
-  // (four read-only Peeks per round, nothing committed) scan.  Records, chunks and rows live only as long as the
-  // limbo protocol keeps them, so a premature free surfaces here under
-  // ASan and a missing happens-before under TSan.
+  // (four read-only Peeks per round, nothing committed) scan.  Records
+  // and chunks (with their codes) live only as long as the limbo protocol
+  // keeps them, so a premature free surfaces here under ASan and a
+  // missing happens-before under TSan.
   std::atomic<double> fake_now{0.0};
   ConcurrentEngineOptions opts = BaseOptions();
   opts.num_shards = 1;
@@ -720,7 +742,7 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
                                      : n - c * kSnapshotChunkRows;
         ASSERT_EQ(snap->chunks[c]->size, want) << context << " chunk " << c;
       }
-      VectorSlab expected(snap->dim, RowFormat::kI8);
+      std::vector<std::int8_t> row(snap->dim);
       std::unordered_set<SeId> seen;
       for (std::size_t i = 0; i < n; ++i) {
         const serve::ProbeRecord* rec = snap->record(i);
@@ -740,14 +762,19 @@ class IncrementalPublishTest : public ConcurrentEngineTest {
         EXPECT_EQ(rec->value.data(), se.value.data()) << context;
         EXPECT_EQ(rec->embedding.data(), se.embedding.data()) << context;
 
-        const std::uint32_t row = expected.Add(se.embedding);
+        // Slot k of its chunk holds the i8 quantization of the SE's
+        // embedding, one code per dimension-major column.
+        const float scale = simd::QuantizeRowI8(se.embedding, row.data());
         const SnapshotChunk& chunk = *snap->chunks[i / kSnapshotChunkRows];
         const std::size_t k = i % kSnapshotChunkRows;
-        EXPECT_EQ(std::memcmp(chunk.rows[k], expected.RowI8(row), snap->dim),
-                  0)
-            << context << " row " << i;
-        EXPECT_EQ(chunk.scales[k], expected.RowScale(row)) << context;
-        expected.Free(row);
+        std::size_t wrong_codes = 0;
+        for (std::size_t d = 0; d < snap->dim; ++d) {
+          if (chunk.codes()[d * kSnapshotChunkRows + k] != row[d]) {
+            ++wrong_codes;
+          }
+        }
+        EXPECT_EQ(wrong_codes, 0u) << context << " row " << i;
+        EXPECT_EQ(chunk.scales[k], scale) << context;
       }
     });
   }

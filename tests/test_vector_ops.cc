@@ -353,6 +353,119 @@ TEST(SimdKernels, I8KernelsBitIdenticalAcrossVariants) {
   }
 }
 
+// The column kernel reads a dimension-major block at the query's nonzero
+// codes only; every variant's score must equal the row-major gather
+// kernel's (DotI8SumScalar, then DescaleI8) over a row-major copy of the
+// same rows, bit for bit.  Queries: no nonzero code, one, an odd count
+// (padded with a zero weight), every code nonzero, and every code +-127
+// against rows of +-127.  77 rows make the last of three blocks partly
+// filled; its unused slots hold junk codes and scales, which must not
+// leak into the used ones.
+TEST(SimdKernels, ColumnKernelMatchesRowMajorI8DotBitForBit) {
+  Rng rng(37);
+  const auto& scalar = simd::KernelsFor(simd::Variant::kScalar);
+  constexpr std::size_t kRows = simd::kI8BlockRows;
+  const std::size_t n = 77;
+  const std::size_t blocks = (n + kRows - 1) / kRows;
+  for (const std::size_t dim : {std::size_t{48}, std::size_t{80},
+                                std::size_t{256}, std::size_t{768}}) {
+    for (const bool extreme : {false, true}) {
+      // Row-major rows (the reference's operand), then the same codes
+      // dimension-major, block by block; every slot past n is junk.
+      std::vector<std::int8_t> rows(blocks * kRows * dim);
+      std::vector<float> scales(blocks * kRows);
+      Vector fp_row(dim);
+      for (std::size_t i = 0; i < blocks * kRows; ++i) {
+        for (auto& x : fp_row) x = static_cast<float>(rng.Normal());
+        scales[i] = simd::QuantizeRowI8(fp_row, rows.data() + i * dim);
+        if (extreme) {
+          for (std::size_t d = 0; d < dim; ++d) {
+            rows[i * dim + d] = (i + d) % 3 == 0 ? -127 : 127;
+          }
+        }
+      }
+      std::vector<std::int8_t> codes(blocks * kRows * dim);
+      for (std::size_t i = 0; i < blocks * kRows; ++i) {
+        const std::size_t b = i / kRows;
+        for (std::size_t d = 0; d < dim; ++d) {
+          codes[(b * dim + d) * kRows + i % kRows] = rows[i * dim + d];
+        }
+      }
+      std::vector<const std::int8_t*> ptrs(n);
+      for (std::size_t i = 0; i < n; ++i) ptrs[i] = rows.data() + i * dim;
+
+      Vector query(dim);
+      for (auto& x : query) x = static_cast<float>(rng.Normal());
+      std::vector<std::int8_t> dense(dim);
+      const float q_scale = simd::QuantizeRowI8(query, dense.data());
+      // Nonzero counts 0, 1 and 19 keep `dense`'s codes at distinct
+      // dimensions from a random start (every dim here is coprime with
+      // the step 7); the extreme query sets every code to +-127.
+      std::vector<std::vector<std::int8_t>> queries;
+      if (extreme) {
+        std::vector<std::int8_t> q(dim);
+        for (std::size_t d = 0; d < dim; ++d) q[d] = d % 2 == 0 ? 127 : -127;
+        queries.push_back(q);
+      } else {
+        for (const std::size_t keep : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{19}}) {
+          std::vector<std::int8_t> q(dim);
+          const auto start = static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(dim) - 1));
+          for (std::size_t k = 0; k < keep; ++k) {
+            const std::size_t d = (start + 7 * k) % dim;
+            q[d] = dense[d] != 0 ? dense[d] : std::int8_t{5};
+          }
+          queries.push_back(q);
+        }
+        for (auto& x : dense) {
+          if (x == 0) x = 1;
+        }
+        queries.push_back(dense);
+      }
+      for (const auto& q8 : queries) {
+        std::vector<std::uint32_t> cols;
+        std::vector<std::int16_t> weights;
+        const std::size_t pairs = simd::NonzeroPairsI8(q8, cols, weights);
+        const auto nonzero = static_cast<std::size_t>(std::count_if(
+            q8.begin(), q8.end(), [](std::int8_t c) { return c != 0; }));
+        ASSERT_EQ(pairs, (nonzero + 1) / 2);
+        std::vector<float> want(n);
+        scalar.dot_rows_i8(q8.data(), q_scale, ptrs.data(), scales.data(), n,
+                           dim, want.data());
+        if (extreme) {
+          // The reference is exact here too: sum of +-127 * 127 products.
+          for (std::size_t i = 0; i < n; ++i) {
+            std::int32_t sum = 0;
+            for (std::size_t d = 0; d < dim; ++d) {
+              sum += std::int32_t{q8[d]} * std::int32_t{rows[i * dim + d]};
+            }
+            ASSERT_EQ(want[i],
+                      (q_scale * scales[i]) * static_cast<float>(sum));
+          }
+        }
+        for (const auto v : simd::SupportedVariants()) {
+          std::vector<float> got(blocks * kRows);
+          for (std::size_t b = 0; b < blocks; ++b) {
+            const std::int8_t* next =
+                b + 1 < blocks ? codes.data() + (b + 1) * dim * kRows
+                               : nullptr;
+            simd::KernelsFor(v).dot_cols_i8(
+                cols.data(), weights.data(), pairs,
+                codes.data() + b * dim * kRows, next, q_scale,
+                scales.data() + b * kRows, got.data() + b * kRows);
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << simd::VariantName(v) << " dot_cols_i8 dim=" << dim
+                << " nonzero=" << nonzero << " row=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The exact rerank must equal the scalar double kernel bit for bit: the
 // snapshot probe's parity with the flat oracle rests on it.  Row counts
 // cover the four-row chains and their tail.
