@@ -1,7 +1,12 @@
 // Figure 13: generation quality (Exact-Match accuracy) with and without
 // caching.  The naive similarity-only cache (Agent_ANN) degrades accuracy;
 // the full system with the semantic judger matches the non-cached baseline.
+//
+//   --json   also write BENCH_accuracy.json (per-run counts and correct
+//            answers) for the CI bench-diff
+#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.h"
 #include "util/flags.h"
@@ -13,6 +18,7 @@ using namespace cortex::bench;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bool csv = flags.GetBool("csv", false);
+  const bool json = flags.GetBool("json", false);
   const auto tasks = static_cast<std::size_t>(flags.GetInt("tasks", 800));
 
   std::cout << "=== Figure 13: EM accuracy — Agent_vanilla vs Agent_Cortex"
@@ -28,6 +34,7 @@ int main(int argc, char** argv) {
   TextTable table({"dataset", "Agent_vanilla", "Agent_Cortex",
                    "Agent_ANN (no judger)", "hit rate (Cortex)",
                    "hit rate (ANN)"});
+  std::ostringstream runs;
   for (auto profile : profiles) {
     profile.num_tasks = tasks;
     const WorkloadBundle bundle = BuildSkewedSearchWorkload(profile);
@@ -41,6 +48,16 @@ int main(int argc, char** argv) {
       config.cache_ratio = 0.6;
       config.driver = low_load;
       const auto r = RunExperiment(bundle, config);
+      std::size_t correct = 0;
+      for (const auto& record : r.metrics.records()) {
+        correct += record.answer_correct ? 1 : 0;
+      }
+      runs << (runs.tellp() > 0 ? ",\n" : "") << "    {\"dataset\": \""
+           << bundle.name << "\", \"system\": \"" << SystemName(systems[i])
+           << "\", \"answers\": " << r.metrics.completed_tasks()
+           << ", \"correct_answers\": " << correct << ", ";
+      WriteRunCounts(runs, r);
+      runs << "}";
       accuracy[i] = r.metrics.Accuracy();
       hits[i] = r.metrics.CacheHitRate();
     }
@@ -54,5 +71,12 @@ int main(int argc, char** argv) {
                " dataset; the judger-less ablation drops (e.g. StrategyQA"
                " 0.69 vs 0.79) because vector similarity returns related"
                " but wrong results.\n";
+
+  if (json) {
+    std::ofstream out("BENCH_accuracy.json");
+    out << "{\n  \"benchmark\": \"accuracy\",\n  \"tasks\": " << tasks
+        << ",\n  \"results\": [\n" << runs.str() << "\n  ]\n}\n";
+    std::cout << "wrote BENCH_accuracy.json\n";
+  }
   return 0;
 }

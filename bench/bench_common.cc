@@ -1,5 +1,7 @@
 #include "bench_common.h"
 
+#include <ostream>
+
 namespace cortex::bench {
 
 std::string SystemName(System system) {
@@ -10,6 +12,16 @@ std::string SystemName(System system) {
     case System::kCortex: return "Agent_Cortex";
   }
   return "?";
+}
+
+void WriteRunCounts(std::ostream& out, const ExperimentResult& result) {
+  const RunMetrics& m = result.metrics;
+  out << "\"lookups\": " << m.total_tool_calls()
+      << ", \"hits\": " << m.total_cache_hits()
+      << ", \"wrong_hits\": " << m.total_wrong_hits()
+      << ", \"api_calls\": " << result.api_calls
+      << ", \"evictions\": " << result.evictions
+      << ", \"hit_rate\": " << m.CacheHitRate();
 }
 
 DriverOptions OpenLoop(double rate) {

@@ -3,6 +3,7 @@
 // system configurations and runs it to completion on the virtual clock.
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -64,6 +65,12 @@ struct ExperimentResult {
 // deterministic.
 ExperimentResult RunExperiment(const WorkloadBundle& bundle,
                                const ExperimentConfig& config);
+
+// Writes one run's counts as JSON object members (no braces): lookups,
+// hits, wrong hits, API calls and evictions, plus the hit rate.  The
+// counts replay deterministically, so bench_diff holds them to its tight
+// band; hit_rate falls in the wide one.
+void WriteRunCounts(std::ostream& out, const ExperimentResult& result);
 
 // Convenience: open-loop driver at the given request rate.
 DriverOptions OpenLoop(double rate);

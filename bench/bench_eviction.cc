@@ -2,7 +2,12 @@
 // point or two of hit rate for better end-to-end throughput by preferring
 // expensive-to-retrieve items.  Plus ablations the design section calls
 // out: TTL on/off and the staticity term's role on the trend workload.
+//
+//   --json   also write BENCH_eviction.json (per-run counts) for the CI
+//            bench-diff
+#include <fstream>
 #include <iostream>
+#include <sstream>
 
 #include "bench_common.h"
 #include "util/flags.h"
@@ -14,6 +19,7 @@ using namespace cortex::bench;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bool csv = flags.GetBool("csv", false);
+  const bool json = flags.GetBool("json", false);
   const auto tasks = static_cast<std::size_t>(flags.GetInt("tasks", 1000));
 
   auto profile = SearchDatasetProfile::HotpotQa();
@@ -57,6 +63,17 @@ int main(int argc, char** argv) {
   row("Mean latency (s)",
       [](const auto& r) { return r.metrics.MeanLatency(); }, 2);
   table.Print(std::cout, csv);
+  // JSON sections, one object per run, joined at the end.
+  std::ostringstream policies, ttl_runs, admission_runs;
+  const char* const kPolicyNames[] = {"lru", "lfu", "lcfu"};
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    policies << (i ? ",\n" : "") << "    {\"policy\": \"" << kPolicyNames[i]
+             << "\", ";
+    WriteRunCounts(policies, results[i]);
+    policies << ", \"throughput_rps\": " << results[i].metrics.Throughput()
+             << ", \"mean_latency_seconds\": "
+             << results[i].metrics.MeanLatency() << "}";
+  }
   std::cout << "(paper: LFU hits 0.89 vs LCFU 0.86, yet LCFU delivers up to"
                " 9% higher throughput by retaining costly items)\n\n";
 
@@ -77,6 +94,10 @@ int main(int argc, char** argv) {
     config.engine.cache.min_ttl_sec = 60.0;
     config.engine.cache.max_ttl_sec = 1200.0;
     const auto r = RunExperiment(trace, config);
+    ttl_runs << (ttl_enabled ? "" : ",\n") << "    {\"ttl\": \""
+             << (ttl_enabled ? "on" : "off") << "\", ";
+    WriteRunCounts(ttl_runs, r);
+    ttl_runs << ", \"expirations\": " << r.expirations << "}";
     ttl_table.AddRow({ttl_enabled ? "TTL aging on" : "TTL aging off",
                       TextTable::Percent(r.metrics.CacheHitRate()),
                       TextTable::Num(r.metrics.Throughput()),
@@ -104,6 +125,12 @@ int main(int argc, char** argv) {
       config.service = RemoteDataService::GoogleSearchApi();
       config.service.rate_limit_per_min = -1.0;
       const auto r = RunExperiment(bundle, config);
+      admission_runs << (admission_runs.tellp() > 0 ? ",\n" : "")
+                     << "    {\"cache_ratio\": " << ratio
+                     << ", \"doorkeeper\": \"" << (enabled ? "on" : "off")
+                     << "\", ";
+      WriteRunCounts(admission_runs, r);
+      admission_runs << "}";
       adm.AddRow({TextTable::Num(ratio, 1), enabled ? "on" : "off",
                   TextTable::Percent(r.metrics.CacheHitRate()),
                   TextTable::Num(r.metrics.Throughput()),
@@ -113,5 +140,15 @@ int main(int argc, char** argv) {
   adm.Print(std::cout, csv);
   std::cout << "(under tight capacity the doorkeeper stops one-hit wonders"
                " from evicting proven content)\n";
+
+  if (json) {
+    std::ofstream out("BENCH_eviction.json");
+    out << "{\n  \"benchmark\": \"eviction\",\n  \"tasks\": " << tasks
+        << ",\n  \"policies\": [\n" << policies.str()
+        << "\n  ],\n  \"ttl\": [\n" << ttl_runs.str()
+        << "\n  ],\n  \"admission\": [\n" << admission_runs.str()
+        << "\n  ]\n}\n";
+    std::cout << "wrote BENCH_eviction.json\n";
+  }
   return 0;
 }

@@ -111,10 +111,12 @@ leg_bench() {
     ./bench/bench_cluster --json --tasks=120 --threads=4 >/dev/null &&
     ./bench/bench_telemetry --json --iters=500000 --tasks=200 --threads=4 \
       --repeats=2 >/dev/null &&
-    ./bench/bench_sharding --json >/dev/null)
+    ./bench/bench_sharding --json >/dev/null &&
+    ./bench/bench_eviction --json >/dev/null &&
+    ./bench/bench_accuracy --json >/dev/null)
   local b
   for b in vector_ops concurrency concurrency_probe concurrency_insert \
-           ann cluster telemetry sharding; do
+           ann cluster telemetry sharding eviction accuracy; do
     python3 scripts/bench_diff.py "BENCH_${b}.json" \
       "$CI_DIR/gcc-release/BENCH_${b}.json"
   done

@@ -89,6 +89,7 @@ void ServingDriver::RunTurn(Simulation& sim, std::shared_ptr<TaskState> state,
         auto& rec = state->record;
         rec.tool_calls += 1;
         rec.cache_hits += out.from_cache ? 1 : 0;
+        rec.wrong_hits += out.from_cache && !out.info_correct ? 1 : 0;
         rec.cache_check_seconds += out.cache_check_seconds;
         rec.tool_seconds += out.tool_seconds;
         rec.api_calls += out.api_calls;

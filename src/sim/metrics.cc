@@ -16,6 +16,8 @@ void RunMetrics::Record(const TaskRecord& record) {
   }
   accuracy_.Add(record.answer_correct);
   tool_calls_ += record.tool_calls;
+  cache_hits_ += record.cache_hits;
+  wrong_hits_ += record.wrong_hits;
   api_calls_ += record.api_calls;
   retries_ += record.retries;
   api_dollars_ += record.cost_dollars;

@@ -27,6 +27,8 @@ class RunMetrics {
   double Accuracy() const noexcept { return accuracy_.ratio(); }
 
   std::uint64_t total_tool_calls() const noexcept { return tool_calls_; }
+  std::uint64_t total_cache_hits() const noexcept { return cache_hits_; }
+  std::uint64_t total_wrong_hits() const noexcept { return wrong_hits_; }
   std::uint64_t total_api_calls() const noexcept { return api_calls_; }
   std::uint64_t total_retries() const noexcept { return retries_; }
   double RetryRatio() const noexcept {
@@ -58,6 +60,8 @@ class RunMetrics {
   RatioCounter hit_ratio_;
   RatioCounter accuracy_;
   std::uint64_t tool_calls_ = 0;
+  std::uint64_t cache_hits_ = 0;
+  std::uint64_t wrong_hits_ = 0;
   std::uint64_t api_calls_ = 0;
   std::uint64_t retries_ = 0;
   double api_dollars_ = 0.0;

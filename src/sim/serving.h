@@ -55,6 +55,7 @@ struct TaskRecord {
   double tool_seconds = 0.0;        // total remote time
   std::uint64_t tool_calls = 0;
   std::uint64_t cache_hits = 0;
+  std::uint64_t wrong_hits = 0;     // cache hits whose info was invalid
   std::uint64_t api_calls = 0;
   std::uint64_t retries = 0;
   double cost_dollars = 0.0;
