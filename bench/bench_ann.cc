@@ -1,8 +1,8 @@
 // ANN-substrate ablations called out in DESIGN.md:
-//   * index family comparison (Flat vs IVF vs HNSW): recall@k, distance
-//     computations, and end-to-end cache hit rate when each backs Sine;
+//   * index family comparison (Flat vs IVF vs HNSW): recall@k and distance
+//     computations;
 //   * tau_sim sweep: the §4.2 trade-off between stage-1 recall and stage-2
-//     judger workload.
+//     judger workload, replayed through the serving engine.
 //
 // Flags:
 //   --json   also write BENCH_ann.json (the deterministic recall/work
@@ -163,71 +163,26 @@ int main(int argc, char** argv) {
   ab.Print(std::cout, csv);
   std::cout << '\n';
 
-  // --- End-to-end: each index type backing the full engine ---
-  std::cout << "=== End-to-end hit rate by index backend ===\n";
+  // --- tau_sim sweep: stage-1 recall vs judger workload (§4.2) ---
+  std::cout << "=== tau_sim sweep: candidate recall vs judger load ===\n";
   auto small = SearchDatasetProfile::HotpotQa();
   small.num_tasks = 600;
   const WorkloadBundle e2e = BuildSkewedSearchWorkload(small);
-  TextTable backend({"index", "throughput (req/s)", "hit rate",
-                     "mean cache check (s)"});
-  for (const auto& [type, name] : kBackends) {
-    ExperimentConfig config;
-    config.system = System::kCortex;
-    config.cache_ratio = 0.5;
-    config.engine.index_type = type;
-    config.driver = OpenLoop(3.0);
-    const auto r = RunExperiment(e2e, config);
-    backend.AddRow({name, TextTable::Num(r.metrics.Throughput()),
-                    TextTable::Percent(r.metrics.CacheHitRate()),
-                    TextTable::Num(r.metrics.MeanCacheCheckSeconds(), 3)});
-  }
-  backend.Print(std::cout, csv);
-  std::cout << '\n';
-
-  // --- tau_sim sweep: stage-1 recall vs judger workload (§4.2) ---
-  std::cout << "=== tau_sim sweep: candidate recall vs judger load ===\n";
   TextTable sweep({"tau_sim", "hit rate", "judger calls / lookup",
                    "accuracy"});
   for (const double tau : {0.25, 0.38, 0.5, 0.62, 0.75}) {
-    ExperimentConfig config;
-    config.system = System::kCortex;
-    config.cache_ratio = 0.5;
-    config.engine.cache.sine.tau_sim = tau;
-    config.driver = OpenLoop(1.5);
-    // Count judger calls through the recalibrator-free engine telemetry:
-    // approximate via cache-check time is indirect, so re-measure directly.
-    HashedEmbedder emb;
     JudgerModel judger(e2e.oracle.get());
-    CortexEngineOptions opts = config.engine;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = 0.5 * e2e.TotalKnowledgeTokens();
-    opts.recalibration_enabled = false;
-    CortexEngine engine(&emb, &judger, opts);
-    std::size_t judger_calls = 0, lookups = 0, hits = 0, wrong = 0;
-    double now = 0.0;
-    for (const auto& task : e2e.tasks) {
-      for (const auto& step : task.steps) {
-        now += 0.4;
-        ++lookups;
-        auto out = engine.Lookup(step.query, now);
-        judger_calls += out.cache.sine.judger_calls;
-        if (out.cache.hit) {
-          ++hits;
-          if (!e2e.oracle->InfoCorrect(step.query, out.cache.hit->value)) {
-            ++wrong;
-          }
-        } else {
-          engine.InsertFetched(step.query, step.expected_info,
-                               std::move(out.cache.query_embedding), 0.4,
-                               0.005, now);
-        }
-      }
-    }
-    sweep.AddRow({TextTable::Num(tau, 2),
-                  TextTable::Percent(static_cast<double>(hits) / lookups),
-                  TextTable::Num(static_cast<double>(judger_calls) / lookups,
-                                 2),
-                  TextTable::Percent(
-                      hits ? 1.0 - static_cast<double>(wrong) / hits : 1.0)});
+    opts.cache.sine.tau_sim = tau;
+    const ReplayCounts r = ReplayThroughEngine(e2e, judger, std::move(opts));
+    sweep.AddRow(
+        {TextTable::Num(tau, 2),
+         TextTable::Percent(static_cast<double>(r.hits) / r.lookups),
+         TextTable::Num(static_cast<double>(r.judger_calls) / r.lookups, 2),
+         TextTable::Percent(r.hits ? 1.0 - static_cast<double>(r.wrong_hits) /
+                                               r.hits
+                                   : 1.0)});
   }
   sweep.Print(std::cout, csv);
   std::cout << "(lower tau_sim: more candidates reach the judger — higher"

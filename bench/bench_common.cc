@@ -14,6 +14,12 @@ std::string SystemName(System system) {
   return "?";
 }
 
+serve::ConcurrentEngineOptions PaperEngineOptions() {
+  serve::ConcurrentEngineOptions options;
+  options.recalibration_interval_sec = 60.0;
+  return options;
+}
+
 void WriteRunCounts(std::ostream& out, const ExperimentResult& result) {
   const RunMetrics& m = result.metrics;
   out << "\"lookups\": " << m.total_tool_calls()
@@ -22,6 +28,42 @@ void WriteRunCounts(std::ostream& out, const ExperimentResult& result) {
       << ", \"api_calls\": " << result.api_calls
       << ", \"evictions\": " << result.evictions
       << ", \"hit_rate\": " << m.CacheHitRate();
+}
+
+ReplayCounts ReplayThroughEngine(const WorkloadBundle& bundle,
+                                 const JudgerModel& judger,
+                                 serve::ConcurrentEngineOptions options) {
+  HashedEmbedder embedder;
+  embedder.FitIdf(bundle.AllQueries());
+  double now = 0.0;
+  options.num_shards = 1;
+  options.clock = [&now] { return now; };
+  options.housekeeping_interval_sec = 0.0;
+  serve::ConcurrentShardedEngine engine(&embedder, &judger,
+                                        std::move(options));
+  ReplayCounts counts;
+  for (const auto& task : bundle.tasks) {
+    for (const auto& step : task.steps) {
+      now += 0.4;
+      ++counts.lookups;
+      serve::LookupDetail lookup;
+      const auto hit = engine.Lookup(step.query, nullptr, {}, &lookup);
+      counts.judger_calls += lookup.probe.sine.judger_calls;
+      if (hit) {
+        ++counts.hits;
+        if (!bundle.oracle->InfoCorrect(step.query, hit->value)) {
+          ++counts.wrong_hits;
+        }
+      } else {
+        InsertRequest admit =
+            FetchedInsert(&judger, step.query, step.expected_info, 0.4, 0.005,
+                          /*initial_frequency=*/1);
+        admit.embedding = std::move(lookup.probe.query_embedding);
+        engine.Insert(std::move(admit));
+      }
+    }
+  }
+  return counts;
 }
 
 DriverOptions OpenLoop(double rate) {
@@ -57,7 +99,6 @@ ExperimentResult RunExperiment(const WorkloadBundle& bundle,
   ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
 
   std::unique_ptr<ToolResolver> resolver;
-  std::unique_ptr<CortexEngine> engine;
   CortexResolver* cortex_resolver = nullptr;
   switch (config.system) {
     case System::kVanilla:
@@ -69,14 +110,12 @@ ExperimentResult RunExperiment(const WorkloadBundle& bundle,
       break;
     case System::kAnnOnly:
     case System::kCortex: {
-      CortexEngineOptions opts = config.engine;
+      serve::ConcurrentEngineOptions opts = config.engine;
       opts.cache.capacity_tokens = capacity;
-      opts.eviction = config.eviction;
-      opts.prefetch_enabled = config.prefetch_enabled;
-      opts.recalibration_enabled = config.recalibration_enabled;
       opts.cache.sine.use_judger = config.system == System::kCortex;
-      engine = std::make_unique<CortexEngine>(&embedder, &judger, opts);
-      auto r = std::make_unique<CortexResolver>(env, engine.get());
+      auto r = std::make_unique<CortexResolver>(env, &embedder, &judger,
+                                                std::move(opts),
+                                                config.resolver);
       cortex_resolver = r.get();
       resolver = std::move(r);
       break;
@@ -102,14 +141,14 @@ ExperimentResult RunExperiment(const WorkloadBundle& bundle,
   result.gpu_cost_dollars = result.wallclock_sec / 3600.0 *
                             kGpuDollarsPerHour *
                             static_cast<double>(result.num_gpus);
-  if (engine) {
-    result.prefetches =
-        cortex_resolver ? cortex_resolver->prefetch_issued() : 0;
-    result.recalibrations =
-        cortex_resolver ? cortex_resolver->recalibration_rounds() : 0;
-    result.evictions = engine->cache().counters().evictions;
-    result.expirations = engine->cache().counters().expirations;
-    result.final_tau_lsm = engine->cache().sine().options().tau_lsm;
+  if (cortex_resolver != nullptr) {
+    const serve::ConcurrentShardedEngine& engine = cortex_resolver->engine();
+    const CacheCounters counters = engine.TotalCounters();
+    result.prefetches = cortex_resolver->prefetch_issued();
+    result.recalibrations = cortex_resolver->recalibration_rounds();
+    result.evictions = counters.evictions;
+    result.expirations = counters.expirations;
+    result.final_tau_lsm = engine.tau_lsm(0);
   }
   return result;
 }

@@ -8,8 +8,8 @@
 #include <optional>
 #include <string>
 
-#include "core/resolvers.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "workload/workloads.h"
 
@@ -20,6 +20,10 @@ enum class System { kVanilla, kExact, kAnnOnly, kCortex };
 
 std::string SystemName(System system);
 
+// The engine the paper evaluates: default options, recalibrating every
+// 60 s.
+serve::ConcurrentEngineOptions PaperEngineOptions();
+
 struct ExperimentConfig {
   System system = System::kCortex;
   // Cache capacity as a fraction of the workload's knowledge footprint.
@@ -29,11 +33,11 @@ struct ExperimentConfig {
   // Unset: vanilla/exact get the whole GPU (they run no judger); Cortex
   // variants default to the co-located MPS 80/20 deployment.
   std::optional<DeploymentConfig> gpu;
-  // Tweaks applied on top of defaults.
-  CortexEngineOptions engine;  // capacity is overwritten from cache_ratio
-  EvictionKind eviction = EvictionKind::kLcfu;
-  bool prefetch_enabled = true;
-  bool recalibration_enabled = true;
+  // Tweaks applied on top of defaults (Cortex variants only).  The
+  // engine's capacity is overwritten from cache_ratio and its judger switch
+  // from `system`; a recalibration interval <= 0 disables recalibration.
+  serve::ConcurrentEngineOptions engine = PaperEngineOptions();
+  CortexResolverOptions resolver;
 };
 
 struct ExperimentResult {
@@ -65,6 +69,21 @@ struct ExperimentResult {
 // deterministic.
 ExperimentResult RunExperiment(const WorkloadBundle& bundle,
                                const ExperimentConfig& config);
+
+// Replays every tool step of `bundle`, in task order, straight through a
+// one-shard engine on a virtual clock (steps 0.4 s apart, no GPU or
+// network model): each miss inserts the step's expected info as a
+// demanded fetch.  The embedder is fitted on the bundle's queries; the
+// engine's clock, shard count and housekeeping are overridden.
+struct ReplayCounts {
+  std::size_t lookups = 0;
+  std::size_t hits = 0;
+  std::size_t wrong_hits = 0;    // hits whose value the oracle rejects
+  std::size_t judger_calls = 0;  // stage-2 validations over all lookups
+};
+ReplayCounts ReplayThroughEngine(const WorkloadBundle& bundle,
+                                 const JudgerModel& judger,
+                                 serve::ConcurrentEngineOptions options);
 
 // Writes one run's counts as JSON object members (no braces): lookups,
 // hits, wrong hits, API calls and evictions, plus the hit rate.  The

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     ExperimentConfig config;
     config.system = System::kCortex;
     config.cache_ratio = 0.3;
-    config.eviction = kind;
+    config.engine.eviction = kind;
     // Closed loop with no hard quota: what LCFU optimises — time and money
     // saved per byte — translates directly into end-to-end latency and
     // throughput, instead of every miss costing one identical quota token.

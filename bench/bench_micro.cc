@@ -10,9 +10,9 @@
 #include "ann/flat_index.h"
 #include "ann/hnsw_index.h"
 #include "ann/ivf_index.h"
-#include "core/engine.h"
 #include "core/snapshot.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/concurrent_engine.h"
 #include "workload/workloads.h"
 
 namespace cortex {
@@ -78,47 +78,55 @@ BENCHMARK(BM_FlatSearch)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_IvfSearch)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_HnswSearch)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_EngineLookupHit(benchmark::State& state) {
-  const auto& bundle = SharedBundle();
-  HashedEmbedder embedder;
-  JudgerModel judger(bundle.oracle.get());
-  CortexEngineOptions opts;
-  opts.cache.capacity_tokens = 1e9;
-  opts.recalibration_enabled = false;
-  CortexEngine engine(&embedder, &judger, opts);
-  double now = 0.0;
-  for (const auto& t : bundle.universe->topics()) {
-    engine.InsertFetched(t.paraphrases[0], t.answer, std::nullopt, 0.4,
-                         0.005, now += 1.0);
+// A one-shard serving engine on a virtual clock, as the simulator runs it.
+struct MicroEngine {
+  explicit MicroEngine(double capacity_tokens)
+      : judger(SharedBundle().oracle.get()) {
+    embedder.FitIdf(SharedBundle().AllQueries());
+    serve::ConcurrentEngineOptions opts;
+    opts.num_shards = 1;
+    opts.cache.capacity_tokens = capacity_tokens;
+    opts.clock = [this] { return now; };
+    opts.housekeeping_interval_sec = 0.0;
+    engine = std::make_unique<serve::ConcurrentShardedEngine>(&embedder,
+                                                              &judger, opts);
   }
+  // Inserts `query` -> `answer` as a demanded fetch, one virtual second on.
+  std::optional<SeId> Insert(const std::string& query,
+                             const std::string& answer) {
+    now += 1.0;
+    return engine->Insert(
+        FetchedInsert(&judger, query, answer, 0.4, 0.005, 1));
+  }
+
+  HashedEmbedder embedder;
+  JudgerModel judger;
+  double now = 0.0;
+  std::unique_ptr<serve::ConcurrentShardedEngine> engine;
+};
+
+void BM_EngineLookupHit(benchmark::State& state) {
+  MicroEngine m(1e9);
+  const auto& topics = SharedBundle().universe->topics();
+  for (const auto& t : topics) m.Insert(t.paraphrases[0], t.answer);
   std::size_t i = 0;
-  const auto& topics = bundle.universe->topics();
   for (auto _ : state) {
     const auto& t = topics[i++ % topics.size()];
-    benchmark::DoNotOptimize(
-        engine.Lookup(t.paraphrases[2], now += 1.0));
+    m.now += 1.0;
+    benchmark::DoNotOptimize(m.engine->Lookup(t.paraphrases[2]));
   }
 }
 BENCHMARK(BM_EngineLookupHit);
 
 void BM_CacheInsertWithEviction(benchmark::State& state) {
-  const auto& bundle = SharedBundle();
-  HashedEmbedder embedder;
-  JudgerModel judger(bundle.oracle.get());
-  CortexEngineOptions opts;
   // Tight capacity: every insert evicts.
-  opts.cache.capacity_tokens = 0.1 * bundle.TotalKnowledgeTokens();
-  opts.recalibration_enabled = false;
-  opts.prefetch_enabled = false;
-  CortexEngine engine(&embedder, &judger, opts);
-  double now = 0.0;
+  MicroEngine m(0.1 * SharedBundle().TotalKnowledgeTokens());
   std::size_t i = 0;
-  const auto& topics = bundle.universe->topics();
+  const auto& topics = SharedBundle().universe->topics();
   for (auto _ : state) {
     const auto& t = topics[i++ % topics.size()];
-    benchmark::DoNotOptimize(engine.InsertFetched(
-        t.paraphrases[i % t.paraphrases.size()], t.answer, std::nullopt,
-        0.4, 0.005, now += 1.0));
+    benchmark::DoNotOptimize(
+        m.Insert(t.paraphrases[i % t.paraphrases.size()], t.answer));
   }
 }
 BENCHMARK(BM_CacheInsertWithEviction);

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
     ExperimentConfig config;
     config.system = System::kCortex;
     config.cache_ratio = 0.4;
-    config.recalibration_enabled = enabled;
-    config.engine.recalibration_interval_sec = 30.0;
+    config.engine.recalibration_interval_sec = enabled ? 30.0 : 0.0;
     // Larger per-round samples keep the precision curve from whipsawing on
     // a couple of labels.
     config.engine.recalibration.samples_per_round = 10;
@@ -82,34 +81,13 @@ int main(int argc, char** argv) {
   TextTable ft({"judger", "hit rate", "false hits / hits",
                 "judger separation (mu+ - mu-)"});
   for (const bool finetuned : {false, true}) {
-    HashedEmbedder emb;
-    const auto corpus = fb.AllQueries();
-    emb.FitIdf(corpus);
     JudgerModel judger(fb.oracle.get());
     if (finetuned) judger.Finetune(5000);  // paper: tune on annotations
-    CortexEngineOptions opts;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = 0.5 * fb.TotalKnowledgeTokens();
-    opts.recalibration_enabled = false;
-    CortexEngine engine(&emb, &judger, opts);
-    std::size_t hits = 0, wrong = 0, lookups = 0;
-    double now = 0.0;
-    for (const auto& task : fb.tasks) {
-      for (const auto& step : task.steps) {
-        now += 0.4;
-        ++lookups;
-        auto out = engine.Lookup(step.query, now);
-        if (out.cache.hit) {
-          ++hits;
-          if (!fb.oracle->InfoCorrect(step.query, out.cache.hit->value)) {
-            ++wrong;
-          }
-        } else {
-          engine.InsertFetched(step.query, step.expected_info,
-                               std::move(out.cache.query_embedding), 0.4,
-                               0.005, now);
-        }
-      }
-    }
+    const ReplayCounts r = ReplayThroughEngine(fb, judger, std::move(opts));
+    const std::size_t hits = r.hits, wrong = r.wrong_hits,
+                      lookups = r.lookups;
     ft.AddRow({finetuned ? "fine-tuned" : "base",
                TextTable::Percent(static_cast<double>(hits) / lookups),
                TextTable::Percent(hits ? static_cast<double>(wrong) / hits

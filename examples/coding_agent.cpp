@@ -6,8 +6,8 @@
 //   ./build/examples/coding_agent [--issues=300] [--ratio=0.4] [--concurrency=8]
 #include <iostream>
 
-#include "core/resolvers.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -38,17 +38,17 @@ Row Serve(const std::string& system, const WorkloadBundle& bundle,
   ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
 
   std::unique_ptr<ToolResolver> resolver;
-  std::unique_ptr<CortexEngine> engine;
   if (system == "vanilla") {
     resolver = std::make_unique<VanillaResolver>(env);
   } else if (system == "exact") {
     resolver = std::make_unique<ExactCacheResolver>(
         env, ExactCacheOptions{.capacity_tokens = capacity});
   } else {
-    CortexEngineOptions opts;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = capacity;
-    engine = std::make_unique<CortexEngine>(&embedder, &judger, opts);
-    resolver = std::make_unique<CortexResolver>(env, engine.get());
+    opts.recalibration_interval_sec = 60.0;
+    resolver = std::make_unique<CortexResolver>(env, &embedder, &judger,
+                                                std::move(opts));
   }
 
   DriverOptions driver_opts;

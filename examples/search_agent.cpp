@@ -4,10 +4,11 @@
 // recalibration, and the per-request latency anatomy.
 //
 //   ./build/examples/search_agent [--tasks=600] [--ratio=0.5] [--rate=3]
+#include <algorithm>
 #include <iostream>
 
-#include "core/resolvers.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -32,13 +33,13 @@ int main(int argc, char** argv) {
   ColocationSimulator gpu(DeploymentConfig::Colocated80_20());
   RemoteDataService service(RemoteDataService::GoogleSearchApi());
 
-  CortexEngineOptions opts;
+  serve::ConcurrentEngineOptions opts;
   opts.cache.capacity_tokens = ratio * bundle.TotalKnowledgeTokens();
-  opts.decision_trace_size = 5;  // keep the last lookups for the deep dive
-  CortexEngine engine(&embedder, &judger, opts);
+  opts.recalibration_interval_sec = 60.0;
 
   ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
-  CortexResolver resolver(env, &engine);
+  CortexResolver resolver(env, &embedder, &judger, std::move(opts));
+  serve::ConcurrentShardedEngine& engine = resolver.engine();
 
   DriverOptions driver_opts;
   driver_opts.request_rate = rate;
@@ -62,38 +63,53 @@ int main(int argc, char** argv) {
   std::cout << summary.Render() << '\n';
 
   std::cout << "=== cache engine internals ===\n";
-  const auto& c = engine.cache().counters();
+  const CacheCounters c = engine.TotalCounters();
   TextTable internals({"counter", "value"});
   internals.AddRow({"lookups", std::to_string(c.lookups)});
   internals.AddRow({"semantic hits", std::to_string(c.hits)});
   internals.AddRow({"insertions", std::to_string(c.insertions)});
   internals.AddRow({"evictions (LCFU)", std::to_string(c.evictions)});
   internals.AddRow({"TTL expirations", std::to_string(c.expirations)});
-  internals.AddRow({"resident SEs", std::to_string(engine.cache().size())});
+  internals.AddRow({"resident SEs", std::to_string(engine.TotalSize())});
   internals.AddRow({"usage (tokens)",
-                    TextTable::Num(engine.cache().usage_tokens(), 0) + " / " +
-                        TextTable::Num(engine.cache().capacity_tokens(), 0)});
+                    TextTable::Num(engine.TotalUsageTokens(), 0) + " / " +
+                        TextTable::Num(engine.per_shard_capacity_tokens(),
+                                       0)});
   internals.AddRow({"prefetches issued",
                     std::to_string(resolver.prefetch_issued())});
   internals.AddRow({"recalibration rounds",
                     std::to_string(resolver.recalibration_rounds())});
   internals.AddRow({"live tau_lsm",
-                    TextTable::Num(
-                        engine.cache().sine().options().tau_lsm, 3)});
+                    TextTable::Num(engine.tau_lsm(0), 3)});
   internals.AddRow({"judger deferrals (GPU guardrail)",
                     std::to_string(gpu.judger_deferrals())});
   std::cout << internals.Render() << '\n';
 
-  std::cout << "=== last lookup decisions (ring buffer) ===\n";
-  TextTable decisions({"t (s)", "query (truncated)", "ANN cands",
-                       "judged", "outcome", "best sim", "best score"});
-  for (const auto& d : engine.decision_trace()) {
-    decisions.AddRow({TextTable::Num(d.time, 1), d.query.substr(0, 36),
-                      std::to_string(d.ann_candidates),
-                      std::to_string(d.judger_calls),
-                      d.hit ? "HIT" : "miss",
-                      TextTable::Num(d.best_similarity, 2),
-                      TextTable::Num(d.best_judger_score, 2)});
+  // Replay the workload's last few tool calls against the final cache and
+  // print what each lookup saw.
+  std::cout << "=== last lookups, replayed against the final cache ===\n";
+  TextTable decisions({"query (truncated)", "ANN cands", "judged", "outcome",
+                       "best sim", "best score"});
+  std::vector<std::string> last;
+  for (auto task = bundle.tasks.rbegin();
+       task != bundle.tasks.rend() && last.size() < 5; ++task) {
+    for (const auto& step : task->steps) last.push_back(step.query);
+  }
+  last.resize(std::min<std::size_t>(last.size(), 5));
+  for (const auto& query : last) {
+    serve::LookupDetail d;
+    const auto hit = engine.Lookup(query, nullptr, {}, &d);
+    double best_sim = hit ? hit->similarity : 0.0;
+    double best_score = hit ? hit->judger_score : 0.0;
+    for (const auto& judged : d.probe.sine.judged) {
+      best_sim = std::max(best_sim, judged.similarity);
+      best_score = std::max(best_score, judged.judger_score);
+    }
+    decisions.AddRow({query.substr(0, 36),
+                      std::to_string(d.probe.sine.ann_candidates),
+                      std::to_string(d.probe.sine.judger_calls),
+                      hit ? "HIT" : "miss", TextTable::Num(best_sim, 2),
+                      TextTable::Num(best_score, 2)});
   }
   std::cout << decisions.Render() << '\n';
 

@@ -10,8 +10,8 @@
 #include <iomanip>
 #include <iostream>
 
-#include "core/data_client.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/data_client.h"
 #include "workload/workloads.h"
 
 using namespace cortex;
@@ -27,19 +27,18 @@ int main() {
   embedder.FitIdf(corpus);
   JudgerModel judger(bundle.oracle.get());
 
-  CortexEngineOptions options;
+  serve::ConcurrentEngineOptions options;
   options.cache.capacity_tokens = 100000;
-  options.recalibration_enabled = false;
-  CortexEngine engine(&embedder, &judger, options);
 
   int remote_fetches = 0;
-  DataClient client(&engine, [&](std::string_view query, double) {
-    ++remote_fetches;
-    std::cout << "      [remote fetch #" << remote_fetches << " for \""
-              << query << "\"]\n";
-    return DataClient::FetchResultView{bundle.oracle->ExpectedInfo(query),
-                                       0.42, 0.005};
-  });
+  DataClient client(&embedder, &judger, options,
+                    [&](std::string_view query, double) {
+                      ++remote_fetches;
+                      std::cout << "      [remote fetch #" << remote_fetches
+                                << " for \"" << query << "\"]\n";
+                      return DataClient::FetchResultView{
+                          bundle.oracle->ExpectedInfo(query), 0.42, 0.005};
+                    });
 
   // Three agent turns asking for the same knowledge in different words,
   // then an unrelated one, then the final answer turn.

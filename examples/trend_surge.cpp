@@ -6,8 +6,8 @@
 //   ./build/examples/trend_surge [--ratio=0.3] [--no-prefetch]
 #include <iostream>
 
-#include "core/resolvers.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -28,13 +28,15 @@ RunMetrics Serve(const WorkloadBundle& bundle, double ratio,
   ColocationSimulator gpu(DeploymentConfig::Colocated80_20());
   RemoteDataService service(RemoteDataService::GoogleSearchApi());
 
-  CortexEngineOptions opts;
+  serve::ConcurrentEngineOptions opts;
   opts.cache.capacity_tokens = ratio * bundle.TotalKnowledgeTokens();
-  opts.prefetch_enabled = prefetch_enabled;
-  CortexEngine engine(&embedder, &judger, opts);
+  opts.recalibration_interval_sec = 60.0;
+  CortexResolverOptions resolver_opts;
+  resolver_opts.prefetch_enabled = prefetch_enabled;
 
   ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
-  CortexResolver resolver(env, &engine);
+  CortexResolver resolver(env, &embedder, &judger, std::move(opts),
+                          resolver_opts);
 
   DriverOptions driver_opts;
   driver_opts.explicit_arrivals = bundle.arrivals;

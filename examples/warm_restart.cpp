@@ -1,4 +1,4 @@
-// Warm restart: demonstrates cache snapshots (core/snapshot.h).
+// Warm restart: demonstrates engine snapshots (core/snapshot.h).
 //
 // Phase 1 serves half the workload cold and saves the cache to disk.
 // Phase 2 simulates a process restart: a brand-new engine loads the
@@ -8,11 +8,12 @@
 //
 //   ./build/examples/warm_restart [--tasks=600] [--ratio=0.5]
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 
-#include "core/resolvers.h"
 #include "core/snapshot.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "util/flags.h"
 #include "util/table.h"
@@ -39,19 +40,21 @@ Phase ServeSlice(const WorkloadBundle& bundle,
   ColocationSimulator gpu(DeploymentConfig::Colocated80_20());
   RemoteDataService service(RemoteDataService::GoogleSearchApi());
 
-  CortexEngineOptions opts;
+  serve::ConcurrentEngineOptions opts;
   opts.cache.capacity_tokens = ratio * bundle.TotalKnowledgeTokens();
-  CortexEngine engine(&embedder, &judger, opts);
+  opts.recalibration_interval_sec = 60.0;
+  ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
+  CortexResolver resolver(env, &embedder, &judger, std::move(opts));
+  serve::ConcurrentShardedEngine& engine = resolver.engine();
 
   if (!snapshot_in.empty()) {
-    const auto stats = LoadCacheSnapshotFile(engine.cache(), snapshot_in, 0.0);
+    std::ifstream in(snapshot_in, std::ios::binary);
+    const auto stats = engine.LoadSnapshot(in);
     std::cout << "  loaded snapshot: " << stats.entries_restored
               << " restored, " << stats.entries_expired << " expired, "
               << stats.entries_rejected << " rejected\n";
   }
 
-  ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
-  CortexResolver resolver(env, &engine);
   DriverOptions driver_opts;
   driver_opts.request_rate = 2.0;
   ServingDriver driver(agent, gpu, resolver, driver_opts);
@@ -61,11 +64,11 @@ Phase ServeSlice(const WorkloadBundle& bundle,
   phase.api_calls = service.total_calls();
 
   if (!snapshot_out.empty()) {
-    // Stamp the snapshot with the simulation clock it stopped at: the next
-    // process's clock starts again from 0, and the load rebases every
-    // entry's timestamps onto it.
-    const auto stats = SaveCacheSnapshotFile(engine.cache(), snapshot_out,
-                                             phase.metrics.last_completion());
+    // The snapshot is stamped with the engine's clock, the simulation time
+    // of its last operation: the next process's clock starts again from 0,
+    // and the load rebases every entry's timestamps onto it.
+    std::ofstream out(snapshot_out, std::ios::binary);
+    const auto stats = engine.SaveSnapshot(out);
     std::cout << "  saved snapshot: " << stats.entries_written
               << " entries\n";
   }

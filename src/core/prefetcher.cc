@@ -26,6 +26,16 @@ void MarkovPrefetcher::Record(std::uint64_t session_id,
   }
 }
 
+std::vector<Prediction> MarkovPrefetcher::Step(
+    std::uint64_t session_id, std::string_view query,
+    const std::function<bool(std::string_view)>& cached) {
+  Record(session_id, query);
+  std::vector<Prediction> predictions = Predict(query);
+  std::erase_if(predictions,
+                [&](const Prediction& p) { return cached(p.query); });
+  return predictions;
+}
+
 void MarkovPrefetcher::RecordTransition(std::string_view from,
                                         std::string_view to) {
   auto& state = transitions_[std::string(from)];

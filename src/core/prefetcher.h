@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,6 +42,14 @@ class MarkovPrefetcher {
   // within one agent's think->act chain.
   void Record(std::string_view query);
   void Record(std::uint64_t session_id, std::string_view query);
+
+  // Algorithm 3's step for one lookup, as the simulator's resolver and
+  // the data client run it beside the engine: records `query` on the
+  // session's stream, then returns the predictions for what follows it
+  // that `cached` does not already hold.
+  std::vector<Prediction> Step(
+      std::uint64_t session_id, std::string_view query,
+      const std::function<bool(std::string_view)>& cached);
 
   // Directly learns a (from -> to) transition.
   void RecordTransition(std::string_view from, std::string_view to);

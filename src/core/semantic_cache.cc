@@ -45,6 +45,20 @@ SemanticCache::SemanticCache(const Embedder* embedder,
   CHECK_GT(options_.capacity_tokens, 0.0);
 }
 
+InsertRequest FetchedInsert(const JudgerModel* judger, std::string key,
+                            std::string value, double retrieval_latency_sec,
+                            double retrieval_cost_dollars,
+                            std::uint64_t initial_frequency) {
+  InsertRequest req;
+  req.staticity = judger ? judger->ScoreStaticity(key, value) : 5.0;
+  req.key = std::move(key);
+  req.value = std::move(value);
+  req.retrieval_latency_sec = retrieval_latency_sec;
+  req.retrieval_cost_dollars = retrieval_cost_dollars;
+  req.initial_frequency = initial_frequency;
+  return req;
+}
+
 SemanticCache::LookupResult SemanticCache::Lookup(std::string_view query,
                                                   double now,
                                                   std::string_view tenant) {

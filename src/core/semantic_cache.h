@@ -115,6 +115,14 @@ struct InsertRequest {
   double budget_tokens = 0.0;
 };
 
+// The insert for a value fetched from the remote service: staticity
+// scored by `judger` (mid-scale 5.0 without one).  A demanded fetch enters
+// with one confirmed use, a speculative prefetch with none (§4.3).
+InsertRequest FetchedInsert(const JudgerModel* judger, std::string key,
+                            std::string value, double retrieval_latency_sec,
+                            double retrieval_cost_dollars,
+                            std::uint64_t initial_frequency);
+
 class SemanticCache {
   // Victim-index order (DESIGN.md §12.2): lowest policy score first, then
   // least recently accessed, then lowest id.  std::strong_order keeps the

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/placement.h"
+#include "llm/tags.h"
 #include "util/check.h"
 
 namespace cortex::serve {
@@ -76,15 +77,15 @@ ConcurrentShardedEngine::ConcurrentShardedEngine(
   per_shard.capacity_tokens = options_.cache.capacity_tokens /
                               static_cast<double>(options_.num_shards);
   per_shard_capacity_ = per_shard.capacity_tokens;
-  // Every shard runs LCFU eviction and recalibration seeded per shard.
-  // Its cache keeps no ANN index: lookups probe the shard snapshot, which
-  // the cache's change feed keeps in step.
+  // Every shard runs the configured eviction policy and recalibration
+  // seeded per shard.  Its cache keeps no ANN index: lookups probe the
+  // shard snapshot, which the cache's change feed keeps in step.
   constexpr std::uint64_t kRecalibrationSeed = 97;
   shards_.reserve(options_.num_shards);
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     auto cache = std::make_unique<SemanticCache>(
         embedder, /*index=*/nullptr, judger,
-        MakeEviction(EvictionKind::kLcfu), per_shard);
+        MakeEviction(options_.eviction), per_shard);
     shards_.push_back(std::make_unique<Shard>(
         std::move(cache), options_.recalibration, kRecalibrationSeed + i,
         embedder->dimension()));
@@ -129,11 +130,31 @@ std::size_t ConcurrentShardedEngine::ShardFor(std::string_view query) const {
   return RouteToShard(*embedder_, tokenizer_, query, shards_.size());
 }
 
+template <typename Mutate>
+ConcurrentShardedEngine::CacheDelta ConcurrentShardedEngine::MutateShard(
+    Shard& shard, Mutate&& mutate) {
+  CacheDelta delta;
+  {
+    WriterLock lock(shard.mu);
+    SemanticCache& cache = *shard.cache;
+    delta.before = cache.counters();
+    const double usage_before = cache.usage_tokens();
+    const auto size_before = cache.size();
+    mutate(cache);
+    delta.after = cache.counters();
+    delta.usage = cache.usage_tokens() - usage_before;
+    delta.entries = static_cast<double>(cache.size()) -
+                    static_cast<double>(size_before);
+    SyncProbeState(shard);
+  }
+  ApplyCacheDeltas(shard, delta);
+  return delta;
+}
+
 void ConcurrentShardedEngine::ApplyCacheDeltas(Shard& shard,
-                                               const CacheCounters& before,
-                                               const CacheCounters& after,
-                                               double usage_delta,
-                                               double entries_delta) {
+                                               const CacheDelta& delta) {
+  const CacheCounters& before = delta.before;
+  const CacheCounters& after = delta.after;
   const std::uint64_t evictions = after.evictions - before.evictions;
   if (evictions > 0) {
     cache_evictions_->Inc(evictions);
@@ -160,8 +181,8 @@ void ConcurrentShardedEngine::ApplyCacheDeltas(Shard& shard,
   if (after.promotions > before.promotions) {
     cache_promotions_->Inc(after.promotions - before.promotions);
   }
-  if (usage_delta != 0.0) cache_tokens_resident_->Add(usage_delta);
-  if (entries_delta != 0.0) cache_entries_->Add(entries_delta);
+  if (delta.usage != 0.0) cache_tokens_resident_->Add(delta.usage);
+  if (delta.entries != 0.0) cache_entries_->Add(delta.entries);
 }
 
 void ConcurrentShardedEngine::SyncProbeState(Shard& shard) {
@@ -220,7 +241,7 @@ std::optional<CacheHit> ConcurrentShardedEngine::Peek(std::string_view query,
 
 std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
     std::string_view query, telemetry::RequestTrace* trace,
-    std::string_view tenant) {
+    std::string_view tenant, LookupDetail* detail) {
   const std::size_t shard_idx = ShardFor(query);
   Shard& shard = *shards_[shard_idx];
   const double now = clock_();
@@ -244,9 +265,18 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
     // tolerates that, and the hit already copied still serves the client.
     shard.cache->CommitLookup(result, now);
     // Log every judged candidate so recalibration sees scores on both
-    // sides of the threshold (same policy as CortexEngine::Lookup).
+    // sides of the threshold.
     for (const auto& judged : result.sine.judged) {
-      if (const SemanticElement* se = shard.cache->Get(judged.id)) {
+      const SemanticElement* se = shard.cache->Get(judged.id);
+      if (detail != nullptr) {
+        detail->judged_text.push_back(
+            se != nullptr
+                ? LookupDetail::CachedText{
+                      ApproxTokenCount(se->key),
+                      static_cast<std::size_t>(se->size_tokens)}
+                : LookupDetail::CachedText{});
+      }
+      if (se != nullptr) {
         shard.recalibrator.LogJudgment(
             {std::string(query), se->key, se->value, judged.judger_score});
       }
@@ -291,6 +321,10 @@ std::optional<CacheHit> ConcurrentShardedEngine::Lookup(
     }
     trace->AddSpan(telemetry::TracePhase::kCommit, commit_t0, commit_seconds);
   }
+  if (detail != nullptr) {
+    detail->probe = std::move(result);
+    return detail->probe.hit;
+  }
   return result.hit;
 }
 
@@ -311,38 +345,25 @@ std::optional<SeId> ConcurrentShardedEngine::Insert(
   }
 
   InsertTiming timing;
-  CacheCounters before, after;
-  double usage_delta = 0.0;
-  double entries_delta = 0.0;
   std::uint64_t tenant_evictions_delta = 0;
   std::optional<SeId> id;
   const double insert_t0 = telemetry::WallSeconds();
-  {
-    WriterLock lock(shard.mu);
-    before = shard.cache->counters();
-    const double usage_before = shard.cache->usage_tokens();
-    const auto size_before = shard.cache->size();
+  const CacheDelta delta = MutateShard(shard, [&](SemanticCache& cache) {
     const std::uint64_t tenant_evictions_before =
-        tenant.empty() ? 0 : shard.cache->TenantUsageFor(tenant).evictions;
-    id = shard.cache->Insert(std::move(request), now, &timing);
-    after = shard.cache->counters();
-    usage_delta = shard.cache->usage_tokens() - usage_before;
-    entries_delta = static_cast<double>(shard.cache->size()) -
-                    static_cast<double>(size_before);
+        tenant.empty() ? 0 : cache.TenantUsageFor(tenant).evictions;
+    id = cache.Insert(std::move(request), now, &timing);
     if (!tenant.empty()) {
-      tenant_evictions_delta = shard.cache->TenantUsageFor(tenant).evictions -
-                               tenant_evictions_before;
+      tenant_evictions_delta =
+          cache.TenantUsageFor(tenant).evictions - tenant_evictions_before;
     }
-    SyncProbeState(shard);
-  }
+  });
   const double insert_end = telemetry::WallSeconds();
   insert_seconds_->Observe(insert_end - insert_t0);
-  ApplyCacheDeltas(shard, before, after, usage_delta, entries_delta);
   (id ? inserts_ : insert_rejects_)->Inc();
   if (!tenant.empty()) {
     tenant_registry_->OnInsert(tenant, id.has_value());
     tenant_registry_->OnEvictions(tenant, tenant_evictions_delta);
-    if (after.promotions > before.promotions) {
+    if (delta.after.promotions > delta.before.promotions) {
       tenant_registry_->OnPromotion(tenant);
     }
   }
@@ -369,22 +390,9 @@ std::size_t ConcurrentShardedEngine::RemoveExpired() {
   const double now = clock_();
   std::size_t removed = 0;
   for (auto& shard : shards_) {
-    CacheCounters before, after;
-    double usage_delta = 0.0;
-    double entries_delta = 0.0;
-    {
-      WriterLock lock(shard->mu);
-      before = shard->cache->counters();
-      const double usage_before = shard->cache->usage_tokens();
-      const auto size_before = shard->cache->size();
-      removed += shard->cache->RemoveExpired(now);
-      after = shard->cache->counters();
-      usage_delta = shard->cache->usage_tokens() - usage_before;
-      entries_delta = static_cast<double>(shard->cache->size()) -
-                      static_cast<double>(size_before);
-      SyncProbeState(*shard);
-    }
-    ApplyCacheDeltas(*shard, before, after, usage_delta, entries_delta);
+    MutateShard(*shard, [&](SemanticCache& cache) {
+      removed += cache.RemoveExpired(now);
+    });
   }
   expired_removed_->Inc(removed);
   return removed;
@@ -413,23 +421,10 @@ std::optional<SeId> ConcurrentShardedEngine::RestoreElement(
     SemanticElement se) {
   Shard& shard = *shards_[ShardFor(se.key)];
   const double now = clock_();
-  CacheCounters before, after;
-  double usage_delta = 0.0;
-  double entries_delta = 0.0;
   std::optional<SeId> id;
-  {
-    WriterLock lock(shard.mu);
-    before = shard.cache->counters();
-    const double usage_before = shard.cache->usage_tokens();
-    const auto size_before = shard.cache->size();
-    id = shard.cache->RestoreElement(std::move(se), now);
-    after = shard.cache->counters();
-    usage_delta = shard.cache->usage_tokens() - usage_before;
-    entries_delta = static_cast<double>(shard.cache->size()) -
-                    static_cast<double>(size_before);
-    SyncProbeState(shard);
-  }
-  ApplyCacheDeltas(shard, before, after, usage_delta, entries_delta);
+  MutateShard(shard, [&](SemanticCache& cache) {
+    id = cache.RestoreElement(std::move(se), now);
+  });
   return id;
 }
 
@@ -552,6 +547,12 @@ double ConcurrentShardedEngine::tau_lsm(std::size_t shard) const {
   const Shard& s = *shards_.at(shard);
   ReaderLock lock(s.mu);
   return s.cache->sine().options().tau_lsm;
+}
+
+std::size_t ConcurrentShardedEngine::validation_size(std::size_t shard) const {
+  const Shard& s = *shards_.at(shard);
+  ReaderLock lock(s.mu);
+  return s.recalibrator.validation_size();
 }
 
 }  // namespace cortex::serve

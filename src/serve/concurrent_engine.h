@@ -19,7 +19,9 @@
 //     relaxed atomics and never touches the registry mutex or any lock;
 //   * a background housekeeping thread that periodically runs RemoveExpired
 //     on every shard and — when ground truth is reachable — per-shard
-//     threshold recalibration ticks (Algorithm 1, ported from CortexEngine).
+//     threshold recalibration ticks (Algorithm 1).  The simulator runs a
+//     one-shard engine on its virtual clock with housekeeping off and ticks
+//     recalibration itself (serve/resolvers.h).
 //
 // Lock order (machine-checked in debug builds by RankedMutex, see the
 // rank table in DESIGN.md §7): fetch_gt_mu_ (30) < hk_mu_ (40) < shard.mu
@@ -64,6 +66,9 @@ struct ConcurrentEngineOptions {
   // Per-shard options; capacity_tokens is the TOTAL budget, divided evenly
   // across shards.
   SemanticCacheOptions cache;
+  // Every shard's eviction policy: the paper's LCFU, or the LRU/LFU
+  // baselines of Table 6.
+  EvictionKind eviction = EvictionKind::kLcfu;
 
   // Background housekeeping cadence in engine-clock seconds; <= 0 disables
   // the thread entirely (tests drive RemoveExpired by hand).
@@ -101,6 +106,23 @@ struct ConcurrentEngineStats {
   std::uint64_t recalibrations = 0;   // per-shard recalibration rounds run
 };
 
+// What one committed lookup saw, for callers that model or print its work
+// (the simulator's GPU judger accounting, per-lookup printouts).  Lookup
+// fills it only when a caller passes one.
+struct LookupDetail {
+  // The probe's result: the hit, the query embedding (reusable by the
+  // insert after a miss) and the stage-1/stage-2 telemetry.
+  SemanticCache::LookupResult probe;
+  // The cached side of each judger prompt, parallel to probe.sine.judged:
+  // the candidate's key and value lengths in tokens, both 0 when the entry
+  // left the shard before the commit.
+  struct CachedText {
+    std::size_t key_tokens = 0;
+    std::size_t value_tokens = 0;
+  };
+  std::vector<CachedText> judged_text;
+};
+
 class ConcurrentShardedEngine {
  public:
   // embedder/judger are borrowed and must outlive the engine.  The
@@ -116,10 +138,12 @@ class ConcurrentShardedEngine {
 
   // Two-stage semantic lookup at the engine clock's now, scoped to
   // `tenant` (empty = shared pool only).  `trace`, when non-null, receives
-  // embed / ANN probe / judger / commit spans and the shard id.
+  // embed / ANN probe / judger / commit spans and the shard id; `detail`,
+  // when non-null, receives what the lookup saw.
   std::optional<CacheHit> Lookup(std::string_view query,
                                  telemetry::RequestTrace* trace = nullptr,
-                                 std::string_view tenant = {});
+                                 std::string_view tenant = {},
+                                 LookupDetail* detail = nullptr);
 
   // Read-only lookup: the same two-stage probe, but nothing commits — no
   // frequency bump, no judgment log, no stats.  It touches no shard mutex
@@ -179,6 +203,8 @@ class ConcurrentShardedEngine {
   std::size_t RecalibrateAllShards();
 
   double Now() const { return clock_(); }
+  const ConcurrentEngineOptions& options() const noexcept { return options_; }
+  const JudgerModel* judger() const noexcept { return judger_; }
   std::size_t num_shards() const noexcept { return shards_.size(); }
   std::size_t ShardFor(std::string_view query) const;
 
@@ -206,6 +232,8 @@ class ConcurrentShardedEngine {
   std::size_t TotalSize() const;
   double TotalUsageTokens() const;
   double tau_lsm(std::size_t shard) const;
+  // Labelled samples in the shard's recalibration validation set (D_val).
+  std::size_t validation_size(std::size_t shard) const;
 
   // Stops the housekeeping thread (idempotent; the destructor calls it).
   void StopHousekeeping();
@@ -278,11 +306,22 @@ class ConcurrentShardedEngine {
                                             ProbeTiming* timing,
                                             ScanWork* work);
 
+  // What one shard mutation changed: the cache's counters before and
+  // after, and the resident token and entry deltas.
+  struct CacheDelta {
+    CacheCounters before;
+    CacheCounters after;
+    double usage = 0.0;
+    double entries = 0.0;
+  };
+  // The write path: runs `mutate(cache)` on the shard's cache under the
+  // exclusive lock, republishes the snapshot, then publishes the
+  // cache-layer deltas (ApplyCacheDeltas).  Returns the delta.
+  template <typename Mutate>
+  CacheDelta MutateShard(Shard& shard, Mutate&& mutate);
   // Publishes what changed inside a shard mutation (insert / purge):
   // cache-layer counter deltas plus resident-size gauge deltas.
-  void ApplyCacheDeltas(Shard& shard, const CacheCounters& before,
-                        const CacheCounters& after, double usage_delta,
-                        double entries_delta);
+  void ApplyCacheDeltas(Shard& shard, const CacheDelta& delta);
 
   const HashedEmbedder* const embedder_;
   const JudgerModel* const judger_;

@@ -9,16 +9,21 @@
 //
 // This class is pure logic over the engine: latency/scheduling are the
 // caller's concern (the simulation resolvers model them; a real deployment
-// would wrap the fetch delegate around its RPC stack).
+// would wrap the fetch delegate around its RPC stack).  It owns a
+// one-shard ConcurrentShardedEngine on the caller's clock (the `now` of
+// each call) and the Markov prefetcher beside it: the client knows the
+// session, which the engine does not.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "core/engine.h"
+#include "core/prefetcher.h"
 #include "llm/tags.h"
+#include "serve/concurrent_engine.h"
 
 namespace cortex {
 
@@ -35,8 +40,12 @@ class DataClient {
   using RemoteFetcher =
       std::function<FetchResultView(std::string_view query, double now)>;
 
-  // engine is borrowed and must outlive the client.
-  DataClient(CortexEngine* engine, RemoteFetcher fetcher);
+  // embedder/judger are borrowed and must outlive the client; the
+  // embedder must be IDF-fitted.  The client overrides num_shards, clock
+  // and housekeeping_interval_sec in `engine_options`.
+  DataClient(const HashedEmbedder* embedder, const JudgerModel* judger,
+             serve::ConcurrentEngineOptions engine_options,
+             RemoteFetcher fetcher, PrefetcherOptions prefetch = {});
 
   struct TurnResult {
     // True if the agent output contained a tool call at all.
@@ -55,8 +64,8 @@ class DataClient {
   TurnResult InterceptTurn(std::string_view agent_output, double now,
                            std::uint64_t session_id = 0);
 
-  // Prefetch proposals the engine made during interception that the caller
-  // should fetch asynchronously (cleared on each InterceptTurn call).
+  // Prefetch proposals made during interception that the caller should
+  // fetch asynchronously (cleared on each InterceptTurn call).
   const std::vector<Prediction>& pending_prefetches() const noexcept {
     return pending_prefetches_;
   }
@@ -70,8 +79,13 @@ class DataClient {
     return served_from_cache_;
   }
 
+  serve::ConcurrentShardedEngine& engine() noexcept { return *engine_; }
+
  private:
-  CortexEngine* engine_;
+  // The engine's clock: the `now` of the call being served.
+  double now_ = 0.0;
+  std::unique_ptr<serve::ConcurrentShardedEngine> engine_;
+  MarkovPrefetcher prefetcher_;
   RemoteFetcher fetcher_;
   std::vector<Prediction> pending_prefetches_;
   std::uint64_t turns_seen_ = 0;

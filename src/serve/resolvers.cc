@@ -1,4 +1,4 @@
-#include "core/resolvers.h"
+#include "serve/resolvers.h"
 
 #include <algorithm>
 
@@ -88,45 +88,67 @@ void ExactCacheResolver::Resolve(Simulation& sim, const ToolStep& step,
 // ---------------------------------------------------------------------------
 // Cortex
 
-CortexResolver::CortexResolver(ResolverEnvironment env, CortexEngine* engine,
+CortexResolver::CortexResolver(ResolverEnvironment env,
+                               const HashedEmbedder* embedder,
+                               const JudgerModel* judger,
+                               serve::ConcurrentEngineOptions engine_options,
                                CortexResolverOptions options)
-    : env_(env), engine_(engine), options_(options), rng_(options.seed) {}
+    : env_(env), options_(options), prefetcher_(options.prefetch) {
+  engine_options.num_shards = 1;
+  engine_options.clock = [this] { return now_; };
+  engine_options.housekeeping_interval_sec = 0.0;
+  engine_ = std::make_unique<serve::ConcurrentShardedEngine>(
+      embedder, judger, std::move(engine_options));
+}
 
 void CortexResolver::Resolve(Simulation& sim, const ToolStep& step,
                              std::uint64_t task_id, ResolveCallback done) {
   const double t0 = sim.now();
+  now_ = t0;
 
   // Stage 0: embed the query on the GPU side model.
-  const double t_embed =
-      env_.gpu->RunEmbedding(t0, ApproxTokenCount(step.query));
+  const std::size_t query_tokens = ApproxTokenCount(step.query);
+  const double t_embed = env_.gpu->RunEmbedding(t0, query_tokens);
   // Stage 1: CPU ANN search.
-  const double t_ann = t_embed + engine_->options().ann_search_seconds;
+  const double t_ann = t_embed + options_.ann_search_seconds;
 
   // Run the engine's logical lookup now (results determine stage-2 load).
-  CortexEngine::LookupOutcome lookup = engine_->Lookup(step.query, t0, task_id);
+  // Expired entries are purged first, as cortexd's housekeeping would have:
+  // a lingering one would still answer the prefetcher's ContainsKey.
+  engine_->RemoveExpired();
+  serve::LookupDetail lookup;
+  engine_->Lookup(step.query, nullptr, {}, &lookup);
+  SemanticCache::LookupResult& probe = lookup.probe;
 
   // Stage 2: one judger validation per stage-1 survivor; calls batch on the
-  // judger partition, so the stage completes when the last one does.
+  // judger partition, so the stage completes when the last one does.  The
+  // prompt carries a bounded snippet of the cached result, not the full
+  // payload — validating "does this answer the query" does not require
+  // the whole document.
   double t_check = t_ann;
-  for (const auto& judged : lookup.cache.sine.judged) {
-    std::size_t prompt = ApproxTokenCount(step.query) + 32;
-    if (const SemanticElement* se = engine_->cache().Get(judged.id)) {
-      // The judger prompt carries a bounded snippet of the cached result,
-      // not the full payload — validating "does this answer the query"
-      // does not require the whole document.
-      prompt += ApproxTokenCount(se->key) +
-                std::min<std::size_t>(ApproxTokenCount(se->value), 128);
-    }
+  for (const auto& cached : lookup.judged_text) {
+    const std::size_t prompt = query_tokens + 32 + cached.key_tokens +
+                               std::min<std::size_t>(cached.value_tokens, 128);
     t_check = std::max(t_check, env_.gpu->RunJudgerCall(t_ann, prompt));
+  }
+
+  // Prefetch stream: the canonical key of the knowledge this query resolved
+  // to (the matched SE's key on a hit, the query itself on a miss — the
+  // miss path will insert it under that key).
+  std::vector<Prediction> predictions;
+  if (options_.prefetch_enabled) {
+    predictions = prefetcher_.Step(
+        task_id, probe.hit ? probe.hit->matched_key : step.query,
+        [this](std::string_view key) { return engine_->ContainsKey(key); });
   }
 
   ResolveOutcome outcome;
   outcome.cache_check_seconds = t_check - t0;
   MaybeRecalibrate(sim, outcome);
-  IssuePrefetches(sim, lookup.prefetches, outcome);
+  IssuePrefetches(sim, predictions, outcome);
 
-  if (lookup.cache.hit) {
-    outcome.info = lookup.cache.hit->value;
+  if (probe.hit) {
+    outcome.info = probe.hit->value;
     outcome.from_cache = true;
     outcome.info_correct =
         env_.oracle->InfoCorrect(step.query, outcome.info);
@@ -142,27 +164,28 @@ void CortexResolver::Resolve(Simulation& sim, const ToolStep& step,
   const std::string query_key(step.query);
   if (options_.coalesce_inflight) {
     if (InflightFetch* target = FindCoalesceTarget(
-            step.query, lookup.cache.query_embedding, t_check)) {
+            step.query, probe.query_embedding, t_check)) {
       ++coalesced_;
       outcome.from_cache = false;
       target->waiters.push_back(
           {std::move(done), std::move(outcome), t_check, query_key});
       return;
     }
-    inflight_.emplace(query_key,
-                      InflightFetch{lookup.cache.query_embedding, {}});
+    inflight_.emplace(query_key, InflightFetch{probe.query_embedding, {}});
   }
 
-  // Fall back to the remote service, then admit the new knowledge.
+  // Fall back to the remote service; the new knowledge is admitted when
+  // the fetch completes.
   FetchResult fetch = env_.service->Fetch(
       t_check, step.query, step.expected_info,
       env_.oracle->FetchCostScale(step.query),
       env_.oracle->FetchLatencyScale(step.query));
+  std::optional<InsertRequest> admit;
   if (fetch.success) {
-    engine_->InsertFetched(step.query, fetch.info,
-                           std::move(lookup.cache.query_embedding),
-                           fetch.Latency(), fetch.cost_dollars,
-                           fetch.completion_time);
+    admit = FetchedInsert(engine_->judger(), query_key, fetch.info,
+                          fetch.Latency(), fetch.cost_dollars,
+                          /*initial_frequency=*/1);
+    admit->embedding = std::move(probe.query_embedding);
     // Staticity scoring consumes judger capacity in the background (it is
     // deferrable work — the priority scheduler keeps it off the agent path).
     env_.gpu->RunJudgerCall(fetch.completion_time,
@@ -176,7 +199,10 @@ void CortexResolver::Resolve(Simulation& sim, const ToolStep& step,
   sim.ScheduleAt(
       fetch.completion_time,
       [this, &sim, query_key, info = fetch.info, success = fetch.success,
-       done = std::move(done), outcome = std::move(outcome)]() mutable {
+       admit = std::move(admit), done = std::move(done),
+       outcome = std::move(outcome)]() mutable {
+        now_ = sim.now();
+        if (admit) engine_->Insert(std::move(*admit));
         done(std::move(outcome));
         // Release everyone who piled onto this fetch.
         const auto it = inflight_.find(query_key);
@@ -203,16 +229,16 @@ CortexResolver::InflightFetch* CortexResolver::FindCoalesceTarget(
       it != inflight_.end()) {
     return &it->second;
   }
-  if (!options_.semantic_coalescing ||
-      !engine_->cache().sine().options().use_judger) {
+  const SineOptions& sine_opts = engine_->options().cache.sine;
+  if (!options_.semantic_coalescing || !sine_opts.use_judger) {
     return nullptr;
   }
   // Semantic match against the (small) in-flight set, held to the same
   // two-stage standard as a cache hit: embedding similarity passes
   // tau_sim, then the judger validates the pair.  The judger call runs on
   // the GPU like any other validation.
-  const auto& sine_opts = engine_->cache().sine().options();
   const JudgerModel* judger = engine_->judger();
+  const double tau_lsm = engine_->tau_lsm(0);  // the one shard's threshold
   InflightFetch* best = nullptr;
   double best_sim = sine_opts.tau_sim;
   for (auto& [key, fetch] : inflight_) {
@@ -224,7 +250,7 @@ CortexResolver::InflightFetch* CortexResolver::FindCoalesceTarget(
     req.embedding_similarity = sim;
     env_.gpu->RunJudgerCall(now, ApproxTokenCount(query) +
                                      ApproxTokenCount(key) + 32);
-    if (judger->Judge(req) >= sine_opts.tau_lsm) {
+    if (judger->Judge(req) >= tau_lsm) {
       best = &fetch;
       best_sim = sim;
     }
@@ -251,31 +277,34 @@ void CortexResolver::IssuePrefetches(
     if (!fetch.success) continue;
     // The speculative SE lands asynchronously when the fetch returns.
     sim.ScheduleAt(fetch.completion_time,
-                   [this, &sim, query = p.query, info = fetch.info,
-                    latency = fetch.Latency(), cost = fetch.cost_dollars] {
-                     engine_->InsertPrefetched(query, info, latency, cost,
-                                               sim.now());
+                   [this, &sim,
+                    admit = FetchedInsert(engine_->judger(), p.query,
+                                          fetch.info, fetch.Latency(),
+                                          fetch.cost_dollars,
+                                          /*initial_frequency=*/0)]() mutable {
+                     now_ = sim.now();
+                     engine_->Insert(std::move(admit));
                    });
   }
 }
 
 void CortexResolver::MaybeRecalibrate(Simulation& sim,
                                       ResolveOutcome& outcome) {
-  if (!engine_->options().recalibration_enabled) return;
-  if (sim.now() < next_recalibration_) return;
-  next_recalibration_ =
-      sim.now() + engine_->options().recalibration_interval_sec;
+  const double interval = engine_->options().recalibration_interval_sec;
+  if (interval <= 0.0 || sim.now() < next_recalibration_) return;
+  next_recalibration_ = sim.now() + interval;
   ++recalibration_rounds_;
 
-  auto fetch_gt = [&](std::string_view query) -> std::string {
+  engine_->SetGroundTruthFetcher([&](std::string_view query) -> std::string {
     FetchResult fetch = env_.service->Fetch(
         sim.now(), query, env_.oracle->ExpectedInfo(query),
         env_.oracle->FetchCostScale(query),
         env_.oracle->FetchLatencyScale(query));
     if (options_.count_background_calls) AccumulateFetch(fetch, outcome);
     return fetch.success ? fetch.info : std::string{};
-  };
-  engine_->Recalibrate(fetch_gt, rng_);
+  });
+  engine_->RecalibrateAllShards();
+  engine_->SetGroundTruthFetcher(nullptr);  // it borrows this request
 
   // PredictScores over the validation set consumes judger compute in the
   // background — this is the bounded ~2% overhead §6.7 measures.
@@ -284,7 +313,7 @@ void CortexResolver::MaybeRecalibrate(Simulation& sim,
   // a small slice contends (paper: the priority scheduler admits judger
   // batches only when the agent queue leaves room).
   const std::size_t val_calls =
-      std::min<std::size_t>(engine_->recalibrator().validation_size(), 12);
+      std::min<std::size_t>(engine_->validation_size(0), 12);
   for (std::size_t i = 0; i < val_calls; ++i) {
     env_.gpu->RunJudgerCall(sim.now(), 96);
   }

@@ -5,16 +5,18 @@
 //                       data service.
 //   ExactCacheResolver  Agent_exact: a traditional exact-match KV cache in
 //                       front of the service.
-//   CortexResolver      Agent_Asteria (here: Agent_Cortex): the full
-//                       engine — two-stage semantic retrieval, LCFU + TTL,
-//                       Markov prefetching, periodic recalibration.  With
-//                       the judger disabled in the engine options it
-//                       doubles as the Agent_ANN ablation.
+//   CortexResolver      Agent_Asteria (here: Agent_Cortex): the serving
+//                       engine cortexd runs (two-stage retrieval over the
+//                       shard snapshot, LCFU + TTL, recalibration) plus
+//                       Markov prefetching beside it.  With the judger
+//                       disabled in the engine options it doubles as the
+//                       Agent_ANN ablation.
 //
 // Resolvers translate engine operations into virtual-clock latency: the
 // embedder and judger run on the GPU co-location simulator, ANN search
 // costs a CPU constant, and misses pay the remote service's WAN latency,
-// rate limiting, and retries.
+// rate limiting, and retries.  They live beside the serving engine (not in
+// core/) because the paper's experiments run on it.
 #pragma once
 
 #include <memory>
@@ -22,10 +24,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/engine.h"
 #include "core/exact_cache.h"
+#include "core/prefetcher.h"
 #include "gpu/colocation.h"
 #include "net/remote_service.h"
+#include "serve/concurrent_engine.h"
 #include "sim/serving.h"
 #include "workload/oracle.h"
 
@@ -69,6 +72,12 @@ class ExactCacheResolver final : public ToolResolver {
 };
 
 struct CortexResolverOptions {
+  // CPU-side ANN search latency added to every lookup (the paper measures
+  // ~0.02 s total cache retrieval; embedding runs on the GPU separately).
+  double ann_search_seconds = 0.015;
+  // Markov prefetching (Algorithm 3), keyed by the task as the session.
+  bool prefetch_enabled = true;
+  PrefetcherOptions prefetch;
   // Attribute background traffic (prefetch fetches, recalibration GT
   // fetches) to the triggering request's outcome counters.
   bool count_background_calls = true;
@@ -85,22 +94,31 @@ struct CortexResolverOptions {
   // quota bucket is nearly drained, so speculation never starves foreground
   // misses of rate-limit tokens.
   double prefetch_min_quota = 3.0;
-  std::uint64_t seed = 77;
 };
 
+// Serves tool calls from a one-shard ConcurrentShardedEngine that it owns.
+// The engine reads the simulation's clock and runs no housekeeping thread:
+// the resolver purges expired entries before each lookup and ticks
+// recalibration every engine_options.recalibration_interval_sec (<= 0
+// disables), with ground-truth fetches charged to the request that
+// triggered the tick.
 class CortexResolver final : public ToolResolver {
  public:
-  CortexResolver(ResolverEnvironment env, CortexEngine* engine,
+  // embedder/judger are borrowed and must outlive the resolver; the
+  // embedder must be IDF-fitted.  The resolver overrides num_shards,
+  // clock and housekeeping_interval_sec in `engine_options`.
+  CortexResolver(ResolverEnvironment env, const HashedEmbedder* embedder,
+                 const JudgerModel* judger,
+                 serve::ConcurrentEngineOptions engine_options,
                  CortexResolverOptions options = {});
 
   void Resolve(Simulation& sim, const ToolStep& step, std::uint64_t task_id,
                ResolveCallback done) override;
   std::string name() const override {
-    return engine_->cache().sine().options().use_judger ? "cortex"
-                                                        : "ann-only";
+    return engine_->options().cache.sine.use_judger ? "cortex" : "ann-only";
   }
 
-  CortexEngine& engine() noexcept { return *engine_; }
+  serve::ConcurrentShardedEngine& engine() noexcept { return *engine_; }
   std::uint64_t prefetch_issued() const noexcept { return prefetch_issued_; }
   std::uint64_t recalibration_rounds() const noexcept {
     return recalibration_rounds_;
@@ -135,9 +153,12 @@ class CortexResolver final : public ToolResolver {
                        ResolveOutcome& outcome);
 
   ResolverEnvironment env_;
-  CortexEngine* engine_;
   CortexResolverOptions options_;
-  Rng rng_;
+  // The engine's clock: the simulation time of the event being handled,
+  // set before every engine call.
+  double now_ = 0.0;
+  std::unique_ptr<serve::ConcurrentShardedEngine> engine_;
+  MarkovPrefetcher prefetcher_;
   double next_recalibration_ = 0.0;
   std::uint64_t prefetch_issued_ = 0;
   std::uint64_t recalibration_rounds_ = 0;

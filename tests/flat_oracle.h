@@ -2,12 +2,13 @@
 // (DESIGN.md §13.4).  A shard's cache keeps no ANN index, so the
 // reference is built on demand: a Sine over a kFlat index filled from the
 // shard's entries, with the shard's live SineOptions and the visibility
-// rule SemanticCache::Lookup applies.  Test-only; shared by the engine and
-// batching-pipeline parity tests.
+// rule SemanticCache::Lookup applies.  Test-only; shared by the engine,
+// resolver and data-client tests, with a few more test-only shard hooks.
 #pragma once
 
 #include <optional>
 #include <string_view>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/sine.h"
@@ -64,6 +65,33 @@ class ConcurrentEngineTestPeer {
       };
       fn(oracle);
     });
+  }
+
+  // Removes every entry whose key `doomed(key)` accepts, republishing each
+  // shard's snapshot (tests that need a hole in the cache).  Returns the
+  // number removed.  Cache-layer gauges are not updated.
+  template <typename Pred>
+  static std::size_t RemoveIf(ConcurrentShardedEngine& engine,
+                              Pred&& doomed) {
+    std::size_t removed = 0;
+    for (auto& shard : engine.shards_) {
+      WriterLock lock(shard->mu);
+      std::vector<SeId> ids;
+      for (const auto& [id, se] : shard->cache->entries()) {
+        if (doomed(se.key)) ids.push_back(id);
+      }
+      for (const SeId id : ids) removed += shard->cache->Remove(id) ? 1 : 0;
+      engine.SyncProbeState(*shard);
+    }
+    return removed;
+  }
+
+  // Judged samples waiting in shard `shard`'s recalibration log.
+  static std::size_t JudgmentLogSize(const ConcurrentShardedEngine& engine,
+                                     std::size_t shard) {
+    const auto& s = *engine.shards_.at(shard);
+    ReaderLock lock(s.mu);
+    return s.recalibrator.log_size();
   }
 
   // One oracle probe on the shard that owns `query`.

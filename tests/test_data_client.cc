@@ -1,30 +1,33 @@
-#include "core/data_client.h"
+#include "serve/data_client.h"
 
 #include <gtest/gtest.h>
 
+#include "flat_oracle.h"
 #include "llm/agent_model.h"
 #include "test_helpers.h"
 
 namespace cortex {
 namespace {
 
+using cortex::serve::ConcurrentEngineTestPeer;
+using cortex::serve::ConcurrentShardedEngine;
 using cortex::testing::MiniWorld;
 
 class DataClientTest : public ::testing::Test {
  protected:
   DataClientTest() {
-    CortexEngineOptions opts;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = 1e6;
-    opts.recalibration_enabled = false;
-    engine_ = std::make_unique<CortexEngine>(&world_.embedder,
-                                             world_.judger.get(), opts);
     client_ = std::make_unique<DataClient>(
-        engine_.get(),
+        &world_.embedder, world_.judger.get(), opts,
         [this](std::string_view query, double) -> DataClient::FetchResultView {
+          if (fail_fetches_) return {};
           ++remote_fetches_;
           return {world_.oracle->ExpectedInfo(query), 0.4, 0.005};
         });
   }
+
+  ConcurrentShardedEngine& engine() { return client_->engine(); }
 
   std::string AgentTurnFor(std::size_t topic, std::size_t paraphrase = 0) {
     return WrapTag(TagKind::kThink, "I should look this up.") +
@@ -32,9 +35,9 @@ class DataClientTest : public ::testing::Test {
   }
 
   MiniWorld world_;
-  std::unique_ptr<CortexEngine> engine_;
   std::unique_ptr<DataClient> client_;
   int remote_fetches_ = 0;
+  bool fail_fetches_ = false;  // the remote service is down
 };
 
 TEST_F(DataClientTest, InterceptsToolCallAndReturnsWrappedInfo) {
@@ -75,17 +78,15 @@ TEST_F(DataClientTest, GenericToolTagIsAlsoIntercepted) {
 }
 
 TEST_F(DataClientTest, FailedFetchIsReportedNotCached) {
-  DataClient failing(engine_.get(),
-                     [](std::string_view, double) {
-                       return DataClient::FetchResultView{};
-                     });
-  const auto result = failing.InterceptTurn(AgentTurnFor(2), 0.0);
+  fail_fetches_ = true;
+  const auto result = client_->InterceptTurn(AgentTurnFor(2), 0.0);
   EXPECT_TRUE(result.fetch_failed);
-  EXPECT_EQ(engine_->cache().size(), 0u);
-  // A later fetch through the working client succeeds and caches.
+  EXPECT_EQ(engine().TotalSize(), 0u);
+  // A later fetch, once the service is back, succeeds and caches.
+  fail_fetches_ = false;
   const auto retry = client_->InterceptTurn(AgentTurnFor(2), 1.0);
   EXPECT_FALSE(retry.fetch_failed);
-  EXPECT_EQ(engine_->cache().size(), 1u);
+  EXPECT_EQ(engine().TotalSize(), 1u);
 }
 
 TEST_F(DataClientTest, PrefetchProposalsSurfaceAndExecute) {
@@ -95,17 +96,15 @@ TEST_F(DataClientTest, PrefetchProposalsSurfaceAndExecute) {
     client_->InterceptTurn(AgentTurnFor(1, 0), session * 10.0 + 1, session);
   }
   // Evict topic 1 so the prediction is actionable.
-  std::vector<SeId> to_remove;
-  for (const auto& [id, se] : engine_->cache().entries()) {
-    if (world_.oracle->TopicOf(se.key) == 1u) to_remove.push_back(id);
-  }
-  for (SeId id : to_remove) engine_->cache().Remove(id);
+  ConcurrentEngineTestPeer::RemoveIf(engine(), [&](const std::string& key) {
+    return world_.oracle->TopicOf(key) == 1u;
+  });
 
   client_->InterceptTurn(AgentTurnFor(0, 1), 100.0, 99);
   ASSERT_FALSE(client_->pending_prefetches().empty());
   const auto fetched = client_->RunPendingPrefetches(100.5);
   EXPECT_GE(fetched, 1u);
-  EXPECT_TRUE(engine_->cache().ContainsKey(world_.query(1, 0)));
+  EXPECT_TRUE(engine().ContainsKey(world_.query(1, 0)));
   EXPECT_TRUE(client_->pending_prefetches().empty());
 }
 

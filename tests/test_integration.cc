@@ -2,8 +2,8 @@
 // stack, asserting the paper's qualitative claims hold in miniature.
 #include <gtest/gtest.h>
 
-#include "core/resolvers.h"
 #include "embedding/hashed_embedder.h"
+#include "serve/resolvers.h"
 #include "sim/driver.h"
 #include "workload/workloads.h"
 
@@ -31,18 +31,18 @@ RunResult Serve(const std::string& system, const WorkloadBundle& bundle,
   ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
 
   std::unique_ptr<ToolResolver> resolver;
-  std::unique_ptr<CortexEngine> engine;
   if (system == "vanilla") {
     resolver = std::make_unique<VanillaResolver>(env);
   } else if (system == "exact") {
     resolver = std::make_unique<ExactCacheResolver>(
         env, ExactCacheOptions{.capacity_tokens = capacity});
   } else {
-    CortexEngineOptions opts;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = capacity;
+    opts.recalibration_interval_sec = 60.0;
     if (system == "ann-only") opts.cache.sine.use_judger = false;
-    engine = std::make_unique<CortexEngine>(&embedder, &judger, opts);
-    resolver = std::make_unique<CortexResolver>(env, engine.get());
+    resolver = std::make_unique<CortexResolver>(env, &embedder, &judger,
+                                                std::move(opts));
   }
 
   ServingDriver driver(agent, gpu, *resolver, driver_opts);
@@ -164,11 +164,11 @@ TEST(Integration, ColocationCostsLittleThroughput) {
     AgentModel agent;
     ColocationSimulator gpu(cfg);
     RemoteDataService service(RemoteDataService::GoogleSearchApi());
-    CortexEngineOptions opts;
+    serve::ConcurrentEngineOptions opts;
     opts.cache.capacity_tokens = 0.6 * bundle.TotalKnowledgeTokens();
-    CortexEngine engine(&embedder, &judger, opts);
+    opts.recalibration_interval_sec = 60.0;
     ResolverEnvironment env{&gpu, &service, bundle.oracle.get()};
-    CortexResolver resolver(env, &engine);
+    CortexResolver resolver(env, &embedder, &judger, std::move(opts));
     ServingDriver driver(agent, gpu, resolver, Rate(3.0));
     return driver.Run(bundle.tasks);
   };

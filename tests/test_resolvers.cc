@@ -1,12 +1,16 @@
-#include "core/resolvers.h"
+#include "serve/resolvers.h"
 
 #include <gtest/gtest.h>
 
+#include "flat_oracle.h"
+#include "sim/driver.h"
 #include "test_helpers.h"
+#include "workload/workloads.h"
 
 namespace cortex {
 namespace {
 
+using cortex::serve::ConcurrentEngineTestPeer;
 using cortex::testing::MiniWorld;
 
 class ResolverTest : public ::testing::Test {
@@ -35,6 +39,22 @@ class ResolverTest : public ::testing::Test {
     sim.Run();
     EXPECT_TRUE(result.has_value());
     return std::move(*result);
+  }
+
+  // The simulator's engine defaults: a large cache, recalibration every
+  // 60 s.
+  static serve::ConcurrentEngineOptions CortexOptions() {
+    serve::ConcurrentEngineOptions opts;
+    opts.cache.capacity_tokens = 1e6;
+    opts.recalibration_interval_sec = 60.0;
+    return opts;
+  }
+
+  std::unique_ptr<CortexResolver> MakeCortex(
+      serve::ConcurrentEngineOptions opts = CortexOptions(),
+      CortexResolverOptions ropts = {}) {
+    return std::make_unique<CortexResolver>(
+        Env(), &world_.embedder, world_.judger.get(), std::move(opts), ropts);
   }
 
   MiniWorld world_;
@@ -92,32 +112,21 @@ TEST_F(ResolverTest, ExactHitIsFastLocalLookup) {
 
 // --- CortexResolver ---
 
-struct CortexHarness {
-  explicit CortexHarness(MiniWorld& world, CortexEngineOptions opts = {}) {
-    if (opts.cache.capacity_tokens == SemanticCacheOptions{}.capacity_tokens) {
-      opts.cache.capacity_tokens = 1e6;
-    }
-    engine = std::make_unique<CortexEngine>(&world.embedder,
-                                            world.judger.get(), opts);
-  }
-  std::unique_ptr<CortexEngine> engine;
-};
-
 TEST_F(ResolverTest, CortexMissFetchesAndAdmits) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   EXPECT_EQ(resolver.name(), "cortex");
   const auto out = RunOne(resolver, StepFor(0, 0), 0.0);
   EXPECT_FALSE(out.from_cache);
   EXPECT_TRUE(out.info_correct);
   EXPECT_GE(out.api_calls, 1u);
   EXPECT_GT(out.cache_check_seconds, 0.0);  // embedding + ANN ran
-  EXPECT_EQ(harness.engine->cache().size(), 1u);
+  EXPECT_EQ(resolver.engine().TotalSize(), 1u);
 }
 
 TEST_F(ResolverTest, CortexServesParaphraseFromCache) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   RunOne(resolver, StepFor(0, 0), 0.0);
   const auto out = RunOne(resolver, StepFor(0, 3), 10.0);
   EXPECT_TRUE(out.from_cache);
@@ -130,8 +139,8 @@ TEST_F(ResolverTest, CortexServesParaphraseFromCache) {
 }
 
 TEST_F(ResolverTest, CortexHitIsFasterThanRemoteFetch) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   const auto miss = RunOne(resolver, StepFor(0, 0), 0.0);
   const auto hit = RunOne(resolver, StepFor(0, 2), 10.0);
   EXPECT_LT(hit.cache_check_seconds,
@@ -139,12 +148,12 @@ TEST_F(ResolverTest, CortexHitIsFasterThanRemoteFetch) {
 }
 
 TEST_F(ResolverTest, AnnOnlyVariantReportsItsName) {
-  CortexEngineOptions opts;
+  serve::ConcurrentEngineOptions opts = CortexOptions();
   opts.cache.sine.use_judger = false;
   // Accept any stage-1 survivor so the hit path is deterministic.
   opts.cache.sine.ann_only_threshold = opts.cache.sine.tau_sim;
-  CortexHarness harness(world_, opts);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex(opts);
+  CortexResolver& resolver = *cortex;
   EXPECT_EQ(resolver.name(), "ann-only");
   // And it still serves paraphrase hits, without judger latency.
   RunOne(resolver, StepFor(0, 0), 0.0);
@@ -153,11 +162,10 @@ TEST_F(ResolverTest, AnnOnlyVariantReportsItsName) {
 }
 
 TEST_F(ResolverTest, RecalibrationRunsOnScheduleAndCountsCalls) {
-  CortexEngineOptions opts;
-  opts.recalibration_enabled = true;
+  serve::ConcurrentEngineOptions opts = CortexOptions();
   opts.recalibration_interval_sec = 5.0;
-  CortexHarness harness(world_, opts);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex(opts);
+  CortexResolver& resolver = *cortex;
   for (int i = 0; i < 8; ++i) {
     RunOne(resolver, StepFor(i % 3, i % 5), i * 3.0);
   }
@@ -165,41 +173,39 @@ TEST_F(ResolverTest, RecalibrationRunsOnScheduleAndCountsCalls) {
 }
 
 TEST_F(ResolverTest, PrefetchIssuesBackgroundFetches) {
-  CortexEngineOptions opts;
-  opts.prefetch.min_observations = 2;
-  opts.prefetch.confidence_threshold = 0.5;
-  opts.recalibration_enabled = false;
+  serve::ConcurrentEngineOptions opts = CortexOptions();
+  opts.recalibration_interval_sec = 0.0;
+  CortexResolverOptions ropts;
+  ropts.prefetch.min_observations = 2;
+  ropts.prefetch.confidence_threshold = 0.5;
   // Tiny capacity would complicate things; keep it large but evict topic 1
   // manually to create a prefetch opportunity.
-  CortexHarness harness(world_, opts);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex(opts, ropts);
+  CortexResolver& resolver = *cortex;
   // Teach transition q(0) -> q(1) across sessions, then remove topic 1.
   for (std::uint64_t s = 0; s < 4; ++s) {
     RunOne(resolver, StepFor(0, 0), s * 20.0, /*task=*/s);
     RunOne(resolver, StepFor(1, 0), s * 20.0 + 1.0, /*task=*/s);
   }
   // Evict topic 1's entry so the next prediction is actionable.
-  std::vector<SeId> to_remove;
-  for (const auto& [id, se] : harness.engine->cache().entries()) {
-    if (world_.oracle->TopicOf(se.key) == 1u) to_remove.push_back(id);
-  }
-  for (SeId id : to_remove) harness.engine->cache().Remove(id);
+  ConcurrentEngineTestPeer::RemoveIf(
+      resolver.engine(),
+      [&](const std::string& key) { return world_.oracle->TopicOf(key) == 1u; });
 
   const auto before = resolver.prefetch_issued();
   RunOne(resolver, StepFor(0, 1), 200.0, /*task=*/77);
   EXPECT_GT(resolver.prefetch_issued(), before);
   // The prefetched knowledge landed in the cache under topic 1's key.
-  EXPECT_TRUE(harness.engine->cache().ContainsKey(world_.query(1, 0)));
+  EXPECT_TRUE(resolver.engine().ContainsKey(world_.query(1, 0)));
 }
 
 TEST_F(ResolverTest, BackgroundCallAccountingCanBeDisabled) {
-  CortexEngineOptions opts;
-  opts.recalibration_enabled = true;
+  serve::ConcurrentEngineOptions opts = CortexOptions();
   opts.recalibration_interval_sec = 1.0;
-  CortexHarness harness(world_, opts);
   CortexResolverOptions ropts;
   ropts.count_background_calls = false;
-  CortexResolver resolver(Env(), harness.engine.get(), ropts);
+  auto cortex = MakeCortex(opts, ropts);
+  CortexResolver& resolver = *cortex;
   RunOne(resolver, StepFor(0, 0), 0.0);
   const auto out = RunOne(resolver, StepFor(1, 0), 100.0);
   // Only the foreground fetch is attributed.
@@ -207,8 +213,8 @@ TEST_F(ResolverTest, BackgroundCallAccountingCanBeDisabled) {
 }
 
 TEST_F(ResolverTest, SingleFlightCoalescesIdenticalConcurrentMisses) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   Simulation sim;
   int completed = 0;
   std::string info_a, info_b;
@@ -234,10 +240,10 @@ TEST_F(ResolverTest, SingleFlightCoalescesIdenticalConcurrentMisses) {
 }
 
 TEST_F(ResolverTest, CoalescingCanBeDisabled) {
-  CortexHarness harness(world_);
   CortexResolverOptions ropts;
   ropts.coalesce_inflight = false;
-  CortexResolver resolver(Env(), harness.engine.get(), ropts);
+  auto cortex = MakeCortex(CortexOptions(), ropts);
+  CortexResolver& resolver = *cortex;
   Simulation sim;
   const ToolStep step = StepFor(0, 0);
   int completed = 0;
@@ -252,9 +258,9 @@ TEST_F(ResolverTest, CoalescingCanBeDisabled) {
 }
 
 TEST_F(ResolverTest, CoalescedWaiterAfterCompletionStartsFreshFetch) {
-  CortexHarness harness(world_);
   // Disable insertion confusions: use a paraphrase whose repeat would hit.
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   const auto first = RunOne(resolver, StepFor(0, 0), 0.0);
   EXPECT_FALSE(first.from_cache);
   // Sequential (not concurrent) repeat: the in-flight entry was cleaned up,
@@ -265,8 +271,8 @@ TEST_F(ResolverTest, CoalescedWaiterAfterCompletionStartsFreshFetch) {
 }
 
 TEST_F(ResolverTest, SemanticCoalescingJoinsEquivalentInflightFetch) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   Simulation sim;
   int completed = 0;
   std::string info_b;
@@ -288,10 +294,10 @@ TEST_F(ResolverTest, SemanticCoalescingJoinsEquivalentInflightFetch) {
 }
 
 TEST_F(ResolverTest, SemanticCoalescingDisabledStillCoalescesExact) {
-  CortexHarness harness(world_);
   CortexResolverOptions ropts;
   ropts.semantic_coalescing = false;
-  CortexResolver resolver(Env(), harness.engine.get(), ropts);
+  auto cortex = MakeCortex(CortexOptions(), ropts);
+  CortexResolver& resolver = *cortex;
   Simulation sim;
   int completed = 0;
   sim.ScheduleAt(0.0, [&] {
@@ -311,8 +317,8 @@ TEST_F(ResolverTest, SemanticCoalescingDisabledStillCoalescesExact) {
 }
 
 TEST_F(ResolverTest, UnrelatedConcurrentMissesDoNotCoalesce) {
-  CortexHarness harness(world_);
-  CortexResolver resolver(Env(), harness.engine.get());
+  auto cortex = MakeCortex();
+  CortexResolver& resolver = *cortex;
   // Find a topic with a different entity than topic 0.
   std::size_t other = 1;
   while (world_.topic(other).entity == world_.topic(0).entity) ++other;
@@ -330,6 +336,74 @@ TEST_F(ResolverTest, UnrelatedConcurrentMissesDoNotCoalesce) {
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(resolver.coalesced_requests(), 0u);
   EXPECT_EQ(service_.total_calls(), 2u);
+}
+
+// Wraps a CortexResolver and checks every lookup it serves against the
+// flat oracle over the engine's entries at that virtual time.
+class OracleCheckedResolver final : public ToolResolver {
+ public:
+  explicit OracleCheckedResolver(CortexResolver& inner) : inner_(inner) {}
+
+  void Resolve(Simulation& sim, const ToolStep& step, std::uint64_t task_id,
+               ResolveCallback done) override {
+    serve::ConcurrentShardedEngine& engine = inner_.engine();
+    const std::optional<CacheHit> expected =
+        ConcurrentEngineTestPeer::FlatOracle(engine, step.query, sim.now());
+    inner_.Resolve(sim, step, task_id,
+                   [expected, done = std::move(done)](ResolveOutcome out) {
+                     EXPECT_EQ(out.from_cache, expected.has_value());
+                     if (expected) {
+                       EXPECT_EQ(out.info, expected->value);
+                     }
+                     done(std::move(out));
+                   });
+    // Resolve looked the query up at sim.now() and committed; what it
+    // scheduled has not run yet, so a read-only probe at the same clock
+    // sees the entries and threshold the lookup saw.
+    const std::optional<CacheHit> served = engine.Peek(step.query);
+    ++lookups_;
+    ASSERT_EQ(served.has_value(), expected.has_value()) << step.query;
+    if (!served) return;
+    ++hits_;
+    EXPECT_EQ(served->id, expected->id) << step.query;
+    EXPECT_EQ(served->similarity, expected->similarity) << step.query;
+    EXPECT_EQ(served->judger_score, expected->judger_score) << step.query;
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::size_t lookups_ = 0;
+  std::size_t hits_ = 0;
+
+ private:
+  CortexResolver& inner_;
+};
+
+TEST(ResolverOracleTest, ServedHitsEqualTheFlatOracleOnASkewedReplay) {
+  auto profile = SearchDatasetProfile::HotpotQa();
+  profile.num_tasks = 200;
+  const WorkloadBundle bundle = BuildSkewedSearchWorkload(profile);
+  HashedEmbedder embedder;
+  embedder.FitIdf(bundle.AllQueries());
+  JudgerModel judger(bundle.oracle.get());
+  AgentModel agent;
+  ColocationSimulator gpu(DeploymentConfig::Colocated80_20());
+  RemoteDataService service(RemoteDataService::GoogleSearchApi());
+
+  // A tight cache, so eviction runs too.  Recalibration stays off: a tick
+  // inside Resolve would move the threshold between the lookup and the
+  // check's probe.
+  serve::ConcurrentEngineOptions opts;
+  opts.cache.capacity_tokens = 0.15 * bundle.TotalKnowledgeTokens();
+  CortexResolver cortex({&gpu, &service, bundle.oracle.get()}, &embedder,
+                        &judger, opts);
+  OracleCheckedResolver checked(cortex);
+  DriverOptions driver;
+  driver.request_rate = 3.0;
+  ServingDriver(agent, gpu, checked, driver).Run(bundle.tasks);
+
+  EXPECT_GT(checked.lookups_, 100u);
+  EXPECT_GT(checked.hits_, checked.lookups_ / 4);
+  EXPECT_GT(cortex.engine().TotalCounters().evictions, 0u);
 }
 
 }  // namespace

@@ -75,19 +75,17 @@ ExperimentConfig BuildExperiment(const Config& config) {
   else throw std::invalid_argument("unknown system.kind: " + system);
 
   experiment.cache_ratio = config.GetDouble("cache.ratio", 0.4);
-  experiment.prefetch_enabled = config.GetBool("cache.prefetch", true);
-  experiment.recalibration_enabled =
-      config.GetBool("cache.recalibration", true);
+  experiment.resolver.prefetch_enabled =
+      config.GetBool("cache.prefetch", true);
+  if (!config.GetBool("cache.recalibration", true)) {
+    experiment.engine.recalibration_interval_sec = 0.0;
+  }
+  EvictionKind& kind = experiment.engine.eviction;
   const std::string eviction = config.GetString("cache.eviction", "lcfu");
-  if (eviction == "lcfu") experiment.eviction = EvictionKind::kLcfu;
-  else if (eviction == "lru") experiment.eviction = EvictionKind::kLru;
-  else if (eviction == "lfu") experiment.eviction = EvictionKind::kLfu;
+  if (eviction == "lcfu") kind = EvictionKind::kLcfu;
+  else if (eviction == "lru") kind = EvictionKind::kLru;
+  else if (eviction == "lfu") kind = EvictionKind::kLfu;
   else throw std::invalid_argument("unknown cache.eviction: " + eviction);
-  const std::string index = config.GetString("cache.index", "flat");
-  if (index == "flat") experiment.engine.index_type = IndexType::kFlat;
-  else if (index == "ivf") experiment.engine.index_type = IndexType::kIvf;
-  else if (index == "hnsw") experiment.engine.index_type = IndexType::kHnsw;
-  else throw std::invalid_argument("unknown cache.index: " + index);
   experiment.engine.cache.sine.tau_sim =
       config.GetDouble("cache.tau_sim", experiment.engine.cache.sine.tau_sim);
   experiment.engine.cache.sine.tau_lsm =
